@@ -5,16 +5,18 @@ N ?= 1000
 START ?= 0
 WORKERS ?= 4
 
-.PHONY: test test-all fuzz fuzz-parallel bench bench-topn bench-durability obs-smoke metrics-smoke chaos battery server-smoke crash-battery
+.PHONY: test test-all fuzz fuzz-parallel bench bench-topn bench-durability obs-smoke perf-smoke chaos battery server-smoke crash-battery
 
 # The tier-1 suite runs three times: fully serial, with a 4-worker
 # pool (the serial-equivalence contract of the morsel-driven executor,
-# docs/parallelism.md), and with the hot-path stack — plan cache,
-# kernel cache, fused pipelines, zone maps — disabled
-# (docs/performance.md), proving the caches never change results.
-# The third leg also forces raw storage so cache-off and encoding-off
-# are covered together; the battery leg then cross-checks the TPC-H
-# query shapes plus an encoded-vs-raw fuzz sweep (docs/storage.md).
+# docs/parallelism.md), and with caches and encodings off — plan cache,
+# kernel cache, zone maps and CSR cache disabled (docs/performance.md)
+# and raw storage forced (docs/storage.md). All three legs run the same
+# operators; the third is a configuration, not a second code path, and
+# proves the caches and encodings never change results. The battery leg
+# then cross-checks the TPC-H query shapes plus an encoded-vs-raw fuzz
+# sweep, and perf-smoke fails if a src/ change broke a BENCHMARK.json
+# metric name.
 test: obs-smoke
 	REPRO_WORKERS=1 $(PY) -m pytest -x -q
 	REPRO_WORKERS=4 $(PY) -m pytest -x -q
@@ -23,6 +25,7 @@ test: obs-smoke
 	$(MAKE) chaos
 	$(MAKE) crash-battery
 	$(MAKE) server-smoke
+	$(MAKE) perf-smoke
 	$(PY) -m repro.bench.topn --smoke
 	$(PY) -m repro.bench.durability --smoke
 
@@ -72,8 +75,10 @@ server-smoke:
 obs-smoke:
 	$(PY) -m repro.obs.export --check
 
-# Back-compat alias (pre-flight-recorder name).
-metrics-smoke: obs-smoke
+# Quick run of every BENCHMARK.json workload, traced and untraced:
+# zero failures and every declared metric name printed exactly once.
+perf-smoke:
+	$(PY) -m pytest -q perf/test_smoke.py
 
 test-all:
 	$(PY) -m pytest -q -m ""

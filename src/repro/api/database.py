@@ -44,13 +44,14 @@ from ..governor import QueryContext
 from ..obs.flight import FlightRecorder
 from ..obs.history import (
     QueryHistory,
+    QueryRecord,
     operator_observations,
     record_from_span,
     resolve_history_path,
     resolve_slow_ms,
 )
 from ..obs.metrics import MetricsRegistry, global_registry
-from ..obs.trace import QueryLogEntry, Span, Tracer
+from ..obs.trace import Span, Tracer
 from ..exec.sort import resolve_topn
 from ..plan.cardinality import CardinalityEstimator
 from ..plan.feedback import CardinalityFeedback, resolve_feedback
@@ -134,16 +135,18 @@ class Database:
         optimize: disable to run binder plans verbatim (ablations).
         profile_operators: keep per-operator self-time histograms for
             every statement (``operator_self_seconds{op=...}``); disable
-            to shave the wrapper overhead in micro-benchmarks.
-        query_log_size: how many statements the query-log ring buffer
-            retains (see :meth:`query_log`).
+            to shave the wrapper overhead in micro-benchmarks. Profiled
+            operators are also the only source of observed
+            cardinalities, so turning this off turns cardinality
+            feedback (``feedback``) off with it.
         workers: worker-thread count for morsel-driven parallel
             execution. ``None`` reads ``REPRO_WORKERS`` (default 1 —
             fully serial). Results are bit-identical for every worker
             count (see ``docs/parallelism.md``).
-        parallel_threshold: minimum base-table cardinality before the
-            planner chooses a parallel pipeline over the serial
-            operators (0 parallelises everything — test battery use).
+        parallel_threshold: minimum rows a base-table scan must have
+            left after zone-map pruning before it dispatches its morsels
+            to the worker pool instead of streaming them serially
+            (0 dispatches everything — test battery use).
         plan_cache: enable the statement/plan cache (and with it the
             whole hot-path stack: expression-kernel cache, zone-map
             pruning, CSR cache). ``None`` reads ``REPRO_PLAN_CACHE``
@@ -186,7 +189,6 @@ class Database:
         morsel_rows: int = 65_536,
         max_iterations: int = 10_000,
         profile_operators: bool = True,
-        query_log_size: int = 256,
         workers: Optional[int] = None,
         parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
         plan_cache: Optional[bool] = None,
@@ -251,7 +253,7 @@ class Database:
         self._governor_lock = threading.Lock()
         #: Final governor report of the most recent statement.
         self.last_governor: Optional[dict] = None
-        self._tracer = Tracer(log_size=query_log_size)
+        self._tracer = Tracer()
         #: Shared morsel-dispatch pool; threads are created lazily, so a
         #: serial session never spawns any. The tracer rides along so
         #: worker-side morsel spans stitch under the owning statement.
@@ -362,7 +364,6 @@ class Database:
         self.metrics.histogram("wal_recovery_seconds").observe(duration)
         self.last_recovery = {
             "wal_path": wal_path,
-            "format": wal.format,
             "snapshot_used": snapshot is not None,
             "snapshot_seq": min_seq,
             "tables_restored": tables_restored,
@@ -685,6 +686,74 @@ class Database:
                     pass
             self.last_governor = governor.report()
 
+    def _statement(
+        self,
+        sql: str,
+        body: Callable,
+        timeout_ms=_UNSET,
+        memory_budget_mb=_UNSET,
+        cancel_token=None,
+    ):
+        """Run ``body(statement_span, governor)`` as one statement:
+        governed, traced under a ``statement`` root span, timed, and —
+        success or abort — recorded in the history store. Every public
+        statement entry point (:meth:`execute`, :meth:`explain`,
+        :meth:`explain_analyze`) goes through here, so each call leaves
+        exactly one record."""
+        started = time.perf_counter()
+        started_at = time.time()
+        info = self._stmt_local.record_info = {}
+        governor: Optional[QueryContext] = None
+        error: Optional[BaseException] = None
+        try:
+            with self._governed(
+                timeout_ms, memory_budget_mb, cancel_token
+            ) as governor:
+                with self._tracer.statement(sql) as stmt:
+                    info["span"] = stmt
+                    return body(stmt, governor)
+        except BaseException as exc:
+            error = exc
+            self.metrics.counter("statement_errors_total").inc()
+            raise
+        finally:
+            self.metrics.histogram("statement_seconds").observe(
+                time.perf_counter() - started
+            )
+            self._finish_statement(sql, started_at, governor, error)
+
+    def _run_sql(
+        self,
+        sql: str,
+        params: Optional[Sequence[object]],
+        stmt: Span,
+        analyze: bool = False,
+    ) -> QueryResult:
+        """Execute ``sql`` inside its open statement span: through the
+        plan cache when it applies, else parse + run each statement.
+        ``analyze`` (``explain_analyze``) admits a single SELECT only
+        and profiles its operators whatever the session default."""
+        if analyze:
+            self._record_info()["analyze"] = True
+        result = self._execute_with_plan_cache(sql, params)
+        if result is None:
+            with self._tracer.span("parse"):
+                statements = parse_sql(sql, params)
+            if analyze and (
+                len(statements) != 1
+                or not isinstance(statements[0], ast.SelectStatement)
+            ):
+                raise BindError(
+                    "explain_analyze supports a single SELECT statement"
+                )
+            if not statements:
+                raise BindError("empty statement")
+            result = QueryResult.statement(0)
+            for statement in statements:
+                result = self._execute_statement(statement)
+        stmt.attributes["rows"] = len(result)
+        return result
+
     def execute(
         self,
         sql: str,
@@ -705,39 +774,11 @@ class Database:
         defaults for this call (``None`` or ``<= 0`` disables the
         corresponding limit). ``cancel_token`` installs a caller-owned
         :class:`~repro.governor.CancelToken` scoped to this call."""
-        tracer = self._tracer
-        started = time.perf_counter()
-        started_at = time.time()
-        self._stmt_local.record_info = {}
-        governor: Optional[QueryContext] = None
-        error: Optional[BaseException] = None
-        try:
-            with self._governed(
-                timeout_ms, memory_budget_mb, cancel_token
-            ) as gov:
-                governor = gov
-                with tracer.statement(sql) as stmt:
-                    self._record_info()["span"] = stmt
-                    result = self._execute_with_plan_cache(sql, params)
-                    if result is None:
-                        with tracer.span("parse"):
-                            statements = parse_sql(sql, params)
-                        if not statements:
-                            raise BindError("empty statement")
-                        result = QueryResult.statement(0)
-                        for statement in statements:
-                            result = self._execute_statement(statement)
-                    stmt.attributes["rows"] = len(result)
-                    return result
-        except BaseException as exc:
-            error = exc
-            self.metrics.counter("statement_errors_total").inc()
-            raise
-        finally:
-            self.metrics.histogram("statement_seconds").observe(
-                time.perf_counter() - started
-            )
-            self._finish_statement(sql, started_at, governor, error)
+        return self._statement(
+            sql,
+            lambda stmt, _governor: self._run_sql(sql, params, stmt),
+            timeout_ms, memory_budget_mb, cancel_token,
+        )
 
     def query(
         self,
@@ -926,23 +967,28 @@ class Database:
         counts), or ``feedback`` (observed cardinalities from earlier
         executions of the same statement fingerprint).
         """
-        statement = parse_sql(sql)
-        if len(statement) != 1 or not isinstance(
-            statement[0], ast.SelectStatement
-        ):
-            raise BindError("EXPLAIN supports a single SELECT statement")
-        fingerprint = sql_fingerprint(sql)
-        txn, owned = self._current_txn()
-        try:
-            with self._tracer.statement(sql):
+
+        def body(_stmt, _governor) -> str:
+            statement = parse_sql(sql)
+            if len(statement) != 1 or not isinstance(
+                statement[0], ast.SelectStatement
+            ):
+                raise BindError(
+                    "EXPLAIN supports a single SELECT statement"
+                )
+            fingerprint = sql_fingerprint(sql)
+            txn, owned = self._current_txn()
+            try:
                 plan = self._plan_select(
                     statement[0], txn, fingerprint=fingerprint
                 )
-            estimator = self._make_estimator(txn, fingerprint)
-            return explain_with_estimates(plan, estimator)
-        finally:
-            if owned:
-                txn.rollback()
+                estimator = self._make_estimator(txn, fingerprint)
+                return explain_with_estimates(plan, estimator)
+            finally:
+                if owned:
+                    txn.rollback()
+
+        return self._statement(sql, body)
 
     def explain_analyze(
         self,
@@ -961,95 +1007,23 @@ class Database:
         rendered form) and the statement's final governor report
         (``.governor``: verdict, checkpoints, peak accounted bytes).
         Iterative operators (ITERATE, recursive CTEs) accumulate their
-        init/step/stop children over all rounds.
+        init/step/stop children over all rounds. The statement takes
+        the same path as :meth:`execute` — plan cache included — so the
+        profiled operator tree is the one ``execute`` runs.
         """
-        started_at = time.time()
-        self._stmt_local.record_info = {}
-        governor: Optional[QueryContext] = None
-        error: Optional[BaseException] = None
-        try:
-            with self._governed(timeout_ms, memory_budget_mb) as gov:
-                governor = gov
-                analyzed = self._explain_analyze_inner(sql, params)
-                analyzed.governor = governor.report()
-                return analyzed
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            self._finish_statement(sql, started_at, governor, error)
-
-    def _explain_analyze_inner(
-        self, sql: str, params: Optional[Sequence[object]]
-    ) -> AnalyzedQuery:
-        tracer = self._tracer
         counters_before = self._hot_path_counter_values()
-        with tracer.statement(sql) as stmt:
-            self._record_info()["span"] = stmt
-            txn, owned = self._current_txn()
-            try:
-                # Get-or-populate the plan cache first, so repeated
-                # explain_analyze of a statement shows the hit counters
-                # moving (and shares plans with execute()).
-                query_params: list = []
-                plan = cached = self._lookup_cached_plan(
-                    sql, params, txn
-                )
-                if cached is not None:
-                    query_params = (
-                        list(params) if params is not None else []
-                    )
-                else:
-                    with tracer.span("parse"):
-                        statements = parse_sql(sql, params)
-                    if len(statements) != 1 or not isinstance(
-                        statements[0], ast.SelectStatement
-                    ):
-                        raise BindError(
-                            "explain_analyze supports a single SELECT "
-                            "statement"
-                        )
-                    plan = self._plan_select(
-                        statements[0], txn,
-                        fingerprint=sql_fingerprint(sql),
-                    )
-                ctx = self._make_exec_context(
-                    txn, fingerprint=sql_fingerprint(sql)
-                )
-                ctx.profile = True
-                if query_params:
-                    ctx.query_params = {
-                        f"?{i}": value
-                        for i, value in enumerate(query_params)
-                    }
-                with tracer.span("plan"):
-                    op = build_physical(plan, ctx)
-                started = time.perf_counter()
-                with tracer.span("execute"):
-                    batch = materialize(
-                        list(op.execute(ctx.new_eval_context())),
-                        plan.output,
-                    )
-                total_s = time.perf_counter() - started
-                self.last_stats = ctx.stats
-                self._record_info()["profile_roots"] = ctx.profile_roots
-                self._flush_exec_metrics(ctx)
-                result = QueryResult.from_batch(batch, plan.output)
-                result.telemetry = dict(ctx.telemetry)
-                stmt.attributes["rows"] = len(result)
-                if owned:
-                    txn.commit()
-                return AnalyzedQuery(
-                    result, ctx.profile_roots[0], ctx.profile_roots[1:],
-                    total_s,
-                    counters=self._hot_path_counter_delta(
-                        counters_before
-                    ),
-                )
-            except BaseException:
-                if owned and txn.status == "active":
-                    txn.rollback()
-                raise
+
+        def body(stmt, governor) -> AnalyzedQuery:
+            result = self._run_sql(sql, params, stmt, analyze=True)
+            roots = self._record_info()["profile_roots"]
+            return AnalyzedQuery(
+                result, roots[0], roots[1:],
+                stmt.find("execute").duration_s,
+                counters=self._hot_path_counter_delta(counters_before),
+                governor=governor.report(),
+            )
+
+        return self._statement(sql, body, timeout_ms, memory_budget_mb)
 
     # ------------------------------------------------------------------
     # observability
@@ -1070,11 +1044,11 @@ class Database:
         and recursive CTEs. ``None`` before the first statement."""
         return self._tracer.last_root
 
-    def query_log(self, n: int = 20) -> list[QueryLogEntry]:
+    def query_log(self, n: int = 20) -> list[QueryRecord]:
         """The most recent ``n`` statements (oldest first): SQL text,
         total and per-phase timings, row count, and the error message
-        for statements that failed."""
-        return self._tracer.log(n)
+        for statements that failed — a view over ``db.history(n)``."""
+        return self.history.recent(n)
 
     def _record_info(self) -> dict:
         """This thread's per-statement recording scratch (statement
@@ -1329,7 +1303,9 @@ class Database:
             parallel_threshold=self.parallel_threshold,
             governor=getattr(self._stmt_local, "governor", None),
         )
-        ctx.profile = self.profile_operators
+        ctx.profile = self.profile_operators or bool(
+            self._record_info().get("analyze")
+        )
         ctx.topn = self.topn_enabled
         if ctx.profile:
             # Stamp the optimizer's cardinality estimate — and its
@@ -1339,7 +1315,7 @@ class Database:
             ctx.estimator = self._make_estimator(txn, fingerprint)
         # One switch for the whole hot-path stack: the session's
         # plan-cache setting also gates kernel caching, zone-map
-        # pruning, fused pipelines, and the CSR cache.
+        # pruning, and the CSR cache.
         active = self.plan_cache_active()
         ctx.hot_path = active
         ctx.compiler.enabled = active
@@ -1445,6 +1421,8 @@ class Database:
         "expr_kernel_cache_hits_total",
         "expr_kernel_cache_misses_total",
         "scan_morsels_pruned_total",
+        "exec_parallel_pipelines_total",
+        "exec_morsels_dispatched_total",
         "analytics_csr_cache_hits_total",
         "analytics_csr_cache_misses_total",
     )
@@ -1547,45 +1525,6 @@ class Database:
             if owned and txn.status == "active":
                 txn.rollback()
             raise
-
-    def _lookup_cached_plan(self, sql, params, txn):
-        """Plan-cache get-or-populate against an already-open
-        transaction (the ``explain_analyze`` entry point); None when the
-        statement is uncacheable or negatively cached. Mirrors the
-        bypass rules of :meth:`_execute_with_plan_cache`."""
-        if not self.plan_cache_active():
-            return None
-        values = list(params) if params is not None else []
-        if any(value is None for value in values):
-            return None
-        txn_local = self._session_txn
-        if txn_local is not None and (
-            txn_local.created_tables or txn_local.dropped_tables
-        ):
-            return None
-        fingerprint = sql_fingerprint(sql)
-        if fingerprint is None:
-            return None
-        try:
-            param_types = [infer_literal_type(v) for v in values]
-        except ReproError:
-            return None
-        key = (fingerprint, tuple(t.kind.value for t in param_types))
-        entry = self._plan_cache.lookup(key, self._plan_cache_epoch())
-        if isinstance(entry, NegativePlan):
-            return None
-        if isinstance(entry, CachedPlan) and self._feedback_stale(
-            fingerprint, entry.plan, txn
-        ):
-            entry = None
-        if isinstance(entry, CachedPlan):
-            self.metrics.counter("exec_plan_cache_hits_total").inc()
-            self._record_info()["cache_hit"] = True
-            return entry.plan
-        self.metrics.counter("exec_plan_cache_misses_total").inc()
-        return self._try_cache_plan(
-            sql, values, param_types, key, txn, fingerprint=fingerprint
-        )
 
     def _feedback_stale(
         self, fingerprint: str, plan, txn: Transaction

@@ -4,7 +4,8 @@ The engine's parallel substrate is a shared :class:`WorkerPool` of
 threads (numpy kernels release the GIL, so memory-bound scans,
 aggregations, and the analytics operators genuinely overlap) plus a
 morsel dispatcher: base-table scans are split into fixed-size morsels
-and whole Scan→Filter→Project pipelines run one morsel per task.
+and :class:`~repro.exec.scan.ScanOp` runs its whole Filter/Project
+program one morsel per task.
 
 Determinism contract — parallel execution is **schedule-independent**:
 
@@ -18,10 +19,9 @@ Determinism contract — parallel execution is **schedule-independent**:
   results (the serial-equivalence battery in
   ``tests/test_parallel_equivalence.py`` enforces this).
 
-The planner consults cardinality (the scanned table's row count at
-build time) and only goes parallel above
-:data:`~repro.exec.physical.DEFAULT_PARALLEL_THRESHOLD` rows; small
-inputs keep the serial fast path.
+A scan only dispatches to the pool when at least
+:data:`~repro.exec.physical.DEFAULT_PARALLEL_THRESHOLD` rows survive
+zone-map pruning; small inputs stream morsels on the caller thread.
 """
 
 from __future__ import annotations
@@ -31,17 +31,14 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from ..expr import bound as b
 from ..expr.aggregates import _segmented_reduce, group_counts, group_sums
-from ..plan import logical as lp
-from ..storage.column import Column, ColumnBatch
+from ..storage.column import Column
 from ..types import BIGINT, BOOLEAN, DOUBLE, TypeKind
-from .fused import build_pipeline_program, pipeline_pruner, run_program
-from .physical import ExecutionContext, PhysicalOperator
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -248,11 +245,6 @@ class WorkerPool:
             executor.shutdown(wait=True)
 
 
-# ---------------------------------------------------------------------------
-# Parallel Scan→Filter→Project pipelines
-# ---------------------------------------------------------------------------
-
-
 def _parallel_safe(expr: b.BoundExpr) -> bool:
     """Whether an expression may be evaluated concurrently: subqueries
     (shared physical-plan cache, working tables) and user UDFs
@@ -265,150 +257,6 @@ def _parallel_safe(expr: b.BoundExpr) -> bool:
             return False
         stack.extend(node.children())
     return True
-
-
-def try_build_parallel_pipeline(
-    plan: lp.LogicalPlan, ctx: ExecutionContext
-) -> Optional["ParallelPipelineOp"]:
-    """The planner's parallel-vs-serial decision for one pipeline.
-
-    Returns a :class:`ParallelPipelineOp` when the plan is a
-    Filter/Project chain rooted at a base-table scan, the session has a
-    parallel pool, every expression is safe to evaluate concurrently,
-    and the scanned table's cardinality clears
-    ``ctx.parallel_threshold``; ``None`` keeps the serial operators.
-    """
-    pool = ctx.pool
-    if pool is None or not pool.is_parallel:
-        return None
-    stages: list[lp.LogicalPlan] = []
-    node = plan
-    while isinstance(node, (lp.LogicalFilter, lp.LogicalProject)):
-        stages.append(node)
-        node = node.child
-    if not stages or not isinstance(node, lp.LogicalScan):
-        return None
-    for stage in stages:
-        exprs = (
-            [stage.predicate]
-            if isinstance(stage, lp.LogicalFilter)
-            else list(stage.exprs)
-        )
-        if not all(_parallel_safe(e) for e in exprs):
-            return None
-    try:
-        estimate = float(ctx.read_table(node.table_name).row_count)
-    except Exception:  # noqa: BLE001 — missing table: let ScanOp raise
-        return None
-    if ctx.estimator is not None and ctx.estimator.has_feedback:
-        # Feedback-informed threshold: when history has observed this
-        # scan producing far fewer rows than the table holds (zone maps
-        # pruning most morsels), the dispatch overhead isn't worth it —
-        # trust the observed cardinality over the raw table size.
-        try:
-            estimate = min(estimate, ctx.estimator.estimate(node))
-        except Exception:  # noqa: BLE001 — estimates are best-effort
-            pass
-    if estimate < ctx.parallel_threshold:
-        return None
-    return ParallelPipelineOp(plan, stages, node, ctx)
-
-
-class ParallelPipelineOp(PhysicalOperator):
-    """One fused Scan→Filter→Project pipeline executed morsel-wise on
-    the worker pool.
-
-    The base table is split into ``ctx.morsel_rows``-sized morsels;
-    each task slices its morsel (column pruning applied at the scan,
-    like :class:`~repro.exec.scan.ScanOp`), then applies the compiled
-    filter masks and projection expressions bottom-up. Output batches
-    are yielded in morsel order, so the result is identical to the
-    serial operator chain for any worker count.
-    """
-
-    def __init__(
-        self,
-        plan: lp.LogicalPlan,
-        stages: list[lp.LogicalPlan],
-        scan: lp.LogicalScan,
-        ctx: ExecutionContext,
-    ):
-        super().__init__(list(plan.output))
-        self._scan = scan
-        self._ctx = ctx
-        # Bottom-up stage program shared with the serial fused pipeline
-        # (see repro.exec.fused) so both paths stay bit-identical.
-        self._program = build_pipeline_program(stages, ctx)
-        self._pruner = (
-            pipeline_pruner(scan, stages) if ctx.hot_path else None
-        )
-
-    def describe(self) -> str:
-        workers = self._ctx.pool.workers if self._ctx.pool else 1
-        return (
-            f"ParallelPipeline({self._scan.table_name}, "
-            f"workers={workers}, stages={len(self._program)})"
-        )
-
-    def _run_morsel(
-        self,
-        columns: dict[str, Column],
-        rng: tuple[int, int],
-        eval_ctx,
-    ) -> ColumnBatch:
-        start, stop = rng
-        batch = ColumnBatch(
-            {
-                slot: col.slice(start, stop)
-                for slot, col in columns.items()
-            }
-        )
-        return run_program(self._program, batch, eval_ctx)
-
-    def execute(self, eval_ctx) -> Iterator[ColumnBatch]:
-        ctx = self._ctx
-        data = ctx.read_table(self._scan.table_name)
-        ctx.stats.rows_scanned += data.row_count
-        if data.row_count == 0:
-            yield self.empty_batch()
-            return
-        columns = {
-            col.slot: data.column_by_name(col.name)
-            for col in self._scan.output
-        }
-        ranges = morsel_ranges(data.row_count, ctx.morsel_rows)
-        if self._pruner is not None:
-            ranges, pruned = self._pruner.keep_ranges(
-                data, ranges, eval_ctx.params
-            )
-            ctx.stats.morsels_pruned += pruned
-        if not ranges:
-            yield self.empty_batch()
-            return
-        pool = ctx.pool
-        ctx.stats.parallel_pipelines += 1
-        ctx.stats.morsels_dispatched += len(ranges)
-
-        def task(rng: tuple[int, int]) -> ColumnBatch:
-            # Runs on a worker thread: the governor's ledger and token
-            # are thread-safe, so each morsel is its own checkpoint and
-            # cancellation latency stays bounded by one morsel.
-            ctx.checkpoint("parallel_morsel")
-            return self._run_morsel(columns, rng, eval_ctx)
-
-        ctx.checkpoint("parallel_dispatch")
-
-        if ctx.tracer is not None:
-            with ctx.tracer.span(
-                "parallel_pipeline",
-                table=self._scan.table_name,
-                workers=pool.workers,
-                morsels=len(ranges),
-            ):
-                batches = pool.map_ordered(task, ranges, label="morsel")
-        else:
-            batches = pool.map_ordered(task, ranges, label="morsel")
-        yield from batches
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from ..plan.logical import LogicalPlan, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..storage.table import DEFAULT_MORSEL_ROWS, TableData
 
-#: Minimum base-table cardinality before the planner picks the parallel
-#: pipeline for a Scan→Filter→Project chain. Below this, morsel dispatch
-#: overhead exceeds the work; the serial operators stay.
+#: Minimum rows a base-table scan must have left after zone-map pruning
+#: before it dispatches morsels to the worker pool. Below this, dispatch
+#: overhead exceeds the work; morsels stream on the caller thread.
 DEFAULT_PARALLEL_THRESHOLD = 8_192
 
 
@@ -34,9 +34,8 @@ class ExecutionStats:
         self.batches_produced = 0
         self.parallel_pipelines = 0
         self.morsels_dispatched = 0
-        #: Morsels skipped via zone maps (serial scans and parallel
-        #: pipelines alike); ``rows_scanned`` still counts the full
-        #: table so scan cardinality semantics stay unchanged.
+        #: Morsels skipped via zone maps; ``rows_scanned`` still counts
+        #: the full table so scan cardinality semantics stay unchanged.
         self.morsels_pruned = 0
 
     def observe_live_tuples(self, count: int) -> None:
@@ -216,19 +215,15 @@ class ExecutionContext:
         #: the session; operators dispatch morsels through it. ``None``
         #: (or a serial pool) keeps every operator on the caller thread.
         self.pool = pool
-        #: Minimum scanned cardinality for the planner to choose a
-        #: parallel pipeline over the serial operator chain.
+        #: Minimum scanned cardinality for a scan to dispatch its
+        #: morsels to the pool rather than stream them serially.
         self.parallel_threshold = parallel_threshold
         #: Statement parameter values for cached parameterized plans,
         #: keyed ``?0``, ``?1``, ... — merged into every EvalContext so
         #: BoundParam slots resolve anywhere in the plan (including
         #: inside subplans).
         self.query_params: dict[str, object] = {}
-        #: Prune predicates for scans, keyed ``id(scan_node)`` — set by
-        #: the planner when a filter sits directly on a scan so the scan
-        #: can skip morsels via zone maps.
-        self.scan_prune: dict[int, object] = {}
-        #: Whether the hot-path stack (zone pruning, fused pipelines,
+        #: Whether the hot-path stack (zone-map pruning, kernel cache,
         #: CSR cache) applies. The session sets it from its plan-cache
         #: switch; standalone contexts follow REPRO_PLAN_CACHE.
         self.hot_path = cache_enabled()

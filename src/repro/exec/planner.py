@@ -8,10 +8,8 @@ from ..storage.column import ColumnBatch
 from .aggregate import DistinctOp, HashAggregateOp
 from .cte import RecursiveCTEOp
 from .filter import FilterOp
-from .fused import try_build_fused_pipeline
 from .iterate import IterateOp
 from .join import HashJoinOp, NestedLoopJoinOp
-from .parallel import try_build_parallel_pipeline
 from .physical import (
     ExecutionContext,
     OperatorStats,
@@ -69,27 +67,27 @@ def build_physical(
 def _build_physical_node(
     plan: lp.LogicalPlan, ctx: ExecutionContext
 ) -> PhysicalOperator:
-    if isinstance(plan, lp.LogicalScan):
-        return ScanOp(plan, ctx)
+    if isinstance(
+        plan, (lp.LogicalScan, lp.LogicalFilter, lp.LogicalProject)
+    ):
+        # A Filter/Project chain rooted at a base table is one ScanOp;
+        # FilterOp/ProjectOp serve every other child (joins, working
+        # tables, aggregates).
+        stages: list[lp.LogicalPlan] = []
+        node = plan
+        while isinstance(node, (lp.LogicalFilter, lp.LogicalProject)):
+            stages.append(node)
+            node = node.child
+        if isinstance(node, lp.LogicalScan):
+            return ScanOp(plan, stages, node, ctx)
+        child = build_physical(plan.child, ctx)
+        if isinstance(plan, lp.LogicalFilter):
+            return FilterOp(plan, child, ctx)
+        return ProjectOp(plan, child, ctx)
     if isinstance(plan, lp.LogicalValues):
         return ValuesOp(plan, ctx)
     if isinstance(plan, lp.LogicalWorkingTableRef):
         return WorkingTableOp(plan, ctx)
-    if isinstance(plan, (lp.LogicalFilter, lp.LogicalProject)):
-        pipeline = try_build_parallel_pipeline(plan, ctx)
-        if pipeline is not None:
-            return pipeline
-        fused = try_build_fused_pipeline(plan, ctx)
-        if fused is not None:
-            return fused
-        if isinstance(plan, lp.LogicalFilter):
-            # Filter directly on a scan: register the predicate so the
-            # ScanOp can consult zone maps and skip provably-empty
-            # morsels (the profiled / non-fused serial path).
-            if isinstance(plan.child, lp.LogicalScan):
-                ctx.scan_prune[id(plan.child)] = plan.predicate
-            return FilterOp(plan, build_physical(plan.child, ctx), ctx)
-        return ProjectOp(plan, build_physical(plan.child, ctx), ctx)
     if isinstance(plan, lp.LogicalJoin):
         left = build_physical(plan.left, ctx)
         right = build_physical(plan.right, ctx)

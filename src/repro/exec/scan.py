@@ -1,72 +1,248 @@
-"""Leaf operators: table scan, working-table reference, literal values."""
+"""Leaf operators: the base-table scan pipeline, working-table
+reference, literal values.
+
+:class:`ScanOp` is the only operator that reads a base table. It owns
+the whole Filter/Project chain the optimizer left above its
+``LogicalScan``, compiled into one **program** — a bottom-up list of
+steps — so a morsel runs predicate + projection in a single pass
+without crossing operator boundaries. Two optimisations ride on the
+program form:
+
+* **Column pruning at filter boundaries**: after a filter's mask is
+  evaluated, only the columns later steps (or the final output) still
+  reference are gathered — predicate-only columns are dropped *before*
+  the fancy-index gather, which is where filter time goes.
+* **Zone-map pruning**: morsel ranges provably empty under the leading
+  filter predicates are never sliced at all
+  (:class:`repro.storage.zonemap.ScanPruner`).
+
+Filter steps evaluate **sequentially** (no mask merging): conjunct
+evaluation order is observable through data-dependent errors
+(``a <> 0 AND b / a > 1`` must not divide where ``a = 0``), so the
+program never reorders or combines predicate evaluations.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator
+from contextlib import nullcontext
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..expr.compiler import EvalContext
-from ..plan.logical import LogicalScan, LogicalValues, LogicalWorkingTableRef
+from ..plan import logical as lp
+from ..plan.logical import LogicalValues, LogicalWorkingTableRef
 from ..storage.column import Column, ColumnBatch
+from ..storage.zonemap import ScanPruner
 from ..types import INTEGER
+from .parallel import _parallel_safe, morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
 
-class ScanOp(PhysicalOperator):
-    """Morsel-wise scan of a base table at the statement's snapshot.
+def _stage_exprs(stage: lp.LogicalPlan) -> list:
+    if isinstance(stage, lp.LogicalFilter):
+        return [stage.predicate]
+    return list(stage.exprs)
 
-    Column pruning is applied here: only the slots the optimizer left in
-    the node's output are materialised into batches.
+
+def build_pipeline_program(
+    stages: list[lp.LogicalPlan],
+    ctx: ExecutionContext,
+) -> list[tuple]:
+    """Compile a top-down Filter/Project stage chain into a bottom-up
+    step program.
+
+    Steps are ``("filter", mask_fn, keep_slots)`` — ``keep_slots`` is
+    the ordered list of slots later steps still need (None = keep all) —
+    or ``("project", out_cols, fns)``.
+    """
+    bottom_up = list(reversed(stages))
+    # Slots needed *after* each step, computed by a backward pass. The
+    # final step's consumers need exactly the chain's output slots.
+    needed_after: list[Optional[list[str]]] = [None] * len(bottom_up)
+    needed = [col.slot for col in stages[0].output] if stages else []
+    for i in range(len(bottom_up) - 1, -1, -1):
+        stage = bottom_up[i]
+        needed_after[i] = list(needed)
+        refs = list(needed) if isinstance(stage, lp.LogicalFilter) else []
+        for expr in _stage_exprs(stage):
+            for slot in sorted(expr.referenced_slots()):
+                if slot not in refs:
+                    refs.append(slot)
+        needed = refs
+    program: list[tuple] = []
+    for i, stage in enumerate(bottom_up):
+        if isinstance(stage, lp.LogicalFilter):
+            # A batch with zero columns loses its row count (the length
+            # is derived from the columns), so a chain whose upper
+            # stages reference no slots at all must keep the scan
+            # columns as row-count carriers.
+            program.append(
+                (
+                    "filter",
+                    ctx.compiler.compile_predicate(stage.predicate),
+                    needed_after[i] or None,
+                )
+            )
+        else:
+            program.append(
+                (
+                    "project",
+                    list(stage.output),
+                    [ctx.compiler.compile(e) for e in stage.exprs],
+                )
+            )
+    return program
+
+
+def run_program(
+    program: list[tuple], batch: ColumnBatch, eval_ctx
+) -> ColumnBatch:
+    """Apply a pipeline program to one morsel batch."""
+    for step in program:
+        if step[0] == "filter":
+            _tag, mask_fn, keep = step
+            # Mask first (it may read predicate-only columns), then drop
+            # those columns before the gather. The projection also runs
+            # on already-empty batches so every morsel leaves this step
+            # with an identical layout.
+            mask = mask_fn(batch, eval_ctx) if len(batch) else None
+            if keep is not None and len(keep) < len(batch.columns):
+                batch = batch.project(keep)
+            if mask is not None and not mask.all():
+                batch = batch.filter(mask)
+        else:
+            _tag, out_cols, fns = step
+            batch = ColumnBatch(
+                {
+                    col.slot: fn(batch, eval_ctx)
+                    for col, fn in zip(out_cols, fns)
+                }
+            )
+    return batch
+
+
+def pipeline_pruner(
+    scan: lp.LogicalScan, stages: list[lp.LogicalPlan]
+) -> Optional[ScanPruner]:
+    """A :class:`ScanPruner` over the leading filter stages (the
+    filters applied before any projection changes the slot space), or
+    None when those predicates admit no pruning."""
+    leading = []
+    for stage in reversed(stages):
+        if not isinstance(stage, lp.LogicalFilter):
+            break
+        leading.append(stage.predicate)
+    if not leading:
+        return None
+    pruner = ScanPruner(scan.output, leading)
+    return pruner if pruner.active else None
+
+
+class ScanOp(PhysicalOperator):
+    """Morsel-wise scan of a base table at the statement's snapshot,
+    running the Filter/Project ``stages`` above it (top-down, possibly
+    empty) on every morsel.
+
+    Column pruning is applied at the scan: only the slots the optimizer
+    left in the ``LogicalScan``'s output are sliced into batches.
+
+    Each execution picks its dispatch from what it observes: with a
+    parallel pool, thread-safe expressions, more than one surviving
+    morsel and at least ``ctx.parallel_threshold`` rows left after
+    zone-map pruning, morsels run as ordered tasks on the worker pool;
+    otherwise a lazy per-morsel generator keeps memory streaming and
+    lets a ``LimitOp`` above stop the scan early. Both produce the same
+    batches in the same order (docs/parallelism.md).
     """
 
-    def __init__(self, node: LogicalScan, ctx: ExecutionContext):
-        super().__init__(node.output)
-        self._node = node
+    def __init__(
+        self,
+        plan: lp.LogicalPlan,
+        stages: list[lp.LogicalPlan],
+        scan: lp.LogicalScan,
+        ctx: ExecutionContext,
+    ):
+        super().__init__(list(plan.output))
+        self._scan = scan
         self._ctx = ctx
-        self._pruner = None
-        predicate = ctx.scan_prune.get(id(node))
-        if predicate is not None and ctx.hot_path:
-            from ..storage.zonemap import ScanPruner
-
-            pruner = ScanPruner(node.output, [predicate])
-            if pruner.active:
-                self._pruner = pruner
+        self._program = build_pipeline_program(stages, ctx)
+        self._pruner = (
+            pipeline_pruner(scan, stages) if ctx.hot_path else None
+        )
+        # Subqueries and user UDFs pin the pipeline to the caller thread.
+        self._parallel_safe = all(
+            _parallel_safe(expr)
+            for stage in stages
+            for expr in _stage_exprs(stage)
+        )
 
     def describe(self) -> str:
-        return f"Scan({self._node.table_name})"
+        return f"Scan({self._scan.table_name})"
 
     def execute(self, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
-        data = self._ctx.read_table(self._node.table_name)
-        self._ctx.stats.rows_scanned += data.row_count
-        columns = {
-            col.slot: data.column_by_name(col.name)
-            for col in self.output
-        }
-        if data.row_count == 0:
-            yield self.empty_batch()
-            return
-        morsel = self._ctx.morsel_rows
-        ranges = [
-            (start, min(start + morsel, data.row_count))
-            for start in range(0, data.row_count, morsel)
-        ]
+        ctx = self._ctx
+        data = ctx.read_table(self._scan.table_name)
+        ctx.stats.rows_scanned += data.row_count
+        ranges = morsel_ranges(data.row_count, ctx.morsel_rows)
         if self._pruner is not None:
             ranges, pruned = self._pruner.keep_ranges(
                 data, ranges, eval_ctx.params
             )
-            self._ctx.stats.morsels_pruned += pruned
+            ctx.stats.morsels_pruned += pruned
         if not ranges:
             yield self.empty_batch()
             return
-        for start, stop in ranges:
-            self._ctx.checkpoint("scan")
-            yield ColumnBatch(
+        columns = {
+            col.slot: data.column_by_name(col.name)
+            for col in self._scan.output
+        }
+        program = self._program
+
+        def run_morsel(rng: tuple[int, int]) -> ColumnBatch:
+            # May run on a worker thread: the governor's ledger and
+            # token are thread-safe, so each morsel is its own
+            # checkpoint and cancellation latency stays bounded by one
+            # morsel.
+            ctx.checkpoint("scan")
+            start, stop = rng
+            batch = ColumnBatch(
                 {
                     slot: col.slice(start, stop)
                     for slot, col in columns.items()
                 }
             )
+            return run_program(program, batch, eval_ctx)
+
+        pool = ctx.pool
+        dispatch = (
+            pool is not None
+            and pool.is_parallel
+            and self._parallel_safe
+            and len(ranges) > 1
+            and sum(stop - start for start, stop in ranges)
+            >= ctx.parallel_threshold
+        )
+        if not dispatch:
+            for rng in ranges:
+                yield run_morsel(rng)
+            return
+        ctx.stats.parallel_pipelines += 1
+        ctx.stats.morsels_dispatched += len(ranges)
+        ctx.checkpoint("parallel_dispatch")
+        span = (
+            ctx.tracer.span(
+                "parallel_pipeline",
+                table=self._scan.table_name,
+                workers=pool.workers,
+                morsels=len(ranges),
+            )
+            if ctx.tracer is not None
+            else nullcontext()
+        )
+        with span:
+            batches = pool.map_ordered(run_morsel, ranges, label="morsel")
+        yield from batches
 
 
 class WorkingTableOp(PhysicalOperator):

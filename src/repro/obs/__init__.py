@@ -8,8 +8,7 @@ measurements on:
   interpolated quantiles), mirrored into a process-wide
   :func:`global_registry`;
 * :mod:`repro.obs.trace` — per-statement span trees
-  (``Database.last_trace()``), the statement ring buffer
-  (``Database.query_log(n)``), and cross-thread span attachment for
+  (``Database.last_trace()``) and cross-thread span attachment for
   worker-pool trace propagation;
 * :mod:`repro.obs.history` — the always-on query history store
   (``Database.history``): per-statement records with estimated vs
@@ -38,7 +37,7 @@ from .metrics import (
     global_registry,
 )
 from .timeline import export_chrome_trace, spans_to_chrome_trace
-from .trace import QueryLogEntry, Span, Tracer
+from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -47,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_TIME_BUCKETS",
     "global_registry",
-    "QueryLogEntry",
     "Span",
     "Tracer",
     "QueryHistory",

@@ -302,7 +302,6 @@ def run_check() -> int:
     )
     print(
         f"observability smoke OK: {n_series} series, "
-        f"{len(db.query_log(100))} statements traced, "
         f"{len(db.history(100))} history records, "
         "chrome trace + flight bundle round-trip clean"
     )

@@ -1,16 +1,17 @@
-"""Query-lifecycle tracing: span trees and the statement ring buffer.
+"""Query-lifecycle tracing: span trees of recent statements.
 
 One :class:`Tracer` per :class:`~repro.api.database.Database` session.
 Every statement becomes a root span (``statement``) whose children are
 the lifecycle phases — ``parse`` → ``bind`` → ``optimize`` → ``plan`` →
 ``execute`` — and iterative executors (ITERATE, recursive CTEs) add one
 ``iteration`` child span per round under ``execute``. The most recent
-root is available as :meth:`Database.last_trace`; a bounded ring buffer
-of :class:`QueryLogEntry` summaries (SQL, phase timings, rows, errors)
-backs :meth:`Database.query_log`.
+root is available as :meth:`Database.last_trace`; per-statement
+summaries (SQL, phase timings, rows, errors) are derived from the
+finished root span by the history store (:mod:`repro.obs.history`).
 
 Spans are cheap (two ``perf_counter`` calls plus a list append) and
-always on; the ring buffer bounds memory for long-lived sessions.
+always on; a bounded ring of recent roots bounds memory for long-lived
+sessions.
 """
 
 from __future__ import annotations
@@ -118,56 +119,16 @@ class Span:
         return self.format()
 
 
-@dataclass
-class QueryLogEntry:
-    """One ring-buffer line: what a statement was and what it cost."""
-
-    sql: str
-    started_at: float  # wall-clock epoch seconds
-    duration_s: float
-    phases: dict = field(default_factory=dict)
-    rows: int = 0
-    error: Optional[str] = None
-
-    @classmethod
-    def from_span(cls, span: Span, started_at: float) -> "QueryLogEntry":
-        phases: dict[str, float] = {}
-        for child in span.children:
-            phases[child.name] = (
-                phases.get(child.name, 0.0) + child.duration_s
-            )
-        return cls(
-            sql=span.attributes.get("sql", ""),
-            started_at=started_at,
-            duration_s=span.duration_s,
-            phases=phases,
-            rows=int(span.attributes.get("rows", 0)),
-            error=span.error,
-        )
-
-    def format(self) -> str:
-        phase_text = " ".join(
-            f"{name}={seconds * 1e3:.3f}ms"
-            for name, seconds in self.phases.items()
-        )
-        status = f"ERROR: {self.error}" if self.error else f"{self.rows} row(s)"
-        return (
-            f"[{self.duration_s * 1e3:.3f}ms] {self.sql!r} — {status}"
-            + (f" ({phase_text})" if phase_text else "")
-        )
-
-
 class Tracer:
-    """Builds span trees; roots of statement spans feed the query log.
+    """Builds span trees, one root per statement.
 
     The open-span stack is thread-local so concurrent sessions sharing
     one :class:`~repro.api.database.Database` trace independently;
-    ``last_root`` and the ring buffer are shared (last writer wins)."""
+    ``last_root`` and the root ring are shared (last writer wins)."""
 
-    def __init__(self, log_size: int = 256, root_ring_size: int = 32):
+    def __init__(self, root_ring_size: int = 32):
         self._local = threading.local()
         self.last_root: Optional[Span] = None
-        self._log: deque[QueryLogEntry] = deque(maxlen=log_size)
         #: Recent completed root spans (full trees), oldest first — the
         #: flight recorder's ring and the timeline exporter's source.
         self._roots: deque[Span] = deque(maxlen=root_ring_size)
@@ -227,21 +188,9 @@ class Tracer:
         finally:
             self._close(span)
 
-    @contextmanager
     def statement(self, sql: str):
-        """A root span for one statement; on exit (success *or* error)
-        a :class:`QueryLogEntry` is appended to the ring buffer."""
-        started_at = time.time()
-        span = self._open("statement", {"sql": sql})
-        try:
-            yield span
-        except BaseException as exc:
-            if span.error is None:
-                span.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            self._close(span)
-            self._log.append(QueryLogEntry.from_span(span, started_at))
+        """A root span for one statement."""
+        return self.span("statement", sql=sql)
 
     @contextmanager
     def attached_span(self, parent: Span, name: str, **attributes):
@@ -267,15 +216,6 @@ class Tracer:
             span.end_s = time.perf_counter()
             with self._attach_lock:
                 parent.children.append(span)
-
-    # -- the query log -----------------------------------------------------
-
-    def log(self, n: int = 20) -> list[QueryLogEntry]:
-        """The most recent ``n`` statements, oldest first."""
-        if n <= 0:
-            return []
-        entries = list(self._log)
-        return entries[-n:]
 
     def recent_roots(self, n: int = 32) -> list[Span]:
         """The most recent ``n`` completed root spans (full trees),

@@ -22,9 +22,10 @@ failing seed replays exactly: ``python -m repro.testing.chaos --seeds 1
 --start <seed>``.
 
 :func:`run_chaos_seed` is the oracle: it runs a statement battery
-covering the serial, fused, parallel, ITERATE, recursive-CTE and
-analytics paths against a chaos-armed *subject* database, mirrors every
-*successful* statement onto an untouched *twin*, and requires
+covering the streaming and pool-dispatched scan, ITERATE,
+recursive-CTE and analytics paths against a chaos-armed *subject*
+database, mirrors every *successful* statement onto an untouched
+*twin*, and requires
 
 1. every statement to either succeed (matching the twin's rows) or fail
    with a typed governor error, and
@@ -215,11 +216,11 @@ PROBES = (
 
 def _battery(seed_rng: random.Random) -> list[tuple[str, bool]]:
     """The (sql, ordered) statements thrown at the subject, covering
-    the serial, fused, parallel, ITERATE, recursive-CTE and analytics
-    execution paths. Order is seed-shuffled so the Nth hook call lands
-    in a different operator per seed."""
+    the streaming and pool-dispatched scan, ITERATE, recursive-CTE and
+    analytics execution paths. Order is seed-shuffled so the Nth hook
+    call lands in a different operator per seed."""
     statements = [
-        # serial / fused scan-filter-project pipelines
+        # scan-filter-project pipelines
         ("SELECT id, amount * 2 FROM sales WHERE amount > 10 "
          "ORDER BY id LIMIT 50", True),
         ("SELECT region, count(*), sum(amount) FROM sales "

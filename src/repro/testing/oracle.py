@@ -144,28 +144,15 @@ def build_repro_db(
     topn: Optional[bool] = None,
     wal_path: Optional[str] = None,
 ) -> Database:
-    # profile_operators=False takes the production operator shapes —
-    # notably the serial fused pipeline, which profiled plans bypass —
-    # so the differential corpus covers the hot path.
-    if workers > 1:
-        # Force the parallel paths even on fuzz-sized tables: no
-        # cardinality threshold and tiny morsels, so every generated
-        # query genuinely dispatches multi-morsel pipelines.
-        db = Database(
-            workers=workers, parallel_threshold=0, morsel_rows=32,
-            profile_operators=False, plan_cache=plan_cache,
-            chaos=chaos, encoding=encoding, topn=topn,
-            wal_path=wal_path,
-        )
-    else:
-        # Tiny morsels here too: multi-morsel fused pipelines and the
-        # all-morsels-pruned path get differential coverage.
-        db = Database(
-            workers=1, morsel_rows=32,
-            profile_operators=False, plan_cache=plan_cache,
-            chaos=chaos, encoding=encoding, topn=topn,
-            wal_path=wal_path,
-        )
+    # Tiny morsels and no cardinality threshold: multi-morsel scans and
+    # the all-morsels-pruned path get differential coverage, and with
+    # workers > 1 every generated query genuinely dispatches to the pool
+    # even on fuzz-sized tables.
+    db = Database(
+        workers=workers, parallel_threshold=0, morsel_rows=32,
+        plan_cache=plan_cache, chaos=chaos, encoding=encoding,
+        topn=topn, wal_path=wal_path,
+    )
     for table in tables:
         db.execute(table.ddl())
         if table.rows:

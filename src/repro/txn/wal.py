@@ -1,4 +1,4 @@
-"""Write-ahead log (v2): checksummed, length-prefixed, fsync-durable.
+"""Write-ahead log: checksummed, length-prefixed, fsync-durable.
 
 Committed transactions append one logical record per operation
 (create/drop table, insert, whole-table replace) followed by a commit
@@ -15,8 +15,8 @@ the table (simple and correct for a main-memory engine whose versions
 are already whole-table snapshots); ``Database.checkpoint()`` bounds
 the resulting log growth (docs/durability.md).
 
-v2 on-disk format
------------------
+On-disk format
+--------------
 
 ::
 
@@ -40,9 +40,10 @@ distinguishes two failure classes:
   it raises :class:`~repro.errors.WalCorruptionError`; in ``tolerant``
   mode the corrupt suffix is discarded and counted.
 
-Legacy v1 logs (bare JSON lines, the seed format) are still readable:
-the format is sniffed at open, and a v1 log is upgraded to v2 framing
-at the first checkpoint truncation.
+A non-empty file that does not start with the magic is **not a repro
+WAL**: opening it raises :class:`~repro.errors.WalCorruptionError` in
+both recovery modes and leaves its bytes untouched — the log never
+truncates or appends to a file it did not write.
 
 Durability of the file itself: the log keeps **one** append handle
 (``O_APPEND``) for its whole life, fsyncs it at every commit, and
@@ -73,7 +74,7 @@ from ..errors import TransactionError, WalCorruptionError
 from ..types import SQLType, TypeKind
 from ..storage.schema import ColumnSchema, TableSchema
 
-#: v2 file magic (8 bytes).
+#: File magic (8 bytes).
 MAGIC = b"RPWALv2\n"
 
 #: Frame header: payload length (u32), crc32 (u32), sequence (u64).
@@ -162,7 +163,6 @@ class ScanInfo:
     """What one pass over the log found (recovery telemetry)."""
 
     __slots__ = (
-        "format",
         "records_scanned",
         "records_discarded",
         "bytes_discarded",
@@ -174,7 +174,6 @@ class ScanInfo:
     )
 
     def __init__(self) -> None:
-        self.format = "v2"
         self.records_scanned = 0
         #: Records (or, for undecodable garbage, at least one) dropped
         #: because of mid-log corruption — NOT the torn tail.
@@ -221,7 +220,6 @@ class WriteAheadLog:
         self._seq = 0  # last sequence number written or seen
         self._bytes = 0  # current log size in bytes
         self._poisoned: Optional[str] = None
-        self.format = "v2"
         #: ScanInfo from the open-time pass over an existing file (None
         #: for in-memory logs) — recovery telemetry captured *before*
         #: any truncate-and-continue repair.
@@ -261,7 +259,9 @@ class WriteAheadLog:
         ``self.open_scan``); in ``strict`` mode the file is left
         untouched for post-mortem and the log poisons itself — the
         first read raises :class:`WalCorruptionError` and no append is
-        accepted.
+        accepted. A non-empty file without the magic is rejected
+        outright (:class:`WalCorruptionError`, both modes) before any
+        byte of it is touched.
         """
         created = not os.path.exists(self.path)
         if created:
@@ -271,19 +271,15 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             fsync_directory(self.path)
         data = self._read_bytes()
-        self.format = self._sniff(data)
-        if self.format == "v2" and not data:
-            # Pre-existing but empty file (the seed engine created the
-            # log eagerly): stamp the v2 magic.
+        if len(data) < len(MAGIC) and MAGIC.startswith(data):
+            # Pre-existing but empty file (or a creation torn inside
+            # the magic itself): stamp the magic.
             with open(self.path, "r+b") as handle:
                 handle.write(MAGIC)
                 handle.flush()
                 os.fsync(handle.fileno())
             data = MAGIC
-        if self.format == "v2":
-            info = self._scan_v2(data)
-        else:
-            _, info = self._scan_v1(data)
+        info = self._scan(data)
         self.open_scan = info
         self._seq = info.last_seq
         if info.corrupt and self.recovery == "strict":
@@ -300,18 +296,6 @@ class WriteAheadLog:
                     os.fsync(handle.fileno())
             self._bytes = info.valid_bytes
         self._handle = open(self.path, "ab")
-        if (
-            self.format == "v1"
-            and self._poisoned is None
-            and self._bytes > 0
-            and not data[: self._bytes].endswith(b"\n")
-        ):
-            # A v1 log torn exactly between a record and its newline:
-            # terminate the line so the next append starts fresh.
-            self._handle.write(b"\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._bytes += 1
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""
@@ -343,12 +327,6 @@ class WriteAheadLog:
         """Current log size in bytes (magic included)."""
         return self._bytes
 
-    @staticmethod
-    def _sniff(data: bytes) -> str:
-        if not data or data.startswith(MAGIC):
-            return "v2"
-        return "v1"
-
     def _read_bytes(self) -> bytes:
         if self._memory is not None:
             return self._memory.getvalue()
@@ -374,8 +352,6 @@ class WriteAheadLog:
                 f"write-ahead log is poisoned after a failed fsync "
                 f"({self._poisoned}); restart and recover"
             )
-        if self.format == "v1":
-            return self._log_commit_v1(txn_id, operations)
         frames = []
         n_records = 0
         for op in operations:
@@ -395,19 +371,6 @@ class WriteAheadLog:
         self._write_durable(blob)
         if self.metrics is not None:
             self.metrics.counter("wal_records_total").inc(n_records)
-        return len(blob)
-
-    def _log_commit_v1(self, txn_id: int, operations: Sequence[tuple]) -> int:
-        """Append in the legacy JSON-lines format (logs opened from a
-        pre-v2 file keep their format until the first checkpoint)."""
-        lines = [
-            json.dumps(self._encode(txn_id, op)) for op in operations
-        ]
-        lines.append(json.dumps({"txn": txn_id, "op": "commit"}))
-        blob = ("\n".join(lines) + "\n").encode("utf-8")
-        self._write_durable(blob)
-        if self.metrics is not None:
-            self.metrics.counter("wal_records_total").inc(len(lines))
         return len(blob)
 
     def _write_durable(self, blob: bytes) -> None:
@@ -485,7 +448,13 @@ class WriteAheadLog:
 
     # -- reading ---------------------------------------------------------------
 
-    def _scan_v2(self, data: bytes) -> ScanInfo:
+    def _scan(self, data: bytes) -> ScanInfo:
+        if not data.startswith(MAGIC):
+            raise WalCorruptionError(
+                f"{self.path or 'log'} is not a repro WAL (no "
+                f"{MAGIC!r} magic); refusing to touch it",
+                info={"bytes": len(data)},
+            )
         info = ScanInfo()
         pos = len(MAGIC)
         info.valid_bytes = pos
@@ -551,36 +520,16 @@ class WriteAheadLog:
             pos = end
         return count
 
-    def _scan_v1(self, data: bytes) -> tuple[list[dict], ScanInfo]:
-        info = ScanInfo()
-        info.format = "v1"
-        records: list[dict] = []
-        lines = data.decode("utf-8", errors="replace").splitlines(True)
-        consumed = 0
-        for i, raw in enumerate(lines):
-            line = raw.strip()
-            if not line:
-                consumed += len(raw.encode("utf-8"))
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                rest = lines[i:]
-                tail_bytes = sum(len(r.encode("utf-8")) for r in rest)
-                later = [r for r in rest[1:] if r.strip()]
-                if not later:
-                    # Only the final line is bad: a torn append.
-                    info.torn_bytes = tail_bytes
-                else:
-                    info.corrupt = True
-                    info.corrupt_detail = f"undecodable line {i + 1}"
-                    info.records_discarded = len(later)
-                    info.bytes_discarded = tail_bytes
-                break
-            info.records_scanned += 1
-            consumed += len(raw.encode("utf-8"))
-        info.valid_bytes = consumed
-        return records, info
+    @staticmethod
+    def _frames(data: bytes, info: ScanInfo):
+        """``(seq, start, end)`` byte extents of every valid frame a
+        :meth:`_scan` of ``data`` found, in log order."""
+        pos = len(MAGIC)
+        for _ in range(info.records_scanned):
+            length, _, seq = _HEADER.unpack_from(data, pos)
+            end = pos + _HEADER.size + length
+            yield seq, pos, end
+            pos = end
 
     def scan(self) -> tuple[list[dict], ScanInfo]:
         """All valid records plus what the pass found.
@@ -590,19 +539,11 @@ class WriteAheadLog:
         the corrupt suffix is dropped and counted on the returned
         :class:`ScanInfo`. A torn tail is never an error."""
         data = self._read_bytes()
-        if self._sniff(data) == "v1":
-            records, info = self._scan_v1(data)
-        else:
-            info = self._scan_v2(data)
-            records = []
-            pos = len(MAGIC)
-            for _ in range(info.records_scanned):
-                length, _, _ = _HEADER.unpack_from(data, pos)
-                start = pos + _HEADER.size
-                records.append(
-                    json.loads(data[start : start + length].decode("utf-8"))
-                )
-                pos = start + length
+        info = self._scan(data)
+        records = [
+            json.loads(data[start + _HEADER.size : end].decode("utf-8"))
+            for _, start, end in self._frames(data, info)
+        ]
         if info.corrupt and self.recovery == "strict":
             raise WalCorruptionError(
                 f"write-ahead log corrupt: {info.corrupt_detail} "
@@ -671,19 +612,10 @@ class WriteAheadLog:
 
     def replay_stats(self, manager, min_seq: int = 0) -> dict:
         data = self._read_bytes()
-        if self._sniff(data) == "v1":
-            records, _ = self.scan()
-            seqs = list(range(1, len(records) + 1))
-        else:
-            # scan() already applied the recovery policy; re-walk the
-            # frames for (seq, record) pairs.
-            records, info = self.scan()
-            seqs = []
-            pos = len(MAGIC)
-            for _ in range(info.records_scanned):
-                length, _, seq = _HEADER.unpack_from(data, pos)
-                seqs.append(seq)
-                pos += _HEADER.size + length
+        # scan() already applied the recovery policy; re-walk the
+        # frames for (seq, record) pairs.
+        records, info = self.scan()
+        seqs = [seq for seq, _, _ in self._frames(data, info)]
         pending: dict[int, list[dict]] = {}
         operations = 0
         transactions = 0
@@ -728,46 +660,26 @@ class WriteAheadLog:
     def truncate_through(self, seq: int) -> None:
         """Atomically drop every record with sequence number <= ``seq``
         (they are covered by a durable snapshot). The surviving suffix
-        is rewritten into a fresh v2 file that replaces the log in one
-        rename; the append handle is reopened on the new file. Also
-        upgrades a legacy v1 log to v2 framing."""
-        if self._memory is not None:
-            data = self._memory.getvalue()
-            records, info = self.scan()
-            out = io.BytesIO()
-            out.write(MAGIC)
-            if self._sniff(data) == "v2":
-                pos = len(MAGIC)
-                for _ in range(info.records_scanned):
-                    length, _, rec_seq = _HEADER.unpack_from(data, pos)
-                    end = pos + _HEADER.size + length
-                    if rec_seq > seq:
-                        out.write(data[pos:end])
-                    pos = end
-            self._memory = out
-            self._bytes = len(out.getvalue())
-            return
+        is rewritten into a fresh file that replaces the log in one
+        rename; the append handle is reopened on the new file."""
         data = self._read_bytes()
+        blob = MAGIC + b"".join(
+            data[start:end]
+            for rec_seq, start, end in self._frames(data, self._scan(data))
+            if rec_seq > seq
+        )
+        if self._memory is not None:
+            self._memory = io.BytesIO()
+            self._memory.write(blob)
+            self._bytes = len(blob)
+            return
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as handle:
-            handle.write(MAGIC)
-            if self._sniff(data) == "v2":
-                info = self._scan_v2(data)
-                pos = len(MAGIC)
-                for _ in range(info.records_scanned):
-                    length, _, rec_seq = _HEADER.unpack_from(data, pos)
-                    end = pos + _HEADER.size + length
-                    if rec_seq > seq:
-                        handle.write(data[pos:end])
-                    pos = end
-            # v1 logs: everything up to the checkpoint is covered by
-            # the snapshot; the rewritten file starts empty (v2).
+            handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
-        size = os.path.getsize(tmp)
         self.close()
         os.replace(tmp, self.path)
         fsync_directory(self.path)
-        self.format = "v2"
-        self._bytes = size
+        self._bytes = len(blob)
         self._handle = open(self.path, "ab")

@@ -24,13 +24,12 @@ def test_scan_filter_counts(people_db):
     analyzed = people_db.explain_analyze(
         "SELECT name FROM people WHERE age > 30"
     )
+    # The filter and projection run inside the one scan operator.
     scan = analyzed.find("Scan(people)")
-    filt = analyzed.find("Filter")
-    assert scan is not None and filt is not None
-    assert scan.rows_out == 5
+    assert scan is analyzed.root and not scan.children
     assert scan.rows_in == 0  # leaves have no input
-    assert filt.rows_in == 5
-    assert filt.rows_out == 2  # alice (34), carol (41); NULL age drops
+    assert scan.rows_out == 2  # alice (34), carol (41); NULL age drops
+    assert people_db.last_stats.rows_scanned == 5
     assert len(analyzed.result) == 2
 
 
@@ -40,10 +39,11 @@ def test_scan_filter_join_aggregate_counts(people_db):
         "JOIN orders ON id = person_id "
         "WHERE age > 20 GROUP BY city"
     )
-    assert analyzed.find("Scan(people)").rows_out == 5
+    # age > 20 keeps alice, bob, carol, erin (dave's NULL age drops);
+    # the pushed-down filter runs inside the people scan.
+    assert analyzed.find("Scan(people)").rows_out == 4
     assert analyzed.find("Scan(orders)").rows_out == 5
-    # age > 20 keeps alice, bob, carol, erin (dave's NULL age drops).
-    assert analyzed.find("Filter").rows_out == 4
+    assert analyzed.find("Filter") is None
     # Orders matching those people: 100, 101 (alice), 102 (bob),
     # 103 (carol); order 104 dangles.
     join = analyzed.find("HashJoin")

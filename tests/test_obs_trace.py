@@ -1,8 +1,8 @@
-"""Query-lifecycle tracing: span trees and the statement ring buffer."""
+"""Query-lifecycle tracing: span trees and the per-statement log
+(``db.query_log`` — a view over the history store)."""
 
 import pytest
 
-import repro
 from repro.errors import ReproError
 from repro.obs.trace import Span, Tracer
 
@@ -32,15 +32,18 @@ class TestTracerUnit:
         assert root.error == "ValueError: nope"
         assert root.find("execute").error == "ValueError: nope"
 
-    def test_ring_buffer_bounds_and_order(self):
-        tracer = Tracer(log_size=3)
+    def test_root_ring_bounds_and_order(self):
+        tracer = Tracer(root_ring_size=3)
         for i in range(5):
             with tracer.statement(f"Q{i}"):
                 pass
-        entries = tracer.log(10)
-        assert [e.sql for e in entries] == ["Q2", "Q3", "Q4"]
-        assert [e.sql for e in tracer.log(2)] == ["Q3", "Q4"]
-        assert tracer.log(0) == []
+
+        def sqls(n):
+            return [r.attributes["sql"] for r in tracer.recent_roots(n)]
+
+        assert sqls(10) == ["Q2", "Q3", "Q4"]
+        assert sqls(2) == ["Q3", "Q4"]
+        assert sqls(0) == []
 
     def test_durations_nest(self):
         tracer = Tracer()
@@ -118,14 +121,27 @@ class TestStatementTrace:
         assert entry.duration_s >= sum(entry.phases.values()) * 0.5
         assert "people" in entry.format()
 
-    def test_query_log_size_is_configurable(self):
-        db = repro.Database(query_log_size=2)
-        db.execute("SELECT 1")
-        db.execute("SELECT 2")
-        db.execute("SELECT 3")
-        assert [e.sql for e in db.query_log(10)] == [
-            "SELECT 2", "SELECT 3",
+    def test_query_log_is_the_history_store(self, people_db):
+        """One per-statement log: execute, explain and explain_analyze
+        each leave exactly one record, and ``query_log`` is
+        ``history`` (explain used to land in the log only)."""
+        before = len(people_db.history(1000))
+        people_db.execute("SELECT 1")
+        people_db.explain("SELECT name FROM people")
+        people_db.explain_analyze("SELECT count(*) FROM people")
+        with pytest.raises(ReproError):
+            people_db.explain("DROP TABLE people")
+        records = people_db.history(1000)[before:]
+        assert [r.sql for r in records] == [
+            "SELECT 1",
+            "SELECT name FROM people",
+            "SELECT count(*) FROM people",
+            "DROP TABLE people",
         ]
+        assert [r.error is None for r in records] == [
+            True, True, True, False,
+        ]
+        assert people_db.query_log(4) == records
 
     def test_explain_analyze_is_traced(self, people_db):
         people_db.explain_analyze("SELECT count(*) FROM people")

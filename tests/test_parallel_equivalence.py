@@ -168,42 +168,181 @@ def test_naive_bayes_workload_equivalence(db_pair):
 
 
 # ---------------------------------------------------------------------------
-# Planner choice is visible, and bounded by the cardinality estimate
+# One scan operator: plan shape and rows are invariant under
+# profile_operators x plan_cache x workers; only dispatch differs, and
+# it is visible in the counters
 # ---------------------------------------------------------------------------
 
+#: 3,200 rows at 32-row morsels = 100 morsels of ``t``; ``e`` is empty.
+SCAN_ROWS = 3_200
 
-def test_explain_analyze_shows_parallel_pipeline():
-    with repro.Database(**PARALLEL_KWARGS) as db:
-        db.execute("CREATE TABLE t (a BIGINT, b DOUBLE)")
-        db.load_columns(
-            "t",
-            {
-                "a": np.arange(500, dtype=np.int64),
-                "b": np.linspace(0.0, 1.0, 500),
-            },
+SCAN_SHAPES = {
+    "bare": "SELECT a, b, s FROM t",
+    "filter": "SELECT a, b FROM t WHERE a % 7 = 3",
+    "project": "SELECT a + 1, b * 2.0, upper(s) FROM t",
+    "filter_project_filter": (
+        "SELECT x, y FROM (SELECT a * 2 AS x, b + 1.0 AS y FROM t "
+        "WHERE a > 40) q WHERE x % 3 = 0"
+    ),
+    "zero_column": "SELECT 1 FROM t WHERE a > 3100",
+    "count_over_filter": "SELECT count(*) FROM t WHERE b < 0.25",
+    "all_pruned": "SELECT a, s FROM t WHERE a > 1000000",
+    "empty_table": "SELECT a + 1 FROM e WHERE a > 0",
+    "udf_predicate": "SELECT a FROM t WHERE is_even(a)",
+    "subquery_predicate": (
+        "SELECT a FROM t WHERE a > (SELECT max(a) - 50 FROM t)"
+    ),
+    "limit_one": "SELECT a FROM t LIMIT 1",
+}
+
+
+def _scan_db(**kwargs):
+    db = repro.Database(morsel_rows=32, **kwargs)
+    db.execute("CREATE TABLE t (a INTEGER, b DOUBLE, s VARCHAR)")
+    db.load_columns(
+        "t",
+        {
+            "a": np.arange(SCAN_ROWS, dtype=np.int32),
+            "b": np.linspace(0.0, 1.0, SCAN_ROWS),
+            "s": np.array(
+                [f"s{i % 11}" for i in range(SCAN_ROWS)], dtype=object
+            ),
+        },
+    )
+    db.execute("CREATE TABLE e (a INTEGER)")
+    db.create_function("is_even", lambda v: v % 2 == 0, "BOOLEAN")
+    return db
+
+
+@pytest.fixture(scope="module")
+def scan_dbs():
+    """The 8 configurations, keyed (profile, plan_cache, workers)."""
+    dbs = {
+        (profile, cache, workers): _scan_db(
+            profile_operators=profile, plan_cache=cache,
+            workers=workers, parallel_threshold=0,
         )
-        analyzed = db.explain_analyze(
-            "SELECT a + 1, b * 2.0 FROM t WHERE a > 100"
-        )
-        node = analyzed.find("ParallelPipeline")
-        assert node is not None
-        assert "workers=4" in node.label
+        for profile in (True, False)
+        for cache in (True, False)
+        for workers in (1, 4)
+    }
+    yield dbs
+    for db in dbs.values():
+        db.close()
 
 
-def test_serial_session_never_plans_parallel_pipeline():
-    with repro.Database(workers=1, parallel_threshold=0) as db:
-        db.execute("CREATE TABLE t (a BIGINT)")
-        db.load_columns("t", {"a": np.arange(100, dtype=np.int64)})
-        analyzed = db.explain_analyze("SELECT a FROM t WHERE a > 10")
-        assert analyzed.find("ParallelPipeline") is None
+def _dispatch_delta(db, sql):
+    """(rows, parallel pipelines, morsels dispatched) of one execute."""
+    names = (
+        "exec_parallel_pipelines_total", "exec_morsels_dispatched_total",
+    )
+    before = db.metrics.snapshot()["counters"]
+    rows = db.execute(sql).rows
+    after = db.metrics.snapshot()["counters"]
+    return (rows, *(after.get(n, 0) - before.get(n, 0) for n in names))
 
 
-def test_threshold_keeps_small_tables_serial():
-    with repro.Database(workers=4, parallel_threshold=1_000) as db:
-        db.execute("CREATE TABLE t (a BIGINT)")
-        db.load_columns("t", {"a": np.arange(100, dtype=np.int64)})
-        analyzed = db.explain_analyze("SELECT a FROM t WHERE a > 10")
-        assert analyzed.find("ParallelPipeline") is None
+@pytest.mark.parametrize("shape", sorted(SCAN_SHAPES))
+def test_scan_rows_identical_in_every_configuration(scan_dbs, shape):
+    sql = SCAN_SHAPES[shape]
+    expected = None
+    for (profile, cache, workers), db in scan_dbs.items():
+        for _attempt in range(2):  # cold, then plan-cached
+            rows, pipelines, morsels = _dispatch_delta(db, sql)
+            if expected is None:
+                expected = rows
+            assert rows == expected, (shape, profile, cache, workers)
+            if workers == 1:
+                assert (pipelines, morsels) == (0, 0)
+    assert len(expected) == {
+        "bare": SCAN_ROWS, "zero_column": 99, "count_over_filter": 1,
+        "all_pruned": 0, "empty_table": 0, "limit_one": 1,
+        "udf_predicate": SCAN_ROWS // 2, "subquery_predicate": 50,
+    }.get(shape, len(expected))
+
+
+def _describe_tree(op):
+    """``describe()`` of an operator and, recursively, of every operator
+    it holds — seen through any ``ProfiledOperator`` wrapper."""
+    from repro.exec.physical import PhysicalOperator, ProfiledOperator
+
+    if isinstance(op, ProfiledOperator):
+        op = op.inner
+    held = []
+    for value in vars(op).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, PhysicalOperator):
+                held.append(_describe_tree(item))
+    return (op.describe(), held)
+
+
+@pytest.mark.parametrize("shape", sorted(SCAN_SHAPES))
+def test_operator_tree_does_not_depend_on_profiling(scan_dbs, shape):
+    from repro.exec.planner import build_physical
+    from repro.sql import parse_sql
+
+    trees = []
+    for key in ((True, True, 1), (False, True, 1), (True, False, 4)):
+        db = scan_dbs[key]
+        txn = db.txns.begin()
+        try:
+            plan = db._plan_select(parse_sql(SCAN_SHAPES[shape])[0], txn)
+            for profile in (True, False):
+                ctx = db._make_exec_context(txn)
+                ctx.profile = profile
+                trees.append(_describe_tree(build_physical(plan, ctx)))
+        finally:
+            txn.rollback()
+    assert all(tree == trees[0] for tree in trees), trees
+    # Every leaf over a base table is the one scan operator, and no
+    # Filter/Project survives directly above it.
+    def check(node):
+        label, held = node
+        for child in held:
+            if label == "Filter" or label.startswith("Project("):
+                assert not child[0].startswith("Scan("), trees[0]
+            check(child)
+
+    check(trees[0])
+
+
+def test_dispatch_follows_what_the_scan_observes(scan_dbs):
+    parallel = scan_dbs[(True, True, 4)]
+    # 100 morsels, thread-safe expressions: dispatched to the pool.
+    _rows, pipelines, morsels = _dispatch_delta(
+        parallel, SCAN_SHAPES["project"]
+    )
+    assert (pipelines, morsels) == (1, 100)
+    analyzed = parallel.explain_analyze(SCAN_SHAPES["project"])
+    assert analyzed.root.label == "Scan(t)"
+    assert analyzed.counters["exec_parallel_pipelines_total"] == 1
+    assert analyzed.counters["exec_morsels_dispatched_total"] == 100
+    # A UDF pins the scan to the caller thread.
+    assert _dispatch_delta(
+        parallel, SCAN_SHAPES["udf_predicate"]
+    )[1:] == (0, 0)
+    # Everything pruned / empty table: nothing to dispatch.
+    for shape in ("all_pruned", "empty_table"):
+        assert _dispatch_delta(parallel, SCAN_SHAPES[shape])[1:] == (0, 0)
+
+
+def test_threshold_keeps_small_scans_serial():
+    with _scan_db(workers=4, parallel_threshold=SCAN_ROWS + 1) as db:
+        assert _dispatch_delta(db, SCAN_SHAPES["project"])[1:] == (0, 0)
+    with _scan_db(workers=4, parallel_threshold=SCAN_ROWS) as db:
+        assert _dispatch_delta(db, SCAN_SHAPES["project"])[1:] == (1, 100)
+
+
+@pytest.mark.parametrize("profile", [True, False])
+def test_limit_stops_the_serial_scan_early(scan_dbs, profile):
+    """Streaming kept: LIMIT 1 over a 100-morsel table pulls at most
+    two morsels from the lazy serial scan."""
+    db = scan_dbs[(profile, True, 1)]
+    analyzed = db.explain_analyze(SCAN_SHAPES["limit_one"])
+    scan = analyzed.find("Scan(t)")
+    assert scan.batches_out <= 2
+    assert analyzed.governor["checkpoints"] <= 2
+    assert analyzed.result.rows == [(0,)]
 
 
 def test_parallel_session_emits_morsel_counters():

@@ -188,18 +188,17 @@ class TestStatisticsEstimates:
         # far from the static 30% guess (36) and the old flat fallback.
         db = _make_db()
         analyzed = db.explain_analyze("SELECT id FROM t WHERE id > 100")
-        filt = analyzed.find("Filter")
-        assert filt is not None
-        assert filt.estimated_rows is not None
-        assert abs(filt.estimated_rows - 19) <= 3
+        scan = analyzed.find("Scan(t)")
+        assert scan is not None
+        assert scan.estimated_rows is not None
+        assert abs(scan.estimated_rows - 19) <= 3
 
     def test_out_of_range_literal_estimates_zero(self):
         db = _make_db()
         analyzed = db.explain_analyze(
             "SELECT id FROM t WHERE id = 100000"
         )
-        filt = analyzed.find("Filter")
-        assert filt.estimated_rows == 0
+        assert analyzed.find("Scan(t)").estimated_rows == 0
 
     def test_scan_miss_counter_and_fallback(self):
         def missing(_name):

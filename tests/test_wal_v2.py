@@ -467,39 +467,52 @@ class TestCheckpoint:
         assert payload["tables"]["t"]["rows"] == [[1, "a"]]
 
 
-class TestLegacyV1:
-    def test_v1_log_recovers_and_upgrades(self, tmp_path):
-        import json as _json
+class TestForeignFile:
+    """A non-empty file without the magic is not a repro WAL: it is
+    rejected in both recovery modes and never modified. (The seed-era
+    JSON-lines "v1" format is such a file now — before, *any* foreign
+    file was sniffed as v1 and tolerant recovery truncated it to zero
+    bytes.)"""
 
-        path = str(tmp_path / "v1.wal")
-        lines = [
-            {"txn": 1, "op": "create_table", "name": "t",
-             "schema": [
-                 {"name": "id", "type": "INTEGER", "width": None,
-                  "not_null": False},
-             ]},
-            {"txn": 1, "op": "insert", "name": "t", "rows": [[1], [2]]},
-            {"txn": 1, "op": "commit"},
-        ]
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(_json.dumps(line) + "\n")
-        db = repro.Database(wal_path=path)
-        assert db.last_recovery["format"] == "v1"
-        assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == 2
-        # New commits keep the v1 format readable...
-        db.insert_rows("t", [(3,)])
+    @pytest.mark.parametrize("recovery", ["strict", "tolerant"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"shopping list:\n- eggs\n- milk\n",
+            b'{"txn": 1, "op": "commit"}\n',
+            MAGIC[:-1] + b"X" + b"\x00" * 32,
+        ],
+    )
+    def test_non_wal_file_is_rejected_untouched(
+        self, tmp_path, recovery, content
+    ):
+        from repro.obs.flight import load_bundle
+
+        path = tmp_path / "notes.txt"
+        path.write_bytes(content)
+        flight_dir = tmp_path / "fr"
+        with pytest.raises(WalCorruptionError, match="not a repro WAL"):
+            repro.Database(
+                wal_path=str(path), recovery=recovery,
+                flight_dir=str(flight_dir),
+            )
+        assert path.read_bytes() == content
+        assert not os.path.exists(snapshot_path(str(path)))
+        bundles = list(flight_dir.glob("*.json"))
+        assert bundles, "rejected open left no flight bundle"
+        load_bundle(str(bundles[0]))
+
+    @pytest.mark.parametrize("content", [b"", MAGIC[:3]])
+    def test_empty_or_torn_magic_is_stamped(self, tmp_path, content):
+        path = tmp_path / "db.wal"
+        path.write_bytes(content)
+        db = repro.Database(wal_path=str(path))
+        db.execute("CREATE TABLE t (id INTEGER)")
         db.close()
-        db2 = repro.Database(wal_path=path)
-        assert db2.execute("SELECT COUNT(*) FROM t").rows[0][0] == 3
-        # ...and the first checkpoint upgrades the file to v2 framing.
-        db2.checkpoint()
+        assert path.read_bytes().startswith(MAGIC)
+        db2 = repro.Database(wal_path=str(path))
+        assert db2.table_names() == ["t"]
         db2.close()
-        assert open(path, "rb").read().startswith(MAGIC)
-        db3 = repro.Database(wal_path=path)
-        assert db3.last_recovery["format"] == "v2"
-        assert db3.execute("SELECT COUNT(*) FROM t").rows[0][0] == 3
-        db3.close()
 
 
 class TestModesMatrix:

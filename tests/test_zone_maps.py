@@ -1,4 +1,4 @@
-"""Zone-map pruning, fused pipelines, and the CSR cache.
+"""Zone-map pruning, scan-program shapes, and the CSR cache.
 
 The hot-path contract (docs/performance.md): pruning a morsel or
 reusing a cached CSR index may never change a statement's result —
@@ -239,14 +239,93 @@ def test_parallel_scan_prunes_and_matches_serial():
     # Zones are 4096 rows: the morsels of the two foreign zones (four
     # 1024-row morsels each) are pruned; zone 0's morsels are not.
     assert pruned(hot) == 8.0
+    # ...and only the four surviving morsels are dispatched.
+    assert counter(hot, "exec_morsels_dispatched_total") == 4.0
     check(hot, cold, "SELECT count(*) FROM t WHERE id < 100")
     hot.close()
     cold.close()
 
 
+def test_parallel_threshold_counts_rows_left_after_pruning():
+    hot, cold = make_pair(3 * ZONE_ROWS, morsel_rows=1024, workers=4)
+    hot.parallel_threshold = 2 * ZONE_ROWS
+    check(hot, cold, "SELECT count(*) FROM t WHERE id >= 0")
+    assert counter(hot, "exec_parallel_pipelines_total") == 1.0
+    # Zone maps keep one zone (4096 rows < threshold): the scan streams
+    # its four morsels on the caller thread instead.
+    check(hot, cold, "SELECT count(*) FROM t WHERE id < 100")
+    assert pruned(hot) == 8.0
+    assert counter(hot, "exec_parallel_pipelines_total") == 1.0
+    hot.close()
+    cold.close()
+
+
 # ---------------------------------------------------------------------------
-# Fused pipeline shapes
+# Scan program shapes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("morsel_rows", [0, -5])
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("plan_cache", [True, False])
+@pytest.mark.parametrize("profile", [True, False])
+def test_degenerate_morsel_rows_clamp_to_one(
+    morsel_rows, workers, plan_cache, profile
+):
+    # Regression: the profiled serial scan computed its own ranges and
+    # died with ``range() arg 3 must not be zero`` where the fused path
+    # (which went through morsel_ranges) worked.
+    with Database(
+        morsel_rows=morsel_rows, workers=workers, parallel_threshold=0,
+        plan_cache=plan_cache, profile_operators=profile,
+    ) as db:
+        db.execute("CREATE TABLE t (id INTEGER, v DOUBLE)")
+        db.insert_rows("t", [(i, i * 0.5) for i in range(40)])
+        assert db.execute(
+            "SELECT id, v * 2 FROM t WHERE id >= 37"
+        ).rows == [(37, 37.0), (38, 38.0), (39, 39.0)]
+
+
+def test_stacked_filters_prune_on_both_predicates_when_profiled():
+    # Regression: under profiling only the filter directly on the scan
+    # reached the zone maps; the unprofiled path used every leading
+    # filter. Filter(Filter(Scan)) is built by hand — the optimizer
+    # merges adjacent filters into one conjunction.
+    from repro.exec.planner import build_physical
+    from repro.plan import logical as lp
+    from repro.sql import parse_sql
+    from repro.storage.zonemap import split_conjuncts
+
+    hot, _cold = make_pair(4 * ZONE_ROWS)
+    lo, hi = ZONE_ROWS + 10, ZONE_ROWS + 20
+    txn = hot.txns.begin()
+    try:
+        plan = hot._plan_select(
+            parse_sql(
+                f"SELECT id FROM t WHERE id >= {lo} AND id < {hi}"
+            )[0],
+            txn,
+        )
+        project, merged = plan, plan.child
+        assert isinstance(merged, lp.LogicalFilter)
+        assert isinstance(merged.child, lp.LogicalScan)
+        lower, upper = split_conjuncts(merged.predicate)
+        stacked = lp.LogicalProject(
+            lp.LogicalFilter(
+                lp.LogicalFilter(merged.child, lower), upper
+            ),
+            project.exprs, project.output,
+        )
+        ctx = hot._make_exec_context(txn)
+        ctx.profile = True
+        op = build_physical(stacked, ctx)
+        batch = op.execute_materialized(ctx.new_eval_context())
+    finally:
+        txn.rollback()
+    assert len(batch) == 10
+    # Each predicate alone leaves two or three zones; together, one.
+    assert ctx.stats.morsels_pruned == 3
+    assert [root.label for root in ctx.profile_roots] == ["Scan(t)"]
 
 
 def test_constant_projection_over_filter_keeps_rows():
@@ -258,7 +337,7 @@ def test_constant_projection_over_filter_keeps_rows():
     assert rows == [(36,)]
 
 
-def test_fused_chain_matches_operator_chain():
+def test_scan_program_chain_matches_with_caches_off():
     hot, cold = make_pair(ZONE_ROWS, morsel_rows=256)
     check(
         hot, cold,
@@ -273,7 +352,7 @@ def test_fused_chain_matches_operator_chain():
     )
 
 
-def test_error_ordering_preserved_under_fusion():
+def test_error_ordering_preserved_by_scan_program():
     hot, cold = make_pair(128, morsel_rows=32)
     # Data-dependent errors must surface identically on both paths
     # (division is not prune-safe, so no morsel skipping hides them).
