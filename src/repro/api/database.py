@@ -1423,6 +1423,8 @@ class Database:
         "scan_morsels_pruned_total",
         "exec_parallel_pipelines_total",
         "exec_morsels_dispatched_total",
+        "exec_loop_invariant_materialized_total",
+        "exec_loop_invariant_reused_total",
         "analytics_csr_cache_hits_total",
         "analytics_csr_cache_misses_total",
     )

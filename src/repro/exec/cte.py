@@ -10,6 +10,10 @@ The memory behaviour the paper criticises is explicit here: every round's
 rows stay materialised, so the accumulated result grows to n*i tuples.
 ``ExecutionStats.peak_live_tuples`` records that growth for the
 iterate-vs-CTE ablation benchmark.
+
+As in :mod:`repro.exec.iterate`, the part of the step that does not
+read the previous round's rows is hoisted
+(:mod:`repro.exec.hoist`) and runs once per execution, not per round.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from ..expr.compiler import EvalContext
 from ..plan.logical import LogicalRecursiveCTE
 from ..storage.column import Column, ColumnBatch
 from .common import factorize
+from .hoist import LoopScope
 from .physical import ExecutionContext, PhysicalOperator, materialize
 
 
@@ -33,12 +38,14 @@ class RecursiveCTEOp(PhysicalOperator):
         node: LogicalRecursiveCTE,
         init: PhysicalOperator,
         step: PhysicalOperator,
+        scope: LoopScope,
         ctx: ExecutionContext,
     ):
         super().__init__(node.output)
         self._node = node
         self._init = init
         self._step = step
+        self._scope = scope
         self._ctx = ctx
         #: Rounds executed by the most recent run (EXPLAIN ANALYZE).
         self.last_iterations = 0
@@ -90,6 +97,7 @@ class RecursiveCTEOp(PhysicalOperator):
                 # Incremented per round (not once at the end) so the count
                 # survives an iteration-limit abort.
                 ctx.stats.iterations += 1
+                self._scope.begin_round(eval_ctx)
                 ctx.working_tables[node.key] = self._as_working(
                     current, out_slots
                 )
@@ -122,6 +130,7 @@ class RecursiveCTEOp(PhysicalOperator):
                 current = produced
         finally:
             governor.release(reserved)
+            self._scope.release()
         self.last_iterations = iterations
 
         yield materialize(accumulated, node.output)

@@ -21,6 +21,11 @@ ITERATE can be cancelled or timed out with latency bounded by one
 round; the working relation's bytes are accounted against the
 statement's memory budget, with the reservation *replaced* (not
 accumulated) as rounds replace the relation.
+
+Only the part of *step*/*stop* that reads the working relation runs
+every round: the planner builds the rest under
+:class:`repro.exec.hoist.LoopInvariantOp` nodes, which this operator's
+:class:`~repro.exec.hoist.LoopScope` empties when the loop ends.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from ..expr.compiler import EvalContext
 from ..plan.logical import LogicalIterate
 from ..storage.column import ColumnBatch
 from ..types import TypeKind
+from .hoist import LoopScope
 from .physical import ExecutionContext, PhysicalOperator
 
 
@@ -43,6 +49,7 @@ class IterateOp(PhysicalOperator):
         init: PhysicalOperator,
         step: PhysicalOperator,
         stop: PhysicalOperator,
+        scope: LoopScope,
         ctx: ExecutionContext,
     ):
         super().__init__(node.output)
@@ -50,6 +57,7 @@ class IterateOp(PhysicalOperator):
         self._init = init
         self._step = step
         self._stop = stop
+        self._scope = scope
         self._ctx = ctx
         #: Rounds executed by the most recent run (EXPLAIN ANALYZE).
         self.last_iterations = 0
@@ -75,6 +83,7 @@ class IterateOp(PhysicalOperator):
         try:
             while True:
                 ctx.checkpoint("iterate_round")
+                self._scope.begin_round(eval_ctx)
                 ctx.working_tables[node.key] = working
                 try:
                     stop_batch = self._stop.execute_materialized(eval_ctx)
@@ -117,6 +126,7 @@ class IterateOp(PhysicalOperator):
                 working = next_working
         finally:
             governor.release(reserved)
+            self._scope.release()
         self.last_iterations = iterations
 
         yield ColumnBatch(

@@ -2,8 +2,9 @@
 
 The hash join materialises both sides, factorizes the key columns into
 dense codes (the vectorised equivalent of building and probing a hash
-table), and matches code ranges with ``searchsorted`` — no per-tuple
-Python in the hot path. SQL semantics: NULL keys never match; LEFT joins
+table), and matches code ranges through an offset table over the build
+keys (``searchsorted`` when they are sparse) — no per-tuple Python in
+the hot path. SQL semantics: NULL keys never match; LEFT joins
 NULL-extend unmatched left rows.
 """
 
@@ -69,17 +70,64 @@ def _raw_small_build_keys(
     )
 
 
+#: The probe reads match ranges from an offset table (one slot per key
+#: value between the smallest and largest build key) when that span is
+#: at most this many slots per build row plus one per probe row, so the
+#: table costs no more than a pass over the join's inputs; sparser keys
+#: are binary-searched. Factorized codes always qualify (they count the
+#: distinct keys of both sides), raw integer ids usually do.
+DENSE_SPAN_FACTOR = 4
+
+
+def _offset_table(
+    sorted_codes: np.ndarray, probe_rows: int = 0
+) -> Optional[tuple[int, np.ndarray]]:
+    """``(base, offsets)`` such that the build rows with key ``k`` are
+    ``sorted_codes[offsets[k - base]:offsets[k - base + 1]]``, or None
+    when the keys are too sparse (or absent) for a table. ``offsets``
+    ends in one spare slot with an empty range — where the probe sends
+    keys outside ``[base, base + span)``."""
+    if len(sorted_codes) == 0:
+        return None
+    base = int(sorted_codes[0])
+    # Python ints: the span of two int64 keys can exceed int64.
+    span = int(sorted_codes[-1]) - base + 1
+    if span > DENSE_SPAN_FACTOR * len(sorted_codes) + probe_rows:
+        return None
+    offsets = np.zeros(span + 2, dtype=np.int64)
+    np.cumsum(
+        np.bincount(sorted_codes - base, minlength=span),
+        out=offsets[1:-1],
+    )
+    offsets[-1] = offsets[-2]
+    return base, offsets
+
+
 def _probe_chunk(
     probe_rows: np.ndarray,
     left_codes: np.ndarray,
     sorted_codes: np.ndarray,
     right_rows: np.ndarray,
+    table: Optional[tuple[int, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe one chunk of left rows against the sorted build side and
-    expand the matching ``[lo, hi)`` ranges into explicit pair lists."""
+    expand the matching ``[lo, hi)`` ranges into explicit pair lists.
+    ``table`` is the build side's :func:`_offset_table`; both lookups
+    give the same ranges wherever a range is non-empty, so the pairs
+    and their order do not depend on which one ran."""
     probe_codes = left_codes[probe_rows]
-    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
+    if table is None:
+        lo = np.searchsorted(sorted_codes, probe_codes, side="left")
+        hi = np.searchsorted(sorted_codes, probe_codes, side="right")
+    else:
+        base, offsets = table
+        # As uint64, ``key - base`` (wrapping) is below the span exactly
+        # for keys inside it: keys under ``base`` wrap to huge values.
+        slot = np.minimum(
+            (probe_codes - base).view(np.uint64), len(offsets) - 2
+        ).view(np.int64)
+        lo = offsets[slot]
+        hi = offsets[slot + 1]
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
@@ -105,14 +153,18 @@ def _null_extended(
     """Gather ``indices`` from ``batch``; rows where ``valid_rows`` is
     False become all-NULL (LEFT join padding)."""
     out: dict[str, Column] = {}
-    safe = np.where(valid_rows, indices, 0)
+    # Inner and cross joins pad nothing: no per-column masks to build.
+    padded = not valid_rows.all()
+    safe = np.where(valid_rows, indices, 0) if padded else indices
     for col in columns:
         source = batch[col.slot]
         if len(source) == 0:
             out[col.slot] = Column.all_null(len(indices), col.sql_type)
             continue
         gathered = source.take(safe)
-        validity = gathered.validity() & valid_rows
+        validity = (
+            gathered.validity() & valid_rows if padded else gathered.valid
+        )
         out[col.slot] = Column(gathered.values, col.sql_type, validity)
     return out
 
@@ -245,8 +297,8 @@ class HashJoinOp(PhysicalOperator):
         order = np.argsort(right_codes[usable_right], kind="stable")
         right_rows = np.flatnonzero(usable_right)[order]
         sorted_codes = right_codes[right_rows]
-
         probe_rows = np.flatnonzero(~left_null)
+        table = _offset_table(sorted_codes, len(probe_rows))
         if parallel and 0 < len(probe_rows) \
                 and len(probe_rows) >= self._ctx.parallel_threshold:
             # Probe in parallel over fixed probe-row chunks. Each
@@ -259,7 +311,7 @@ class HashJoinOp(PhysicalOperator):
             chunks = pool.map_ordered(
                 lambda rng: _probe_chunk(
                     probe_rows[rng[0]:rng[1]],
-                    left_codes, sorted_codes, right_rows,
+                    left_codes, sorted_codes, right_rows, table,
                 ),
                 ranges,
             )
@@ -267,7 +319,7 @@ class HashJoinOp(PhysicalOperator):
             pair_right = np.concatenate([c[1] for c in chunks])
         else:
             pair_left, pair_right = _probe_chunk(
-                probe_rows, left_codes, sorted_codes, right_rows
+                probe_rows, left_codes, sorted_codes, right_rows, table
             )
 
         if self._residual is not None and len(pair_left) > 0:

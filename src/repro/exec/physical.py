@@ -51,7 +51,8 @@ class OperatorStats:
     everything below it); ``self_s`` subtracts the children. Operators
     that run repeatedly inside an iteration (ITERATE / recursive-CTE
     step and stop plans) accumulate over all rounds, with ``calls``
-    recording how many times they were opened.
+    recording how many times they were opened; ``rows_per_call`` is
+    the cardinality of one opening.
     """
 
     def __init__(self, label: str, children: list["OperatorStats"]):
@@ -63,7 +64,7 @@ class OperatorStats:
         self.elapsed_s = 0.0
         #: The optimizer's cardinality estimate for this operator's
         #: logical node (None when no estimator was available). Paired
-        #: with the observed ``rows_out`` this is the estimation-error
+        #: with the observed ``rows_per_call`` this is the estimation-error
         #: signal the history store persists per plan fingerprint.
         self.estimated_rows: Optional[float] = None
         #: Provenance of ``estimated_rows``: ``static`` (heuristic
@@ -83,6 +84,16 @@ class OperatorStats:
     @property
     def batches_in(self) -> int:
         return sum(child.batches_out for child in self.children)
+
+    @property
+    def rows_per_call(self) -> float:
+        """Rows produced per opening — the operator's observed
+        cardinality. ``rows_out`` of an operator inside a loop body is
+        the sum over all rounds; estimates, q-errors and cardinality
+        feedback are about one execution of the node."""
+        if self.calls > 1:
+            return self.rows_out / self.calls
+        return self.rows_out
 
     @property
     def self_s(self) -> float:
@@ -113,7 +124,7 @@ class OperatorStats:
         if self.estimated_rows is None:
             return None
         est = max(float(self.estimated_rows), 1.0)
-        obs = max(float(self.rows_out), 1.0)
+        obs = max(float(self.rows_per_call), 1.0)
         return max(est / obs, obs / est)
 
     @property
@@ -200,6 +211,10 @@ class ExecutionContext:
         self.profile_roots: list[OperatorStats] = []
         self._profile_stack: list[list[OperatorStats]] = []
         self._physical_cache: dict[int, "PhysicalOperator"] = {}
+        #: The :class:`repro.exec.hoist.LoopScope` of every ITERATE /
+        #: recursive CTE whose step or stop plan the planner is inside
+        #: of right now, outermost first.
+        self._loops: tuple = ()
         #: Optional :class:`repro.obs.trace.Tracer` — iterative operators
         #: open one ``iteration`` span per round when it is set.
         self.tracer = tracer

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Callable, Optional
+
 from ..errors import PlanError
 from ..plan import logical as lp
 from ..storage.column import ColumnBatch
 from .aggregate import DistinctOp, HashAggregateOp
 from .cte import RecursiveCTEOp
 from .filter import FilterOp
+from .hoist import LoopInvariantOp, LoopScope
 from .iterate import IterateOp
 from .join import HashJoinOp, NestedLoopJoinOp
 from .physical import (
@@ -31,6 +35,12 @@ def build_physical(
 ) -> PhysicalOperator:
     """Recursively instantiate physical operators for a logical plan.
 
+    Inside the step/stop plan of an ITERATE or recursive CTE, a subtree
+    that cannot change between rounds is built under a
+    :class:`LoopInvariantOp` owned by the outermost enclosing loop it
+    is invariant in, so only the working-table-dependent part of the
+    plan runs per round.
+
     With ``ctx.profile`` set, every operator is wrapped in a
     :class:`ProfiledOperator` and its :class:`OperatorStats` node is
     linked to its parent's — the stats tree mirrors the operator tree.
@@ -38,25 +48,91 @@ def build_physical(
     new root in ``ctx.profile_roots`` (the main plan, then any subquery
     plans built lazily during execution).
     """
+    depth = _invariant_depth(plan, ctx)
+    if depth is None:
+        return _profiled(
+            ctx, lambda: _build_physical_node(plan, ctx), plan
+        )
+    loops = ctx._loops
+
+    def hoisted() -> PhysicalOperator:
+        # Loops from ``depth`` inward are settled for this subtree; the
+        # ones further out may still hoist parts of it.
+        with _enclosing_loops(ctx, loops[:depth]):
+            child = build_physical(plan, ctx)
+        return LoopInvariantOp(child, loops[depth], ctx)
+
+    return _profiled(ctx, hoisted)
+
+
+def _invariant_depth(
+    plan: lp.LogicalPlan, ctx: ExecutionContext
+) -> Optional[int]:
+    """Index into ``ctx._loops`` (outermost first) of the outermost
+    enclosing loop across whose rounds ``plan`` cannot change, or None.
+
+    A subtree changes with a loop's rounds when it reads that loop's
+    working table *or that of any loop nested inside it* (those rounds
+    run within one outer round); volatile subtrees never qualify, a
+    bare base-table scan has nothing to save, and the zero-column row
+    of a FROM-less SELECT keeps its row count in a hidden column that
+    materialising would drop."""
+    loops = ctx._loops
+    if (
+        not loops
+        or not plan.output
+        or isinstance(plan, lp.LogicalScan)
+    ):
+        return None
+    keys, volatile = lp.loop_dependencies(plan, loops[-1].dependencies)
+    if volatile:
+        return None
+    depth = len(loops)
+    while depth > 0 and loops[depth - 1].key not in keys:
+        depth -= 1
+    return depth if depth < len(loops) else None
+
+
+@contextmanager
+def _enclosing_loops(ctx: ExecutionContext, loops: tuple):
+    saved = ctx._loops
+    ctx._loops = loops
+    try:
+        yield
+    finally:
+        ctx._loops = saved
+
+
+def _profiled(
+    ctx: ExecutionContext,
+    build: Callable[[], PhysicalOperator],
+    plan: Optional[lp.LogicalPlan] = None,
+) -> PhysicalOperator:
+    """Run ``build``; under ``ctx.profile`` wrap its operator in a
+    :class:`ProfiledOperator` whose stats node adopts the nodes of the
+    operators built meanwhile. ``plan`` is the logical node the
+    operator implements — it supplies the feedback key and the
+    cardinality estimate; a :class:`LoopInvariantOp` implements none."""
     if not ctx.profile:
-        return _build_physical_node(plan, ctx)
+        return build()
     children: list[OperatorStats] = []
     ctx._profile_stack.append(children)
     try:
-        op = _build_physical_node(plan, ctx)
+        op = build()
     finally:
         ctx._profile_stack.pop()
     stats = OperatorStats(op.describe(), children)
-    stats.node_key = ctx.next_node_key(feedback_key_base(plan))
-    if ctx.estimator is not None:
-        try:
-            (
-                stats.estimated_rows,
-                stats.estimate_source,
-            ) = ctx.estimator.estimate_with_source(plan)
-        except Exception:  # noqa: BLE001 — estimates are best-effort
-            stats.estimated_rows = None
-            stats.estimate_source = None
+    if plan is not None:
+        stats.node_key = ctx.next_node_key(feedback_key_base(plan))
+        if ctx.estimator is not None:
+            try:
+                (
+                    stats.estimated_rows,
+                    stats.estimate_source,
+                ) = ctx.estimator.estimate_with_source(plan)
+            except Exception:  # noqa: BLE001 — estimates are best-effort
+                stats.estimated_rows = None
+                stats.estimate_source = None
     if ctx._profile_stack:
         ctx._profile_stack[-1].append(stats)
     else:
@@ -126,20 +202,18 @@ def _build_physical_node(
             ctx,
         )
     if isinstance(plan, lp.LogicalRecursiveCTE):
-        return RecursiveCTEOp(
-            plan,
-            build_physical(plan.init, ctx),
-            build_physical(plan.step, ctx),
-            ctx,
-        )
+        init = build_physical(plan.init, ctx)
+        scope = LoopScope(plan.key, [plan.step])
+        with _enclosing_loops(ctx, ctx._loops + (scope,)):
+            step = build_physical(plan.step, ctx)
+        return RecursiveCTEOp(plan, init, step, scope, ctx)
     if isinstance(plan, lp.LogicalIterate):
-        return IterateOp(
-            plan,
-            build_physical(plan.init, ctx),
-            build_physical(plan.step, ctx),
-            build_physical(plan.stop, ctx),
-            ctx,
-        )
+        init = build_physical(plan.init, ctx)
+        scope = LoopScope(plan.key, [plan.step, plan.stop])
+        with _enclosing_loops(ctx, ctx._loops + (scope,)):
+            step = build_physical(plan.step, ctx)
+            stop = build_physical(plan.stop, ctx)
+        return IterateOp(plan, init, step, stop, scope, ctx)
     if isinstance(plan, lp.LogicalTableFunction):
         inputs = [build_physical(child, ctx) for child in plan.inputs]
         return TableFunctionOp(plan, inputs, ctx)

@@ -85,6 +85,8 @@ class QueryRecord:
     ``{"op", "estimated_rows", "observed_rows", "q_error"}`` in plan
     pre-order (main plan first, lazily-built subquery plans after) —
     present whenever the statement ran with operator profiling on.
+    ``observed_rows`` is rows per opening of the operator: one inside
+    an ITERATE step opened 45 times records its per-round cardinality.
     """
 
     sql: str
@@ -180,18 +182,14 @@ def operator_observations(stats_roots) -> list[dict]:
     out: list[dict] = []
     for root in stats_roots:
         for node in root.walk():
-            estimated = node.estimated_rows
-            if estimated is None:
-                q_error = None
-            else:
-                est = estimated if estimated > 1.0 else 1.0
-                obs = node.rows_out if node.rows_out > 1 else 1.0
-                q_error = est / obs if est > obs else obs / est
             observation = {
                 "op": node.label,
-                "estimated_rows": estimated,
-                "observed_rows": node.rows_out,
-                "q_error": q_error,
+                "estimated_rows": node.estimated_rows,
+                # Per opening, not the sum over a loop's rounds: this
+                # is what estimates are compared with and what
+                # cardinality feedback replays into the optimizer.
+                "observed_rows": node.rows_per_call,
+                "q_error": node.q_error,
             }
             node_key = getattr(node, "node_key", None)
             if node_key is not None:

@@ -13,9 +13,15 @@ normally around them (section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
-from ..expr.bound import BoundExpr, BoundLambda
+from ..expr.bound import (
+    BoundExpr,
+    BoundLambda,
+    BoundParam,
+    BoundSubquery,
+    BoundUDF,
+)
 from ..types import SQLType
 
 #: Default infinite-loop guard for ITERATE / WITH RECURSIVE (section 5.1).
@@ -427,3 +433,103 @@ class LogicalTableFunction(LogicalPlan):
 
     def describe(self) -> str:
         return f"AnalyticsOperator {self.name}"
+
+
+# ---------------------------------------------------------------------------
+# plan walks
+# ---------------------------------------------------------------------------
+
+
+def plan_expressions(node: LogicalPlan) -> list[BoundExpr]:
+    """All bound expressions directly held by a plan node."""
+    out: list[BoundExpr] = []
+    if isinstance(node, LogicalFilter):
+        out.append(node.predicate)
+    elif isinstance(node, LogicalProject):
+        out.extend(node.exprs)
+    elif isinstance(node, LogicalJoin):
+        for lk, rk in node.equi_keys:
+            out.extend([lk, rk])
+        if node.residual is not None:
+            out.append(node.residual)
+    elif isinstance(node, LogicalAggregate):
+        out.extend(node.group_exprs)
+        for spec in node.aggregates:
+            if spec.arg is not None:
+                out.append(spec.arg)
+    elif isinstance(node, LogicalSort):
+        out.extend(k.expr for k in node.keys)
+    elif isinstance(node, LogicalValues):
+        for row in node.rows:
+            out.extend(row)
+    elif isinstance(node, LogicalWindow):
+        for spec in node.specs:
+            out.extend(spec.args)
+            out.extend(spec.partition_by)
+            out.extend(key.expr for key in spec.order_by)
+    elif isinstance(node, LogicalTableFunction):
+        out.extend(node.lambdas.values())
+    return out
+
+
+def walk_expressions(node: LogicalPlan) -> Iterator[BoundExpr]:
+    """Every expression node (roots and sub-expressions) held by one
+    plan node. Subquery *plans* are not entered — :func:`walk_plan`
+    does that."""
+    stack = plan_expressions(node)
+    while stack:
+        expr = stack.pop()
+        yield expr
+        stack.extend(expr.children())
+
+
+def walk_plan(plan: LogicalPlan) -> Iterator[LogicalPlan]:
+    """Every plan node reachable from ``plan``: through ``children()``
+    and through the plans of subqueries inside expressions."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+        stack.extend(
+            expr.plan
+            for expr in walk_expressions(node)
+            if isinstance(expr, BoundSubquery)
+        )
+
+
+def loop_dependencies(
+    plan: LogicalPlan, memo: dict[int, tuple[frozenset[str], bool]]
+) -> tuple[frozenset[str], bool]:
+    """What decides whether ``plan``'s result can differ between two
+    rounds of an enclosing ITERATE / recursive CTE: the keys of every
+    working table read anywhere beneath it (through ``children()`` and
+    through subquery plans inside expressions), and whether it is
+    *volatile* — holds a Python UDF (scalar or table function: the
+    engine cannot see inside, it may count calls or read a clock) or a
+    correlated parameter (its value belongs to an outer row, not to the
+    plan). Statement parameters (``?N``) are constants of the
+    execution. ``memo`` (``id(node)`` -> result) is filled for every
+    node visited, so one call on a loop body answers for each of its
+    subtrees."""
+    known = memo.get(id(plan))
+    if known is not None:
+        return known
+    keys: set[str] = set()
+    volatile = isinstance(plan, LogicalTableFunction)
+    if isinstance(plan, LogicalWorkingTableRef):
+        keys.add(plan.key)
+    below = list(plan.children())
+    for expr in walk_expressions(plan):
+        if isinstance(expr, BoundSubquery):
+            below.append(expr.plan)
+        elif isinstance(expr, BoundUDF) or (
+            isinstance(expr, BoundParam) and not expr.slot.startswith("?")
+        ):
+            volatile = True
+    for node in below:
+        node_keys, node_volatile = loop_dependencies(node, memo)
+        keys |= node_keys
+        volatile = volatile or node_volatile
+    memo[id(plan)] = result = (frozenset(keys), volatile)
+    return result

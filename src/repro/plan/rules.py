@@ -306,8 +306,6 @@ def _collect_required(
 ) -> set[str]:
     """All slots consumed anywhere in the plan (a global set is
     sufficient because slots are unique per statement)."""
-    from ..sql.binder import _plan_expressions
-
     required = set(needed_from_above)
     stack = [plan]
     roots_seen = set()
@@ -316,7 +314,7 @@ def _collect_required(
         if id(node) in roots_seen:
             continue
         roots_seen.add(id(node))
-        for expr in _plan_expressions(node):
+        for expr in lp.plan_expressions(node):
             required |= _expr_required(expr)
         # Filters/sorts/limits/joins merely forward columns — they do
         # not require them, so scans below can shed unused ones. Set

@@ -1466,24 +1466,12 @@ class Binder:
     @staticmethod
     def _collect_params(plan: lp.LogicalPlan) -> set[str]:
         """All BoundParam slots appearing anywhere in a plan."""
-        slots: set[str] = set()
-
-        def walk_expr(e: b.BoundExpr) -> None:
-            if isinstance(e, b.BoundParam):
-                slots.add(e.slot)
-            if isinstance(e, b.BoundSubquery):
-                walk_plan(e.plan)
-            for child in e.children():
-                walk_expr(child)
-
-        def walk_plan(node: lp.LogicalPlan) -> None:
-            for e in _plan_expressions(node):
-                walk_expr(e)
-            for child in node.children():
-                walk_plan(child)
-
-        walk_plan(plan)
-        return slots
+        return {
+            expr.slot
+            for node in lp.walk_plan(plan)
+            for expr in lp.walk_expressions(node)
+            if isinstance(expr, b.BoundParam)
+        }
 
     # -- expression constructors with type rules --------------------------------------
 
@@ -1641,35 +1629,3 @@ class Binder:
                 f"{where} requires a boolean expression, got "
                 f"{expr.sql_type}"
             )
-
-
-def _plan_expressions(node: lp.LogicalPlan) -> list[b.BoundExpr]:
-    """All bound expressions directly held by a plan node."""
-    out: list[b.BoundExpr] = []
-    if isinstance(node, lp.LogicalFilter):
-        out.append(node.predicate)
-    elif isinstance(node, lp.LogicalProject):
-        out.extend(node.exprs)
-    elif isinstance(node, lp.LogicalJoin):
-        for lk, rk in node.equi_keys:
-            out.extend([lk, rk])
-        if node.residual is not None:
-            out.append(node.residual)
-    elif isinstance(node, lp.LogicalAggregate):
-        out.extend(node.group_exprs)
-        for spec in node.aggregates:
-            if spec.arg is not None:
-                out.append(spec.arg)
-    elif isinstance(node, lp.LogicalSort):
-        out.extend(k.expr for k in node.keys)
-    elif isinstance(node, lp.LogicalValues):
-        for row in node.rows:
-            out.extend(row)
-    elif isinstance(node, lp.LogicalWindow):
-        for spec in node.specs:
-            out.extend(spec.args)
-            out.extend(spec.partition_by)
-            out.extend(key.expr for key in spec.order_by)
-    elif isinstance(node, lp.LogicalTableFunction):
-        out.extend(node.lambdas.values())
-    return out

@@ -207,6 +207,36 @@ class TestIterateVsRecursiveEquivalence:
         assert it == rc == 256
 
 
+class TestSubqueryOverWorkingTable:
+    """An uncorrelated subquery over the working table is evaluated
+    every round, not once per statement (its cached result used to be
+    replayed forever, so all three ran into the iteration limit)."""
+
+    def test_scalar_subquery_in_iterate_step(self):
+        small = repro.Database(max_iterations=50)
+        assert small.execute(
+            "SELECT * FROM ITERATE((SELECT 0 AS x),"
+            " (SELECT (SELECT max(x) FROM iterate) + 1 AS x FROM iterate),"
+            " (SELECT 1 FROM iterate WHERE x >= 3))"
+        ).rows == [(3,)]
+
+    def test_scalar_subquery_in_recursive_step(self):
+        small = repro.Database(max_iterations=50)
+        assert small.execute(
+            "WITH RECURSIVE r(x) AS (SELECT 0 UNION ALL"
+            " SELECT (SELECT max(x) FROM r) + 1 FROM r WHERE x < 3)"
+            " SELECT * FROM r"
+        ).rows == [(0,), (1,), (2,), (3,)]
+
+    def test_scalar_subquery_in_iterate_stop(self):
+        small = repro.Database(max_iterations=50)
+        assert small.execute(
+            "SELECT * FROM ITERATE((SELECT 0 AS x),"
+            " (SELECT x + 1 AS x FROM iterate),"
+            " (SELECT 1 WHERE (SELECT max(x) FROM iterate) >= 3))"
+        ).rows == [(3,)]
+
+
 class TestIterationCounting:
     """``ExecutionStats.iterations`` counts executed rounds uniformly
     across ITERATE, recursive CTEs, and iterative analytics."""

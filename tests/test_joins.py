@@ -1,8 +1,10 @@
 """Join semantics: hash joins, outer joins, non-equi, NULL keys."""
 
+import numpy as np
 import pytest
 
 import repro
+from repro.exec import join as join_mod
 
 
 class TestInnerJoins:
@@ -166,3 +168,144 @@ class TestCrossAndNonEqui:
         assert db.execute(
             "SELECT count(*) FROM a CROSS JOIN b"
         ).scalar() == 0
+
+
+class TestOffsetTableProbe:
+    """``_probe_chunk`` reads match ranges from an offset table when the
+    build keys are dense and binary-searches them when they are not;
+    the pairs and their order must not depend on which one ran."""
+
+    INT64 = np.iinfo(np.int64)
+
+    @staticmethod
+    def _probe_both_ways(build, probe):
+        build = np.asarray(build, dtype=np.int64)
+        probe = np.asarray(probe, dtype=np.int64)
+        right_rows = np.argsort(build, kind="stable")
+        sorted_codes = build[right_rows]
+        probe_rows = np.arange(len(probe), dtype=np.int64)
+        table = join_mod._offset_table(sorted_codes)
+        searched = join_mod._probe_chunk(
+            probe_rows, probe, sorted_codes, right_rows, None
+        )
+        if table is not None:
+            indexed = join_mod._probe_chunk(
+                probe_rows, probe, sorted_codes, right_rows, table
+            )
+            assert np.array_equal(indexed[0], searched[0])
+            assert np.array_equal(indexed[1], searched[1])
+        # Independent of both: the pairs a nested loop would list.
+        expected = [
+            (i, j)
+            for i, key in enumerate(probe.tolist())
+            for j in right_rows.tolist()
+            if build[j] == key
+        ]
+        assert list(zip(*map(np.ndarray.tolist, searched))) == expected
+        return table is not None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_key_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        low = int(rng.integers(-50, 50))
+        width = int(rng.integers(1, 60))
+        build = rng.integers(low, low + width, size=rng.integers(1, 40))
+        # Duplicates on both sides, probes below, inside and above.
+        probe = rng.integers(low - 10, low + width + 10,
+                             size=rng.integers(0, 60))
+        self._probe_both_ways(build, probe)
+
+    def test_dense_keys_take_the_table_and_sparse_do_not(self):
+        assert self._probe_both_ways(range(100), [0, 50, 99, 100, -1])
+        assert self._probe_both_ways([7] * 5, [7, 6, 8])
+        assert not self._probe_both_ways([0, 1_000_000], [0, 5, 1_000_000])
+
+    def test_probe_rows_widen_the_span_a_table_may_cover(self):
+        # Factorized codes number the distinct keys of both sides, so a
+        # small build's codes can be spread over build + probe values.
+        codes = np.array([0, 500, 999], dtype=np.int64)
+        assert join_mod._offset_table(codes) is None
+        assert join_mod._offset_table(codes, probe_rows=987) is None
+        base, offsets = join_mod._offset_table(codes, probe_rows=988)
+        assert base == 0 and len(offsets) == 1002
+
+    def test_single_key_and_empty_builds(self):
+        lo, hi = self.INT64.min, self.INT64.max
+        assert self._probe_both_ways([5], [5, 4, 6, lo, hi])
+        assert not self._probe_both_ways([], [1, 2, 3])
+        assert self._probe_both_ways([3, 3], [])
+
+    def test_spans_near_the_int64_limits(self):
+        lo, hi = self.INT64.min, self.INT64.max
+        # The span itself does not fit in int64: must not overflow into
+        # a small number and allocate (or index) a bogus table.
+        assert not self._probe_both_ways([lo, hi], [lo, hi, 0, -1])
+        assert not self._probe_both_ways([-1, hi], [hi, -1, 0])
+        # Dense keys hugging either limit; probes a whole range away.
+        assert self._probe_both_ways([hi, hi - 1, hi], [hi, lo, 0, hi - 2])
+        assert self._probe_both_ways([lo, lo + 2], [lo, hi, lo + 1, lo + 2])
+
+    def test_sql_results_identical_with_the_table_switched_off(
+        self, monkeypatch
+    ):
+        def join_db():
+            db = repro.Database()
+            db.execute("CREATE TABLE fact (id INTEGER, k BIGINT, s VARCHAR)")
+            db.insert_rows(
+                "fact",
+                [
+                    (i, None if i % 13 == 0 else (i * 7) % 45 - 3,
+                     f"s{i % 9}")
+                    for i in range(400)
+                ],
+            )
+            db.execute("CREATE TABLE dim (k INTEGER, s VARCHAR, w DOUBLE)")
+            db.insert_rows(
+                "dim",
+                [(i % 40, f"s{i % 6}", i / 7) for i in range(60)]
+                + [(None, "s1", 0.5)],
+            )
+            return db
+
+        queries = [
+            "SELECT f.id, d.w FROM fact f JOIN dim d ON f.k = d.k",
+            "SELECT f.id, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k",
+            "SELECT f.id, d.k FROM fact f JOIN dim d "
+            "ON f.s = d.s AND f.k = d.k",
+            "SELECT sum(d.w), count(*) FROM fact f JOIN dim d ON f.s = d.s",
+        ]
+        indexed = join_db()
+        expected = [indexed.execute(sql).rows for sql in queries]
+        monkeypatch.setattr(join_mod, "_offset_table", lambda *_: None)
+        searched = join_db()
+        for sql, rows in zip(queries, expected):
+            assert searched.execute(sql).rows == rows, sql
+
+
+class TestUnpaddedGather:
+    """Inner and cross joins skip the padding masks of
+    ``_null_extended``; NULLs the right side already has must survive
+    that shortcut, and a LEFT join must still pad."""
+
+    @pytest.fixture
+    def db(self):
+        db = repro.Database()
+        db.execute("CREATE TABLE l (k INTEGER)")
+        db.insert_rows("l", [(1,), (2,), (3,)])
+        db.execute("CREATE TABLE r (k INTEGER, v DOUBLE, w DOUBLE)")
+        db.insert_rows("r", [(1, 0.5, None), (2, 1.5, 2.5)])
+        return db
+
+    def test_nulls_of_the_right_side_survive(self, db):
+        assert db.execute(
+            "SELECT l.k, r.w FROM l JOIN r ON l.k = r.k ORDER BY l.k"
+        ).rows == [(1, None), (2, 2.5)]
+        assert db.execute(
+            "SELECT l.k, r.w FROM l, r WHERE l.k = 3 ORDER BY r.k"
+        ).rows == [(3, None), (3, 2.5)]
+
+    def test_left_join_still_pads(self, db):
+        assert db.execute(
+            "SELECT l.k, r.v, r.w FROM l LEFT JOIN r ON l.k = r.k "
+            "ORDER BY l.k"
+        ).rows == [(1, 0.5, None), (2, 1.5, 2.5), (3, None, None)]

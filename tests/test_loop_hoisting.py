@@ -1,0 +1,340 @@
+"""Loop-invariant hoisting in ITERATE / recursive-CTE bodies
+(src/repro/exec/hoist.py, docs/performance.md).
+
+SQLite has no ITERATE, so the referee here is the paper's layer 2: the
+same init/step/stop run as a client-side driver loop against a real
+table named ``iterate`` — plain SELECTs, where nothing is a loop and
+nothing can be hoisted or cached across rounds.
+"""
+
+import gc
+import random
+import threading
+import time
+
+import pytest
+
+import repro
+from repro.errors import (
+    IterationLimitError,
+    MemoryBudgetExceeded,
+    QueryCancelled,
+    QueryTimeout,
+)
+from repro.types import TypeKind
+from repro.workloads import pagerank_iterate_sql, pagerank_recursive_sql
+
+#: Fires on an emptied relation too, so no shape can loop forever.
+STOP = "SELECT count(*) = 0 OR max(it) >= 3 FROM iterate"
+
+
+def drive_iterate(db, init: str, step: str, stop: str) -> list[tuple]:
+    """``ITERATE((init), (step), (stop))`` as a driver loop: the
+    working relation is the base table ``"iterate"``, replaced after
+    every step; the stop rule is IterateOp's (any TRUE in a boolean
+    first column, else any row)."""
+    db.execute(f'CREATE TABLE "iterate" AS {init}')
+    try:
+        for _round in range(100):
+            verdict = db.execute(stop)
+            if verdict.types[0].kind is TypeKind.BOOLEAN:
+                if any(row[0] for row in verdict.rows):
+                    break
+            elif verdict.rows:
+                break
+            rows = db.execute(step).rows
+            db.execute('DELETE FROM "iterate"')
+            db.insert_rows("iterate", rows)
+        else:
+            raise AssertionError("driver loop did not stop")
+        return sorted(db.execute("SELECT * FROM iterate").rows)
+    finally:
+        db.execute('DROP TABLE "iterate"')
+
+
+def iterate_sql(init: str, step: str, stop: str) -> str:
+    return f"SELECT * FROM ITERATE(({init}), ({step}), ({stop}))"
+
+
+def counter(db, name: str) -> float:
+    return db.metrics.snapshot()["counters"].get(name, 0.0)
+
+
+def seeded_db(seed: int) -> repro.Database:
+    """``t(k, v)``: 10 rows over keys 0..4; ``u(k, w)``: one row per
+    key. Small integers only, so every shape is exact."""
+    rng = random.Random(seed)
+    db = repro.Database()
+    db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    db.insert_rows(
+        "t", [(rng.randrange(5), rng.randrange(-9, 10)) for _ in range(10)]
+    )
+    db.execute("CREATE TABLE u (k INTEGER, w INTEGER)")
+    db.insert_rows("u", [(k, rng.randrange(-5, 6)) for k in range(5)])
+    return db
+
+
+INIT = "SELECT k, v AS x, 0 AS it FROM t"
+
+#: name -> (step, hoists): ``hoists`` says whether the step holds a
+#: subtree the planner must materialise once.
+SHAPES = {
+    "join_with_invariant_filtered_table": (
+        "SELECT i.k, i.x + f.w AS x, i.it + 1 AS it FROM iterate i "
+        "JOIN (SELECT k, w FROM u WHERE w > -2) f ON i.k = f.k",
+        True,
+    ),
+    "invariant_union_cte_referenced_twice": (
+        "WITH c AS (SELECT k FROM t UNION SELECT k + 1 FROM u), "
+        "a AS (SELECT count(*) AS n FROM c) "
+        "SELECT i.k, i.x + a.n - b.lo AS x, i.it + 1 AS it "
+        "FROM iterate i, a, (SELECT min(k) AS lo FROM c) b",
+        True,
+    ),
+    "scalar_in_exists_subqueries_over_iterate": (
+        "SELECT k, x + (SELECT max(x) FROM iterate) AS x, it + 1 AS it "
+        "FROM iterate WHERE k IN (SELECT k FROM iterate WHERE x >= "
+        "(SELECT min(x) FROM iterate) + 1) "
+        "AND EXISTS (SELECT 1 FROM iterate WHERE it < 9)",
+        False,
+    ),
+    "invariant_subquery_next_to_variant_one": (
+        "SELECT k, x + (SELECT sum(w) FROM u) "
+        "- (SELECT count(*) FROM iterate WHERE x > 0) AS x, it + 1 AS it "
+        "FROM iterate",
+        False,
+    ),
+    # ``o`` reads the *outer* working table: invariant for the inner
+    # loop only. ``m`` is invariant for both and belongs to the outer.
+    "nested_iterate_reading_outer_working_table": (
+        "WITH o AS (SELECT sum(x) AS s FROM iterate) "
+        "SELECT w.k, w.x + n.y AS x, w.it + 1 AS it FROM iterate w, "
+        "(SELECT y FROM ITERATE((SELECT 0 AS y, 0 AS j), "
+        "(SELECT i.y + o.s + m.c AS y, i.j + 1 AS j FROM iterate i, o, "
+        "(SELECT count(*) AS c FROM t WHERE v > 0) m), "
+        "(SELECT 1 FROM iterate WHERE j >= 2))) n",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_step_shapes_match_the_driver_loop(shape, seed):
+    step, hoists = SHAPES[shape]
+    db = seeded_db(seed)
+    expected = drive_iterate(db, INIT, step, STOP)
+    before = counter(db, "exec_loop_invariant_materialized_total")
+    got = sorted(db.execute(iterate_sql(INIT, step, STOP)).rows)
+    assert got == expected
+    hoisted = counter(db, "exec_loop_invariant_materialized_total") - before
+    assert (hoisted > 0) == hoists
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iterate_inside_a_correlated_subquery(seed):
+    """One loop execution per outer row: the hoisted batch of one row's
+    loop must not leak into the next, and the subtree holding the
+    correlated parameter is not hoisted at all."""
+    db = seeded_db(seed)
+    init = "SELECT {v} AS x, 0 AS it"
+    step = (
+        "SELECT i.x + a.n + b.n AS x, i.it + 1 AS it FROM iterate i, "
+        "(SELECT count(*) AS n FROM u WHERE w > 0) a, "
+        "(SELECT count(*) AS n FROM u WHERE w > {v}) b"
+    )
+    outer = db.execute("SELECT k, v FROM t").rows
+    expected = sorted(
+        (k, v, drive_iterate(
+            db, init.format(v=v), step.format(v=v), STOP)[0][0])
+        for k, v in outer
+    )
+    loop = iterate_sql(init.format(v="t.v"), step.format(v="t.v"), STOP)
+    got = db.execute(f"SELECT k, v, (SELECT max(x) FROM ({loop}) l) FROM t")
+    assert sorted(got.rows) == expected
+    # ``a`` once per outer row; ``b`` (correlated) never.
+    assert counter(
+        db, "exec_loop_invariant_materialized_total") == len(outer)
+
+
+def test_python_udf_in_an_invariant_subtree_runs_every_round():
+    db = seeded_db(0)
+    calls = []
+
+    def tick(w):
+        calls.append(w)
+        return w
+
+    db.create_function("tick", tick, "INTEGER")
+    step = (
+        "SELECT i.k, i.x + s.c AS x, i.it + 1 AS it FROM iterate i, "
+        "(SELECT sum(tick(w)) AS c FROM u) s"
+    )
+    expected = drive_iterate(db, INIT, step, STOP)
+    driver_calls = len(calls)
+    assert driver_calls == 3 * 5  # three rounds over u's five rows
+    del calls[:]
+    assert sorted(db.execute(iterate_sql(INIT, step, STOP)).rows) == expected
+    assert len(calls) == driver_calls
+    assert counter(db, "exec_loop_invariant_materialized_total") == 0
+
+
+# -- what explain_analyze shows ---------------------------------------------
+
+
+def graph_db(edges: int = 400, vertices: int = 30, **kwargs):
+    rng = random.Random(5)
+    ring = [(v, (v + 1) % vertices) for v in range(vertices)]
+    extra = [
+        (rng.randrange(vertices), rng.randrange(vertices))
+        for _ in range(edges - vertices)
+    ]
+    db = repro.Database(**kwargs)
+    db.execute("CREATE TABLE edges (src INTEGER, dest INTEGER)")
+    db.insert_rows("edges", ring + extra)
+    return db
+
+
+@pytest.mark.parametrize(
+    "sql_of, working",
+    [
+        (pagerank_iterate_sql, "WorkingTable(iterate"),
+        (pagerank_recursive_sql, "WorkingTable(rcte_ranks_r"),
+    ],
+)
+def test_pagerank_invariants_run_once(sql_of, working):
+    rounds = 7
+    db = graph_db()
+    analyzed = db.explain_analyze(sql_of("edges", 0.85, rounds))
+    nodes = list(analyzed.operators())
+    hoisted = [n for n in nodes if n.label.startswith("LoopInvariant(")]
+    # The out-degree aggregate and the vertex count over the UNION.
+    assert len(hoisted) == 2
+    for wrapper in hoisted:
+        assert wrapper.calls >= rounds
+        assert {n.calls for n in wrapper.children[0].walk()} == {1}
+    unions = [n for n in nodes if n.label == "SetOp(union)"]
+    assert unions and {n.calls for n in unions} == {1}
+    deg = [n for n in nodes if n.label == "HashAggregate(keys=1, aggs=1)"]
+    assert {n.calls for n in deg} == {1}
+    reads = [n for n in nodes if n.label.startswith(working)]
+    assert reads and all(n.calls >= rounds for n in reads)
+    assert analyzed.counters["exec_loop_invariant_materialized_total"] == 2
+    assert analyzed.counters["exec_loop_invariant_reused_total"] > 0
+    assert "exec_loop_invariant_reused_total" in analyzed.format()
+
+
+def test_operator_tree_is_freed_without_the_cycle_collector():
+    """Scope and hoisted operators must not reference each other: a
+    cycle would park every loop statement's whole operator tree (and
+    execution context) until the next full collection."""
+    from repro.exec.hoist import LoopInvariantOp
+
+    db = graph_db()
+    gc.collect()
+    gc.disable()
+    try:
+        db.execute(pagerank_iterate_sql("edges", 0.85, 3))
+        alive = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, LoopInvariantOp)
+        ]
+        assert alive == []
+    finally:
+        gc.enable()
+
+
+def test_history_records_per_round_cardinalities():
+    """Feedback must see a loop-body scan at the table's cardinality,
+    not multiplied by the round count — next to a hoisted (calls=1)
+    sibling the cumulative number compares apples with oranges."""
+    from repro.plan.cache import sql_fingerprint
+
+    db = graph_db()
+    sql = pagerank_iterate_sql("edges", 0.85, 9)
+    db.execute(sql)
+    record = db.history.recent(1)[0]
+    scans = [op for op in record.operators if op["op"] == "Scan(edges)"]
+    assert len(scans) == 8  # four in init, four in the step
+    for op in scans:
+        assert op["observed_rows"] == 400
+        assert op["q_error"] == 1.0
+    means = db.history.observed_node_cardinalities(sql_fingerprint(sql))
+    scan_means = [
+        slot["mean_rows"] for key, slot in means.items()
+        if key.startswith("Scan[edges]")
+    ]
+    assert scan_means and set(scan_means) == {400.0}
+
+
+# -- governor ----------------------------------------------------------------
+
+#: Step = the working row x one hoisted 50,000-row join side; the loop
+#: itself holds a single row, so a budget it fits in but the batch
+#: does not can only trip on the hoisted reservation.
+BIG_INVARIANT_LOOP = iterate_sql(
+    "SELECT 0 AS x",
+    "SELECT max(i.x + 1) AS x FROM iterate i, "
+    "(SELECT a * 2 AS b FROM big WHERE a >= 0) s WHERE s.b >= 0",
+    "SELECT 1 FROM iterate WHERE x >= {rounds}",
+)
+
+
+def big_db(**kwargs):
+    db = repro.Database(**kwargs)
+    db.execute("CREATE TABLE big (a INTEGER)")
+    db.insert_rows("big", [(i,) for i in range(50_000)])
+    return db
+
+
+class TestGovernor:
+    def test_hoisted_batch_counts_against_the_budget(self):
+        db = big_db()
+        with pytest.raises(MemoryBudgetExceeded, match="loop_invariant"):
+            db.execute(
+                BIG_INVARIANT_LOOP.format(rounds=3), memory_budget_mb=0.1
+            )
+        assert db.last_governor["verdict"] == "oom"
+
+    def test_released_after_normal_completion(self):
+        db = big_db()
+        assert db.execute(
+            BIG_INVARIANT_LOOP.format(rounds=3)).rows == [(3,)]
+        assert db.last_governor["peak_bytes"] >= 50_000 * 4
+        assert db.last_governor["live_bytes"] == 0
+
+    def test_released_after_iteration_limit(self):
+        db = big_db(max_iterations=3)
+        with pytest.raises(IterationLimitError):
+            db.execute(BIG_INVARIANT_LOOP.format(rounds=10))
+        assert db.last_governor["peak_bytes"] >= 50_000 * 4
+        assert db.last_governor["live_bytes"] == 0
+
+    def test_released_after_timeout(self):
+        db = big_db()
+        with pytest.raises(QueryTimeout):
+            db.execute(
+                BIG_INVARIANT_LOOP.format(rounds=10**9), timeout_ms=150
+            )
+        assert db.last_governor["peak_bytes"] >= 50_000 * 4
+        assert db.last_governor["live_bytes"] == 0
+
+    def test_released_after_cancel(self):
+        db = big_db()
+        outcome = {}
+
+        def run():
+            try:
+                db.execute(BIG_INVARIANT_LOOP.format(rounds=10**9))
+            except QueryCancelled:
+                outcome["cancelled"] = True
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        time.sleep(0.15)
+        db.cancel()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outcome.get("cancelled")
+        assert db.last_governor["peak_bytes"] >= 50_000 * 4
+        assert db.last_governor["live_bytes"] == 0
