@@ -5,7 +5,7 @@ N ?= 1000
 START ?= 0
 WORKERS ?= 4
 
-.PHONY: test test-all fuzz fuzz-parallel bench bench-topn bench-durability obs-smoke perf-smoke chaos battery server-smoke crash-battery
+.PHONY: test test-all fuzz fuzz-parallel bench obs-smoke perf-smoke chaos battery server-smoke crash-battery
 
 # The tier-1 suite runs three times: fully serial, with a 4-worker
 # pool (the serial-equivalence contract of the morsel-driven executor,
@@ -13,10 +13,10 @@ WORKERS ?= 4
 # kernel cache, zone maps and CSR cache disabled (docs/performance.md)
 # and raw storage forced (docs/storage.md). All three legs run the same
 # operators; the third is a configuration, not a second code path, and
-# proves the caches and encodings never change results. The battery leg
-# then cross-checks the TPC-H query shapes plus an encoded-vs-raw fuzz
-# sweep, and perf-smoke fails if a src/ change broke a BENCHMARK.json
-# metric name.
+# proves the caches and encodings never change results. Around them
+# run the six batteries described at their own targets: obs-smoke
+# (first, as a prerequisite), battery, chaos, crash-battery,
+# server-smoke and perf-smoke.
 test: obs-smoke
 	REPRO_WORKERS=1 $(PY) -m pytest -x -q
 	REPRO_WORKERS=4 $(PY) -m pytest -x -q
@@ -26,8 +26,6 @@ test: obs-smoke
 	$(MAKE) crash-battery
 	$(MAKE) server-smoke
 	$(MAKE) perf-smoke
-	$(PY) -m repro.bench.topn --smoke
-	$(PY) -m repro.bench.durability --smoke
 
 # TPC-H-shaped SQL battery (tests/sql_battery/) under raw and encoded
 # storage, serial and 4 workers, vs the SQLite oracle — plus a
@@ -97,17 +95,3 @@ fuzz-parallel:
 
 bench:
 	$(PY) -m repro.bench all --scale 0.001
-
-# Adaptive-optimization benchmark (docs/performance.md): fused top-N
-# vs full sort at 1M rows, and cardinality feedback vs static plans on
-# TPC-H-shaped joins. Writes results/BENCH_topn.json and
-# results/TOPN.md.
-bench-topn:
-	$(PY) -m repro.bench.topn
-
-# Durability benchmark (docs/durability.md): recovery time vs
-# committed history with and without checkpointing, and the
-# per-commit fsync overhead of durable mode. Writes
-# results/BENCH_durability.json and results/DURABILITY.md.
-bench-durability:
-	$(PY) -m repro.bench.durability

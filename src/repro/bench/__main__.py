@@ -18,14 +18,8 @@ Experiments (paper locations in parentheses):
     ablation_iterate   ITERATE vs recursive CTE memory & time (§5.1/§8.4.1)
     ablation_csr       CSR operator vs relational joins (§6.3/§8.4.2)
     ablation_lambda    compiled lambda vs interpreted UDF metric (§7)
-    statement_cache    hot-path stack on/off on repeated statements
-                       (docs/performance.md)
     governor           cancellation/deadline abort latency vs statement
                        runtime (docs/robustness.md)
-    encoding           encoded vs raw storage: footprint and
-                       predicate-on-codes scans (docs/storage.md)
-    observability      always-on tracing/history/profiling overhead
-                       (docs/observability.md)
 
 ``--scale`` scales the paper's data sizes (default 0.001: 1/1000 of the
 1 TB-server workloads, laptop-sized). Runtimes will not match the
@@ -49,11 +43,8 @@ from .figures import (
     run_fig4_tuples,
     run_fig5_nb_dims,
     run_fig5_nb_tuples,
-    run_encoding,
     run_fig5_pagerank,
     run_governor,
-    run_observability,
-    run_statement_cache,
     run_table1,
 )
 
@@ -69,10 +60,7 @@ EXPERIMENTS = {
     "ablation_iterate": run_ablation_iterate,
     "ablation_csr": run_ablation_csr,
     "ablation_lambda": run_ablation_lambda,
-    "statement_cache": run_statement_cache,
     "governor": run_governor,
-    "encoding": run_encoding,
-    "observability": run_observability,
 }
 
 

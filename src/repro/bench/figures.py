@@ -359,97 +359,6 @@ def run_ablation_lambda(
 
 
 # ---------------------------------------------------------------------------
-# Statement cache (docs/performance.md)
-# ---------------------------------------------------------------------------
-
-
-def run_statement_cache(
-    scale: float = 0.001, repeat: int = 1
-) -> SeriesTable:
-    """The hot-path stack on repeated statements: the same database
-    workloads with the statement cache (and with it the kernel cache
-    and zone-map pruning) enabled vs disabled.
-
-    Two regimes from docs/performance.md:
-
-    * **point query** — one parameterized single-row lookup executed
-      in a tight loop, the OLTP-shaped case where per-statement
-      parse/bind/optimize dominates and zone maps skip nearly every
-      morsel;
-    * **ITERATE k-Means** — one large layer-3 statement re-executed
-      round after round, where the cached plan amortises a big
-      compile but execution dominates.
-    """
-    from .. import Database
-    from ..datagen.vectors import (
-        feature_names,
-        load_centers_table,
-        load_vector_table,
-    )
-    from ..workloads import kmeans_iterate_sql
-
-    point_rows = max(_scaled_n(20_000_000, scale), 20_000)
-    point_execs = 300
-    kmeans_n = _scaled_n(KMEANS_DEFAULTS["n"], scale)
-    kmeans_rounds = 8
-    table = SeriesTable(
-        f"Statement cache — repeated statements (point rows="
-        f"{point_rows}, execs={point_execs}; k-Means n={kmeans_n}, "
-        f"rounds={kmeans_rounds})",
-        "workload",
-        ["cache on", "cache off"],
-    )
-    for series, plan_cache in (("cache on", True), ("cache off", False)):
-        # Zone-aligned morsels (zone maps are 4096-row): pruning can
-        # skip whole morsels on the point lookup. Same layout for both
-        # legs — the cache-off engine just never prunes.
-        db = Database(
-            profile_operators=False, plan_cache=plan_cache,
-            morsel_rows=4096,
-        )
-        db.execute(
-            "CREATE TABLE points (id INTEGER, grp VARCHAR, v DOUBLE)"
-        )
-        db.executemany(
-            "INSERT INTO points VALUES (?, ?, ?)",
-            [(i, f"g{i % 31}", i * 0.5) for i in range(point_rows)],
-        )
-        sql = "SELECT grp, v FROM points WHERE id = ?"
-        db.execute(sql, (1,))  # warm both legs identically
-
-        def point_loop():
-            for i in range(point_execs):
-                db.execute(sql, (i * 37 % point_rows,))
-
-        table.record(
-            series, "point query", measure(point_loop, repeat),
-            note=f"{point_execs} executions",
-        )
-        db.close()
-    d, k = 4, KMEANS_DEFAULTS["k"]
-    for series, plan_cache in (("cache on", True), ("cache off", False)):
-        db = Database(profile_operators=False, plan_cache=plan_cache)
-        columns = load_vector_table(db, "data", kmeans_n, d, seed=0)
-        load_centers_table(db, "centers", columns, k, seed=2)
-        sql = kmeans_iterate_sql(
-            "data", "centers", feature_names(d), 3
-        )
-        db.execute(sql)  # warm both legs identically
-
-        def kmeans_loop():
-            for _round in range(kmeans_rounds):
-                db.execute(sql)
-
-        table.record(
-            series, "ITERATE k-Means", measure(kmeans_loop, repeat),
-            note=f"{kmeans_rounds} rounds",
-        )
-        db.close()
-    table.print()
-    return table
-
-
-# ---------------------------------------------------------------------------
 # Resource governor (docs/robustness.md)
 # ---------------------------------------------------------------------------
 
@@ -551,299 +460,6 @@ def run_governor(
             "timeout latency", label, timeout_best,
             note=f"deadline {deadline_ms:.0f}ms to QueryTimeout",
         )
-        db.close()
-    table.print()
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Encoded columnar storage (docs/storage.md)
-# ---------------------------------------------------------------------------
-
-def run_encoding(
-    scale: float = 0.001, repeat: int = 1
-) -> SeriesTable:
-    """Encoded vs raw storage on a string-heavy shipments table:
-    resident footprint plus repeated scans whose predicates the
-    encoded leg evaluates directly on codes (dictionary equality,
-    dictionary IN-list, frame-of-reference date range) without
-    decoding.
-
-    The ``footprint`` row records bytes, not seconds: the raw series
-    reports what a pointer-free raw layout spends
-    (``storage_bytes_raw``), the encoded series the bytes actually
-    resident under the auto policy (``storage_bytes_encoded``).
-    """
-    from .. import Database
-
-    n_rows = max(_scaled_n(50_000_000, scale), 50_000)
-    execs = 40
-    rng = np.random.default_rng(7)
-    status_pool = np.array(
-        ["cancelled", "delivered", "pending", "returned", "shipped"],
-        dtype=object,
-    )
-    mode_pool = np.array(
-        ["air freight", "ocean liner", "rail cargo", "road haulage"],
-        dtype=object,
-    )
-    columns = {
-        "id": np.arange(n_rows, dtype=np.int32),
-        "status": status_pool[rng.integers(0, len(status_pool), n_rows)],
-        "mode": mode_pool[rng.integers(0, len(mode_pool), n_rows)],
-        "qty": rng.integers(1, 50, n_rows).astype(np.int32),
-        "day": (8035 + rng.integers(0, 2500, n_rows)).astype(np.int32),
-    }
-    table = SeriesTable(
-        f"Encoded columnar storage — footprint and predicate-on-codes "
-        f"scans (n={n_rows}, execs={execs})",
-        "measure",
-        ["raw", "encoded"],
-    )
-    queries = [
-        (
-            "equality scan",
-            "SELECT count(*) FROM shipments WHERE status = 'shipped'",
-        ),
-        (
-            "IN scan",
-            "SELECT count(*) FROM shipments "
-            "WHERE mode IN ('air freight', 'ocean liner')",
-        ),
-        (
-            "range scan",
-            "SELECT count(*) FROM shipments WHERE day < 9000",
-        ),
-    ]
-    for series, encoding in (("raw", "raw"), ("encoded", "auto")):
-        db = Database(
-            profile_operators=False, morsel_rows=4096,
-            encoding=encoding,
-        )
-        db.execute(
-            "CREATE TABLE shipments (id INTEGER, status VARCHAR, "
-            "mode VARCHAR, qty INTEGER, day INTEGER)"
-        )
-        db.load_columns("shipments", columns)
-        stats = db.storage_stats()["tables"]["shipments"]
-        footprint = (
-            stats["raw_bytes"] if series == "raw"
-            else stats["encoded_bytes"]
-        )
-        table.record(
-            series, "footprint", float(footprint), note="bytes",
-        )
-        for x, sql in queries:
-            db.execute(sql)  # warm plan and kernel caches on both legs
-
-            def scan_loop():
-                for _ in range(execs):
-                    db.execute(sql)
-
-            table.record(
-                series, x, measure(scan_loop, repeat),
-                note=f"{execs} executions",
-            )
-        db.close()
-    table.print()
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Observability overhead (docs/observability.md)
-# ---------------------------------------------------------------------------
-
-#: TPC-H-shaped battery queries (patterned after tests/sql_battery/)
-#: over the :mod:`repro.testing.tpch` schema — the execution-bound
-#: workload the observability-overhead experiment times.
-_TPCH_BATTERY_QUERIES = (
-    # Q1-shaped pricing summary: aggregate sweep over lineitem.
-    """
-    SELECT l.l_returnflag, l.l_linestatus,
-           sum(l.l_quantity), sum(l.l_extendedprice),
-           sum(l.l_extendedprice * (1 - l.l_discount)),
-           avg(l.l_quantity), avg(l.l_discount), count(*)
-    FROM lineitem l
-    WHERE l.l_shipdate <= 10400
-    GROUP BY l.l_returnflag, l.l_linestatus
-    ORDER BY 1 ASC NULLS LAST, 2 ASC NULLS LAST
-    """,
-    # Q3-shaped shipping priority: three-way join + grouped revenue.
-    """
-    SELECT o.o_orderkey, o.o_orderdate,
-           sum(l.l_extendedprice * (1 - l.l_discount)) AS revenue
-    FROM customer c
-    JOIN orders o ON c.c_custkey = o.o_custkey
-    JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-    WHERE c.c_mktsegment = 'building'
-      AND o.o_orderdate < 9200 AND l.l_shipdate > 9200
-    GROUP BY o.o_orderkey, o.o_orderdate
-    ORDER BY 2 ASC NULLS LAST, 1 ASC NULLS LAST
-    LIMIT 10
-    """,
-    # Q6-shaped forecast revenue: single-table range-filter aggregate.
-    """
-    SELECT sum(l.l_extendedprice * l.l_discount) AS revenue
-    FROM lineitem l
-    WHERE l.l_shipdate >= 8400 AND l.l_shipdate < 8765
-      AND l.l_discount BETWEEN 0.02 AND 0.06 AND l.l_quantity < 24
-    """,
-    # Q13-shaped customer order counts: LEFT JOIN + group per customer.
-    """
-    SELECT c.c_custkey, count(o.o_orderkey) AS c_count
-    FROM customer c
-    LEFT JOIN orders o ON c.c_custkey = o.o_custkey
-    GROUP BY c.c_custkey
-    ORDER BY 1 ASC NULLS LAST
-    """,
-)
-
-
-def run_observability(
-    scale: float = 0.001, repeat: int = 1
-) -> SeriesTable:
-    """The cost of the always-on observability stack: tracing, operator
-    profiling, the query history store, and flight-recorder readiness.
-
-    Three engine configurations over two workload shapes:
-
-    * **full** — the default session: span trees, per-operator
-      profiling with cardinality estimates, and one history record per
-      statement;
-    * **history off** — the same session with statement recording
-      stubbed out, emulating the engine before the history store
-      existed (the baseline the <5%% overhead target is against);
-    * **no profiling** — ``profile_operators=False``, the documented
-      micro-benchmark switch (also drops per-operator observations
-      from history records).
-
-    The workloads bracket the per-statement overhead ratio: the
-    statement-cache point-query loop (statement-rate-bound, worst case
-    — the fixed per-statement cost is the largest fraction of
-    runtime), a scan+aggregate loop, and the TPC-H-shaped battery
-    queries (execution-bound, typical case).
-
-    Measurement is *interleaved*: all three sessions are built and
-    warmed upfront, then timed rounds alternate across the legs
-    (best-of per leg). Sequential per-leg timing cannot resolve a
-    few-percent effect under shared-machine noise — slow phases land
-    on whichever leg happens to be running; interleaving spreads them
-    across all series instead.
-    """
-    import time
-
-    from .. import Database
-    from ..testing import tpch
-
-    rows = max(_scaled_n(20_000_000, scale), 20_000)
-    point_execs = 400
-    scan_execs = 25
-    battery_execs = 4
-    tpch_tables = tpch.generate(scale=4.0, seed=7)
-    table = SeriesTable(
-        f"Observability overhead (rows={rows}, point execs="
-        f"{point_execs}, scan execs={scan_execs}, battery execs="
-        f"{battery_execs}x{len(_TPCH_BATTERY_QUERIES)})",
-        "workload",
-        ["full", "history off", "no profiling"],
-    )
-    configs = (
-        ("full", {}, False),
-        ("history off", {}, True),
-        ("no profiling", {"profile_operators": False}, False),
-    )
-    point_sql = "SELECT grp, v FROM points WHERE id = ?"
-    scan_sql = (
-        "SELECT grp, count(*), sum(v), avg(v) "
-        "FROM points GROUP BY grp"
-    )
-    source = [(i, f"g{i % 31}", i * 0.5) for i in range(rows)]
-    legs = []
-    for series, kwargs, stub_history in configs:
-        db = Database(morsel_rows=4096, **kwargs)
-        if stub_history:
-            # Emulate the pre-history engine: the statement still
-            # traces and profiles, but leaves no record behind.
-            db._finish_statement = lambda *args, **kw: None
-        db.execute(
-            "CREATE TABLE points (id INTEGER, grp VARCHAR, v DOUBLE)"
-        )
-        db.executemany("INSERT INTO points VALUES (?, ?, ?)", source)
-        for gen_table in tpch_tables:
-            db.execute(gen_table.ddl())
-            if gen_table.rows:
-                db.insert_rows(gen_table.name, gen_table.rows)
-        db.execute(point_sql, (1,))  # warm every leg identically
-        db.execute(scan_sql)
-        for sql in _TPCH_BATTERY_QUERIES:
-            db.execute(sql)
-        legs.append((series, db))
-
-    def point_loop(db):
-        for i in range(point_execs):
-            db.execute(point_sql, (i * 37 % rows,))
-
-    def scan_loop(db):
-        for _ in range(scan_execs):
-            db.execute(scan_sql)
-
-    def battery_loop(db):
-        for _ in range(battery_execs):
-            for sql in _TPCH_BATTERY_QUERIES:
-                db.execute(sql)
-
-    workloads = (
-        ("point query", point_loop, f"{point_execs} executions"),
-        ("scan+aggregate", scan_loop, f"{scan_execs} executions"),
-        (
-            "TPC-H battery", battery_loop,
-            f"{battery_execs}x{len(_TPCH_BATTERY_QUERIES)} executions",
-        ),
-    )
-    best: dict[tuple[str, str], float] = {}
-    for _ in range(max(repeat, 1)):
-        for workload, loop, _note in workloads:
-            for series, db in legs:
-                start = time.perf_counter()
-                loop(db)
-                elapsed = time.perf_counter() - start
-                key = (series, workload)
-                if elapsed < best.get(key, float("inf")):
-                    best[key] = elapsed
-    for workload, _loop, note in workloads:
-        for series, db in legs:
-            table.record(
-                series, workload, best[(series, workload)], note=note
-            )
-    # Wall-clock A/B diffs below the single-digit-percent level sit at
-    # this machine's timing-noise floor, so also measure the recording
-    # cost *directly*: accumulate perf_counter around _finish_statement
-    # on the full-instrumentation leg. This per-statement number is
-    # robust to scheduler noise (it sums only the instrumented section)
-    # and is what results/OBSERVABILITY.md reasons from.
-    full_db = legs[0][1]
-    orig_finish = full_db._finish_statement
-    spent = [0.0, 0]
-
-    def timed_finish(*args, **kwargs):
-        start = time.perf_counter()
-        result = orig_finish(*args, **kwargs)
-        spent[0] += time.perf_counter() - start
-        spent[1] += 1
-        return result
-
-    full_db._finish_statement = timed_finish
-    for _ in range(5):
-        point_loop(full_db)
-    full_db._finish_statement = orig_finish
-    table.record(
-        "full", "recording cost", spent[0] / spent[1],
-        note=(
-            f"per-statement _finish_statement time, in situ over "
-            f"{spent[1]} point queries"
-        ),
-    )
-    for _series, db in legs:
         db.close()
     table.print()
     return table

@@ -127,13 +127,13 @@ def write_bench_json(
     """Write one experiment's measurements to
     ``<directory>/BENCH_<name>.json``, embedding a metrics snapshot of
     the engine counters the run produced; returns the path written."""
-    from ..exec.parallel import resolve_workers
+    from ..config import EngineConfig
 
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"BENCH_{name}.json")
     payload = table.to_dict()
     payload["experiment"] = name
-    payload["workers"] = resolve_workers(None)
+    payload["workers"] = EngineConfig.resolve().workers
     payload["metrics"] = metrics if metrics is not None else {}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, TypeVar
@@ -43,33 +42,10 @@ from ..types import BIGINT, BOOLEAN, DOUBLE, TypeKind
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable read when ``Database(workers=None)``.
-WORKERS_ENV = "REPRO_WORKERS"
-
 #: Rows per partial-aggregation chunk. Fixed (worker-independent) so the
 #: merge order — and therefore every floating-point sum — is identical
 #: for any worker count.
 PARTIAL_CHUNK_ROWS = 65_536
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The effective worker count: an explicit argument wins, then the
-    ``REPRO_WORKERS`` environment variable, then 1 (serial)."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {raw!r}"
-                ) from exc
-        else:
-            workers = 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def morsel_ranges(
@@ -100,12 +76,12 @@ class WorkerPool:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
+        workers: int = 1,
         metrics=None,
         chaos=None,
         tracer=None,
     ):
-        self.workers = resolve_workers(workers)
+        self.workers = workers
         self.metrics = metrics
         #: Optional :class:`repro.testing.chaos.ChaosInjector` consulted
         #: before every task (worker-crash injection).

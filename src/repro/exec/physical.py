@@ -8,7 +8,6 @@ from typing import Callable, Iterator, Optional
 from ..errors import ExecutionError
 from ..expr.compiler import EvalContext, ExpressionCompiler
 from ..governor import QueryContext
-from ..plan.cache import cache_enabled
 from ..plan.logical import LogicalPlan, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..storage.table import DEFAULT_MORSEL_ROWS, TableData
@@ -239,9 +238,10 @@ class ExecutionContext:
         #: inside subplans).
         self.query_params: dict[str, object] = {}
         #: Whether the hot-path stack (zone-map pruning, kernel cache,
-        #: CSR cache) applies. The session sets it from its plan-cache
-        #: switch; standalone contexts follow REPRO_PLAN_CACHE.
-        self.hot_path = cache_enabled()
+        #: CSR cache) applies. The pipeline sets it, and the kernel-cache
+        #: switch of ``compiler``, from the engine's ``plan_cache``
+        #: setting; standalone contexts run with the stack on.
+        self.hot_path = True
         #: The statement's resource governor (deadline / cancel token /
         #: memory budget). Standalone contexts get an unbounded one so
         #: operator code can call :meth:`checkpoint` unconditionally.
@@ -253,8 +253,8 @@ class ExecutionContext:
         #: ``explain_analyze`` and the query history store.
         self.estimator = None
         #: Whether the planner may fuse adjacent Sort+Limit nodes into a
-        #: :class:`repro.exec.sort.TopNSortOp`. The session sets it from
-        #: its ``topn`` switch (REPRO_TOPN); standalone contexts fuse.
+        #: :class:`repro.exec.sort.TopNSortOp`. The pipeline sets it from
+        #: the engine's ``topn`` setting; standalone contexts fuse.
         self.topn = True
         #: Occurrence counters for structural feedback node keys, keyed
         #: by base key — deterministic for a given plan shape, so the

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -13,20 +12,6 @@ from ..storage.column import Column, ColumnBatch
 from ..storage.encoding import DictionaryColumn
 from ..types import TypeKind
 from .physical import ExecutionContext, PhysicalOperator
-
-#: Session switch for the Sort+Limit -> TopNSort fusion.
-TOPN_ENV = "REPRO_TOPN"
-
-
-def resolve_topn(flag: Optional[bool] = None) -> bool:
-    """Resolve the top-N fusion switch: explicit flag, else env, else on."""
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(TOPN_ENV, "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return False
-    return True
-
 
 class SortOp(PhysicalOperator):
     """Materialises and sorts by the node's keys.

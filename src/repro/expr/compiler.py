@@ -273,21 +273,14 @@ class ExpressionCompiler:
 
     def __init__(self, metrics=None):
         self.metrics = metrics
-        #: Tri-state kernel-cache switch: None follows REPRO_PLAN_CACHE
-        #: (checked per compile), True/False forces it (session override).
-        self.enabled: Optional[bool] = None
+        #: Whether whole-expression kernels go through the shared cache.
+        self.enabled = True
         self._depth = 0
 
     def compile(self, expr: b.BoundExpr) -> Compiled:
         """Dispatch on node type; returns the evaluation closure."""
-        if self._depth == 0:
-            enabled = self.enabled
-            if enabled is None:
-                from ..plan.cache import cache_enabled
-
-                enabled = cache_enabled()
-            if enabled:
-                return self._compile_cached(expr)
+        if self._depth == 0 and self.enabled:
+            return self._compile_cached(expr)
         return self._dispatch(expr)
 
     def _compile_cached(self, expr: b.BoundExpr) -> Compiled:

@@ -12,7 +12,8 @@ import argparse
 import os
 import sys
 
-from .flight import format_bundle, load_bundle, resolve_flight_dir
+from ..config import EngineConfig
+from .flight import format_bundle, load_bundle
 
 
 def _bundles_in(directory: str) -> list[str]:
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    directory = resolve_flight_dir(args.dir)
+    directory = EngineConfig.resolve(flight_dir=args.dir).flight_dir
     if args.list:
         bundles = _bundles_in(directory)
         if not bundles:

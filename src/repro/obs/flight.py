@@ -12,7 +12,7 @@ diagnostic bundle** to disk:
 * the governor's final report (verdict, checkpoints, peak bytes),
 * the tail of the query history store,
 * a metrics snapshot,
-* the session configuration (workers, encoding, budgets, cache state).
+* the engine configuration (``dataclasses.asdict(db.config)``).
 
 Bundles are plain JSON under ``results/flightrec/`` (override with
 ``Database(flight_dir=...)`` or ``REPRO_FLIGHTREC``); the directory is
@@ -33,9 +33,6 @@ import os
 import threading
 import time
 from typing import Optional
-
-#: Environment override for the bundle directory.
-FLIGHTREC_ENV = "REPRO_FLIGHTREC"
 
 #: Default bundle directory (relative to the working directory).
 DEFAULT_DIR = os.path.join("results", "flightrec")
@@ -61,15 +58,6 @@ REQUIRED_KEYS = (
 )
 
 
-def resolve_flight_dir(directory: Optional[str] = None) -> str:
-    """The effective bundle directory: an explicit argument wins, then
-    ``REPRO_FLIGHTREC``, then ``results/flightrec``."""
-    if directory:
-        return directory
-    env = os.environ.get(FLIGHTREC_ENV, "").strip()
-    return env or DEFAULT_DIR
-
-
 class FlightRecorder:
     """Dumps diagnostic bundles when statements die.
 
@@ -85,11 +73,11 @@ class FlightRecorder:
         history=None,
         metrics=None,
         config: Optional[dict] = None,
-        directory: Optional[str] = None,
+        directory: str = DEFAULT_DIR,
         keep: int = DEFAULT_KEEP,
         history_tail: int = 20,
     ):
-        self.directory = resolve_flight_dir(directory)
+        self.directory = directory
         self.keep = max(int(keep), 1)
         self.history_tail = history_tail
         self.tracer = tracer

@@ -14,7 +14,7 @@ index), and thread-safe (statements may finish on any thread). The
 statement hot path only captures references (span, profiled stats,
 governor scalars) — records materialize lazily on first read, keeping
 the always-on cost to a few microseconds per statement
-(``results/OBSERVABILITY.md``). Three surfaces:
+(``api.noop_stmt_us`` in ``BENCHMARK.json``). Three surfaces:
 
 * ``db.history(n)`` — the most recent ``n`` records, oldest first;
 * ``db.history.by_fingerprint(fp)`` — every retained record of one
@@ -32,16 +32,11 @@ document per line, append-only, written outside the store's lock.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Optional
-
-#: Environment variables read when the constructor arguments are None.
-HISTORY_ENV = "REPRO_HISTORY"
-SLOW_MS_ENV = "REPRO_SLOW_MS"
 
 #: Records retained in the ring (and per fingerprint) by default.
 DEFAULT_CAPACITY = 512
@@ -49,32 +44,6 @@ DEFAULT_PER_FINGERPRINT = 32
 #: Distinct fingerprints indexed before the least-recently-updated one
 #: is evicted (bounds the index for fingerprint-churning workloads).
 DEFAULT_FINGERPRINTS = 256
-
-
-def resolve_history_path(path: Optional[str] = None) -> Optional[str]:
-    """The effective JSONL spill path: an explicit argument wins, then
-    ``REPRO_HISTORY``, then None (memory-only)."""
-    if path is not None:
-        return path or None
-    env = os.environ.get(HISTORY_ENV, "").strip()
-    return env or None
-
-
-def resolve_slow_ms(slow_ms: Optional[float] = None) -> Optional[float]:
-    """The effective slow-query threshold in milliseconds: an explicit
-    argument wins, then ``REPRO_SLOW_MS``, then None (disabled)."""
-    if slow_ms is not None:
-        return slow_ms if slow_ms > 0 else None
-    raw = os.environ.get(SLOW_MS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{SLOW_MS_ENV} must be a number of milliseconds, got {raw!r}"
-        ) from exc
-    return value if value > 0 else None
 
 
 @dataclass(slots=True)

@@ -19,32 +19,18 @@ store a *negative* entry so repeated executions skip the failed
 parameterized attempt and go straight to the literal-substitution path.
 
 The whole hot-path stack (plan cache, expression-kernel cache, zone-map
-pruning, CSR cache) is gated by the ``REPRO_PLAN_CACHE`` environment
-variable; set it to ``0`` to disable everything at once.
+pruning, CSR cache) is gated by one setting, ``plan_cache``
+(:mod:`repro.config`); off disables everything at once.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Optional
 
-#: Environment switch for the whole hot-path stack.
-CACHE_ENV = "REPRO_PLAN_CACHE"
-
 #: Plan-cache entries kept per Database (LRU beyond this).
 DEFAULT_CAPACITY = 256
-
-_DISABLED_VALUES = {"0", "false", "off", "no"}
-
-
-def cache_enabled() -> bool:
-    """Whether the hot-path caches are enabled (read per call so tests
-    can flip the environment at runtime)."""
-    value = os.environ.get(CACHE_ENV, "1").strip().lower()
-    return value not in _DISABLED_VALUES
-
 
 #: Raw SQL text -> fingerprint memo. The fingerprint is a pure function
 #: of the text (no catalog state), so entries never need invalidating —

@@ -30,27 +30,13 @@ guessed, so feedback never applies an observation to the wrong node.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional
 
 from . import logical as lp
 
-#: Session switch for feedback-driven re-optimization.
-FEEDBACK_ENV = "REPRO_FEEDBACK"
-
 #: Most-recently-used fingerprints retained in the feedback cache.
 FEEDBACK_CAPACITY = 256
-
-
-def resolve_feedback(flag: Optional[bool] = None) -> bool:
-    """Resolve the feedback switch: explicit flag, else env, else on."""
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(FEEDBACK_ENV, "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return False
-    return True
 
 
 def collect_base_tables(plan: lp.LogicalPlan) -> list[str]:

@@ -542,21 +542,19 @@ class Server:
         token = session.new_cancel_token()
 
         def run(wait_s: float) -> dict:
-            db = self.db
             if session.closed:
                 raise TransactionError(
                     f"session {session.id} is closed"
                 )
-            with db.txn_scope(session):
-                db.stage_statement_phase("queue", wait_s)
-                result = db.execute(
-                    sql,
-                    params,
-                    cancel_token=token,
-                    **budgets,
-                )
+            result = session.engine.execute(
+                sql,
+                params,
+                cancel_token=token,
+                queue_wait_s=wait_s,
+                **budgets,
+            )
             payload = result_payload(result)
-            payload["in_txn"] = session.txn is not None
+            payload["in_txn"] = session.engine.in_transaction
             payload["session"] = session.id
             return payload
 

@@ -1,10 +1,10 @@
 """Per-session state over the shared engine.
 
-A :class:`Session` is what one connected client owns: its own
-transaction slot (routed through
-:meth:`repro.api.database.Database.txn_scope`, so concurrent sessions'
-``BEGIN``/``COMMIT``/``ROLLBACK`` never collide on the embedded
-single-session slot), the tenant it authenticated as, and the cancel
+A :class:`Session` is what one connected client owns: an engine
+:class:`~repro.api.session.Session` of its own (``db.session()`` — its
+own transaction slot, so concurrent clients' ``BEGIN``/``COMMIT``/
+``ROLLBACK`` never collide with each other or with embedded use of the
+same ``Database``), the tenant it authenticated as, and the cancel
 token of its in-flight statement.
 
 Tenant budgets compose with per-request overrides by *clamping*: a
@@ -57,20 +57,15 @@ class TenantBudget:
 
 
 class Session:
-    """One client session multiplexed over the shared Database.
-
-    Satisfies the ``txn_scope`` contract (a mutable ``txn`` attribute);
-    the server's executor wraps every statement of this session in
-    ``with db.txn_scope(session):`` so the engine's transaction plumbing
-    reads and writes *this* session's slot.
-    """
+    """One client session multiplexed over the shared Database: the
+    server's executor runs every statement of this client through
+    ``self.engine.execute(...)``."""
 
     def __init__(self, db, session_id: str, tenant: TenantBudget):
-        self.db = db
         self.id = session_id
         self.tenant = tenant
-        #: This session's open transaction (the txn_scope slot).
-        self.txn = None
+        #: This client's engine session (transaction slot, statements).
+        self.engine = db.session()
         self.closed = False
         self._lock = threading.Lock()
         self._active_token: Optional[CancelToken] = None
@@ -130,14 +125,11 @@ class Session:
             token = self._active_token
         if token is not None:
             token.cancel()
-        txn = self.txn
-        self.txn = None
-        if txn is not None and txn.status == "active":
-            txn.rollback()
+        self.engine.release()
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else (
-            "in-txn" if self.txn is not None else "idle"
+            "in-txn" if self.engine.in_transaction else "idle"
         )
         return (
             f"Session({self.id!r}, tenant={self.tenant.name!r}, "

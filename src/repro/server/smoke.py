@@ -33,7 +33,7 @@ from .server import Server
 from .session import TenantBudget
 
 #: Hard wall-clock ceiling for the whole battery.
-DEADLINE_S = float(os.environ.get("REPRO_SMOKE_DEADLINE", "120"))
+DEADLINE_S = 120.0
 
 N_CLIENTS = 8
 ROWS_PER_CLIENT = 200

@@ -43,7 +43,6 @@ versions are immutable; rollback just drops the staged version).
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -62,20 +61,6 @@ _AUTO_MIN_ROWS = 4
 _INTEGRAL_KINDS = frozenset(
     {TypeKind.INTEGER, TypeKind.BIGINT, TypeKind.DATE}
 )
-
-
-def resolve_encoding(policy: Optional[str]) -> str:
-    """The effective session policy: the explicit argument, else the
-    ``REPRO_ENCODING`` environment switch, else ``auto``."""
-    if policy is None:
-        policy = os.environ.get("REPRO_ENCODING") or "auto"
-    policy = policy.lower()
-    if policy not in ENCODING_POLICIES:
-        raise ValueError(
-            f"unknown encoding policy {policy!r}; "
-            f"expected one of {', '.join(ENCODING_POLICIES)}"
-        )
-    return policy
 
 
 def _object_payload_nbytes(values) -> int:

@@ -41,7 +41,6 @@ grows a ``--chaos`` flag that arms a fresh injector per fuzz seed.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import threading
@@ -106,24 +105,24 @@ class ChaosInjector:
         return cls(kind, rng.randint(lo, hi), seed=int(seed))
 
     @classmethod
-    def from_env(cls, environ=None) -> Optional["ChaosInjector"]:
-        """An injector from ``REPRO_CHAOS``, or None when unset/``0``.
+    def from_spec(cls, spec: str) -> "ChaosInjector":
+        """An injector from its text form (what ``REPRO_CHAOS`` and
+        ``EngineConfig.chaos`` hold): a numeric seed (``17``) or an
+        explicit ``kind:nth`` pair (``cancel:3``)."""
+        kind, pair, nth = str(spec).partition(":")
+        try:
+            if pair:
+                return cls(kind.strip(), int(nth))
+            return cls.from_seed(int(kind))
+        except ValueError as exc:
+            raise ValueError(
+                f"expected a seed or kind:nth, got {spec!r} ({exc})"
+            ) from None
 
-        Accepts a numeric seed (``REPRO_CHAOS=17``) or an explicit
-        ``kind:nth`` pair (``REPRO_CHAOS=cancel:3``). Env-configured
-        injectors come back already armed."""
-        value = (environ if environ is not None else os.environ).get(
-            "REPRO_CHAOS", ""
-        ).strip()
-        if not value or value == "0":
-            return None
-        if ":" in value:
-            kind, _, nth = value.partition(":")
-            injector = cls(kind, int(nth))
-        else:
-            injector = cls.from_seed(int(value))
-        injector.arm()
-        return injector
+    @property
+    def spec(self) -> str:
+        """The text :meth:`from_spec` rebuilds this injector from."""
+        return f"{self.kind}:{self.nth}"
 
     def arm(self) -> "ChaosInjector":
         self.armed = True
@@ -380,7 +379,7 @@ def run_chaos_seed(seed: int) -> dict:
             )
 
         # -- post-fault oracle: subject must answer like the twin ----
-        if subject._session_txn is not None:
+        if subject.in_transaction:
             failures.append("subject left with an open transaction")
         for sql, ordered in PROBES:
             try:

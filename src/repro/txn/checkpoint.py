@@ -5,7 +5,7 @@ catalog is serialized into a sidecar file (``<wal>.ckpt``) with an
 atomic write-then-rename, then every WAL record the snapshot covers is
 truncated away. Recovery becomes "load the snapshot, replay only the
 WAL suffix" — flat in total history, linear only in the suffix
-(docs/durability.md, ``repro.bench.durability``).
+(docs/durability.md).
 
 On-disk format::
 

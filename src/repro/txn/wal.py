@@ -84,40 +84,12 @@ _HEADER = struct.Struct(">IIQ")
 #: interpreting garbage as a multi-gigabyte length).
 MAX_RECORD_BYTES = 1 << 30
 
+#: What a reader does on mid-log corruption.
+RECOVERY_MODES = ("tolerant", "strict")
+
 #: Environment hooks for deterministic crash injection.
-FSYNC_FAIL_ENV = "REPRO_WAL_FSYNC_FAIL"
-KILL_AT_BYTES_ENV = "REPRO_WAL_KILL_AT_BYTES"
-
-#: Session knobs (argument beats environment beats default).
-RECOVERY_ENV = "REPRO_RECOVERY"
-CHECKPOINT_BYTES_ENV = "REPRO_CHECKPOINT_BYTES"
-
-
-def resolve_recovery(value: Optional[str] = None) -> str:
-    """Effective corruption-recovery mode: argument, then
-    ``REPRO_RECOVERY``, then ``tolerant``."""
-    if value is None:
-        value = os.environ.get(RECOVERY_ENV, "").strip() or "tolerant"
-    if value not in ("tolerant", "strict"):
-        raise ValueError(
-            f"recovery must be 'tolerant' or 'strict', got {value!r}"
-        )
-    return value
-
-
-def resolve_checkpoint_bytes(value: Optional[int] = None) -> Optional[int]:
-    """Effective auto-checkpoint threshold: argument, then
-    ``REPRO_CHECKPOINT_BYTES``, then off (``None``). Zero or negative
-    disables."""
-    if value is None:
-        raw = os.environ.get(CHECKPOINT_BYTES_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            return None
-    return value if value and value > 0 else None
+FSYNC_FAIL_HOOK = "REPRO_WAL_FSYNC_FAIL"
+KILL_AT_BYTES_HOOK = "REPRO_WAL_KILL_AT_BYTES"
 
 
 def _schema_to_json(schema: TableSchema) -> list[dict]:
@@ -208,7 +180,7 @@ class WriteAheadLog:
         metrics=None,
         recovery: str = "tolerant",
     ):
-        if recovery not in ("tolerant", "strict"):
+        if recovery not in RECOVERY_MODES:
             raise ValueError(
                 f"recovery must be 'tolerant' or 'strict', got {recovery!r}"
             )
@@ -226,8 +198,8 @@ class WriteAheadLog:
         self.open_scan: Optional[ScanInfo] = None
         # -- crash-injection hooks (see module docstring) ---------------
         self._fsync_calls = 0
-        self._fsync_fail_at = self._env_int(FSYNC_FAIL_ENV)
-        self._kill_at_bytes = self._env_int(KILL_AT_BYTES_ENV)
+        self._fsync_fail_at = self._env_int(FSYNC_FAIL_HOOK)
+        self._kill_at_bytes = self._env_int(KILL_AT_BYTES_HOOK)
         if path is None:
             self._memory = io.BytesIO()
             self._memory.write(MAGIC)

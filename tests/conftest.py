@@ -11,9 +11,7 @@ def db() -> repro.Database:
     return repro.Database()
 
 
-@pytest.fixture
-def people_db(db: repro.Database) -> repro.Database:
-    """A small schema used across relational tests."""
+def _load_people(db: repro.Database) -> repro.Database:
     db.execute(
         "CREATE TABLE people (id INTEGER, name VARCHAR, age INTEGER, "
         "city VARCHAR)"
@@ -46,8 +44,13 @@ def people_db(db: repro.Database) -> repro.Database:
 
 
 @pytest.fixture
-def people_db_fullsort(people_db: repro.Database) -> repro.Database:
+def people_db(db: repro.Database) -> repro.Database:
+    """A small schema used across relational tests."""
+    return _load_people(db)
+
+
+@pytest.fixture
+def people_db_fullsort() -> repro.Database:
     """The people schema with top-N sort fusion disabled, so ORDER BY +
     LIMIT keeps the separate Sort and Limit operators."""
-    people_db.topn_enabled = False
-    return people_db
+    return _load_people(repro.Database(topn=False))

@@ -50,28 +50,30 @@ class TestInjector:
         governor.check("three")  # spent: never fires again
         assert injector.fired_at == "two"
 
-    def test_from_env_parses_explicit_form(self, monkeypatch):
+    def test_env_explicit_form_comes_up_armed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "cancel:3")
-        injector = ChaosInjector.from_env()
+        injector = repro.Database().chaos
         assert (injector.kind, injector.nth) == ("cancel", 3)
         assert injector.armed
 
-    def test_from_env_seed_and_off_forms(self, monkeypatch):
+    def test_env_seed_and_off_forms(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "17")
-        seeded = ChaosInjector.from_env()
+        seeded = repro.Database().chaos
         expected = ChaosInjector.from_seed(17)
-        assert (seeded.kind, seeded.nth) == (
-            expected.kind, expected.nth
+        assert (seeded.kind, seeded.nth, seeded.seed) == (
+            expected.kind, expected.nth, 17
         )
         monkeypatch.setenv("REPRO_CHAOS", "0")
-        assert ChaosInjector.from_env() is None
+        assert repro.Database().chaos is None
         monkeypatch.delenv("REPRO_CHAOS")
-        assert ChaosInjector.from_env() is None
+        assert repro.Database().chaos is None
 
-    def test_from_env_rejects_bad_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "nonsense:2")
+    def test_spec_round_trips_and_rejects_bad_kind(self):
+        injector = ChaosInjector("alloc_fail", 4)
+        again = ChaosInjector.from_spec(injector.spec)
+        assert (again.kind, again.nth) == ("alloc_fail", 4)
         with pytest.raises(ValueError):
-            ChaosInjector.from_env()
+            ChaosInjector.from_spec("nonsense:2")
 
 
 class TestFaultSurface:

@@ -125,8 +125,8 @@ class TestCustomOperator:
 
         txn = db_with_op.txns.begin()
         try:
-            optimizer = db_with_op._make_optimizer(txn)
-            plan = db_with_op._make_binder(txn).bind_query(
+            optimizer = db_with_op.pipeline.optimizer(txn)
+            plan = db_with_op.pipeline.binder(txn).bind_query(
                 parse_statement(
                     "SELECT * FROM ZSCORE((SELECT v, w FROM m))"
                 )

@@ -36,7 +36,6 @@ from repro.storage.encoding import (
     dictionary_encode,
     encode_column,
     for_encode,
-    resolve_encoding,
     rle_encode,
 )
 from repro.types import BIGINT, BOOLEAN, DOUBLE, INTEGER, VARCHAR
@@ -267,25 +266,6 @@ def test_for_compare_const_matches_python():
             for i, value in enumerate(values):
                 if valid[i]:
                     assert bool(got[i]) == fn(value, const)
-
-
-# ---------------------------------------------------------------------------
-# Policy resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_encoding_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENCODING", raising=False)
-    assert resolve_encoding(None) == "auto"
-    assert resolve_encoding("rle") == "rle"
-    monkeypatch.setenv("REPRO_ENCODING", "raw")
-    assert resolve_encoding(None) == "raw"
-    assert resolve_encoding("dict") == "dict"
-    with pytest.raises(ValueError):
-        resolve_encoding("zip")
-    monkeypatch.setenv("REPRO_ENCODING", "bogus")
-    with pytest.raises(ValueError):
-        resolve_encoding(None)
 
 
 def test_encoding_footprint_accounting():

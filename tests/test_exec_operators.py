@@ -69,8 +69,8 @@ class TestMaterialize:
 
 def plan_for(db, sql):
     txn = db.txns.begin()
-    plan = db._plan_select(parse_statement(sql), txn)
-    ctx = db._make_exec_context(txn)
+    plan = db.pipeline.plan_select(parse_statement(sql), txn)
+    ctx = db.pipeline.exec_context(txn)
     return plan, ctx, txn
 
 

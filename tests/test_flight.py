@@ -24,7 +24,6 @@ from repro.obs.flight import (
     FlightRecorder,
     format_bundle,
     load_bundle,
-    resolve_flight_dir,
     validate_bundle,
 )
 from repro.testing.chaos import ChaosInjector
@@ -188,16 +187,6 @@ class TestRecorderUnit:
         assert [n.split("-")[3] for n in names] == [
             "0004", "0005", "0006"
         ]
-
-    def test_resolve_flight_dir(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
-        assert resolve_flight_dir("x") == "x"
-        assert resolve_flight_dir() == os.path.join(
-            "results", "flightrec"
-        )
-        monkeypatch.setenv("REPRO_FLIGHTREC", "/tmp/fr")
-        assert resolve_flight_dir() == "/tmp/fr"
-        assert resolve_flight_dir("explicit") == "explicit"
 
     def test_format_bundle_renders_sections(self, tmp_path):
         db = repro.Database(timeout_ms=0.01, flight_dir=str(tmp_path))

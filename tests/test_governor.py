@@ -280,7 +280,7 @@ class TestStatementAtomicity:
             )
         assert db.row_count("e") == before
 
-    def test_governor_abort_keeps_session_txn_unwound(self):
+    def test_governor_abort_keeps_open_txn_unwound(self):
         db = _edges_db(n_edges=5_000)
         db.begin()
         db.execute("INSERT INTO e VALUES (999991, 999992)")
@@ -309,7 +309,7 @@ class TestExecutemanyAtomicity:
             return real_coerce(value, sql_type)
 
         monkeypatch.setattr(
-            "repro.api.database.coerce_scalar", exploding
+            "repro.api.dml.coerce_scalar", exploding
         )
         with pytest.raises(KeyboardInterrupt):
             db.executemany(
@@ -320,7 +320,7 @@ class TestExecutemanyAtomicity:
         assert not db.in_transaction
         assert db.execute("SELECT count(*) FROM t").scalar() == 1
 
-    def test_interrupt_mid_batch_inside_session_txn(
+    def test_interrupt_mid_batch_inside_open_txn(
         self, db, monkeypatch
     ):
         db.execute("CREATE TABLE t (a INTEGER)")
@@ -337,7 +337,7 @@ class TestExecutemanyAtomicity:
         db.begin()
         db.execute("INSERT INTO t VALUES (100)")
         monkeypatch.setattr(
-            "repro.api.database.coerce_scalar", exploding
+            "repro.api.dml.coerce_scalar", exploding
         )
         with pytest.raises(KeyboardInterrupt):
             db.executemany(
@@ -371,7 +371,7 @@ class TestExecutemanyAtomicity:
     def test_savepoint_rollback_to(self, db):
         db.execute("CREATE TABLE t (a INTEGER)")
         db.begin()
-        txn = db._session_txn
+        txn = db.default_session.txn
         db.execute("INSERT INTO t VALUES (1)")
         savepoint = txn.savepoint()
         db.execute("INSERT INTO t VALUES (2)")
@@ -383,7 +383,7 @@ class TestExecutemanyAtomicity:
 
     def test_savepoint_requires_active_txn(self, db):
         db.begin()
-        txn = db._session_txn
+        txn = db.default_session.txn
         db.commit()
         with pytest.raises(TransactionError):
             txn.savepoint()

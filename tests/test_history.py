@@ -17,8 +17,6 @@ from repro.obs.history import (
     QueryHistory,
     QueryRecord,
     load_jsonl,
-    resolve_history_path,
-    resolve_slow_ms,
 )
 from repro.plan.cache import sql_fingerprint
 
@@ -188,17 +186,6 @@ class TestSlowLog:
         db.execute("CREATE TABLE t (v INTEGER)")
         assert db.history.slow(10)
 
-    def test_env_threshold_must_be_numeric(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_MS", "fast")
-        with pytest.raises(ValueError):
-            resolve_slow_ms()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_MS", "5000")
-        assert resolve_slow_ms(1.5) == 1.5
-        assert resolve_slow_ms() == 5000.0
-        assert resolve_slow_ms(0) is None
-
 
 class TestJsonlSpill:
     def test_spill_and_load_round_trip(self, tmp_path):
@@ -230,7 +217,6 @@ class TestJsonlSpill:
         db = repro.Database()
         db.execute("CREATE TABLE t (v INTEGER)")
         assert os.path.exists(path)
-        assert resolve_history_path("explicit") == "explicit"
 
     def test_spill_failure_latches_not_raises(self, tmp_path):
         store = QueryHistory(

@@ -153,6 +153,29 @@ class TestEngineCounters:
         assert counters["txn_rollbacks_total"] >= 1
         assert counters["statement_errors_total"] == 1
 
+    def test_bulk_executemany_is_one_measured_statement(self, db):
+        # The bulk-INSERT fast path goes through the same statement
+        # wrapper as everything else: one statement_seconds observation
+        # per batch, and a failing batch counts as a statement error.
+        db.execute("CREATE TABLE t (v INTEGER NOT NULL)")
+
+        def seconds_count():
+            hist = db.metrics.snapshot()["histograms"]
+            return hist["statement_seconds"]["count"]
+
+        before = seconds_count()
+        assert db.executemany(
+            "INSERT INTO t VALUES (?)", [(1,), (2,), (3,)]
+        ) == 3
+        assert seconds_count() == before + 1
+        with pytest.raises(ReproError):
+            db.executemany("INSERT INTO t VALUES (?)", [(4,), (None,)])
+        assert seconds_count() == before + 2
+        counters = db.metrics.snapshot()["counters"]
+        assert counters["statement_errors_total"] == 1
+        assert db.history(1)[0].error is not None
+        assert db.execute("SELECT count(*) FROM t").scalar() == 3
+
     def test_wal_bytes_counter(self, tmp_path):
         db = repro.Database(wal_path=str(tmp_path / "wal.jsonl"))
         db.execute("CREATE TABLE t (v INTEGER)")

@@ -11,7 +11,7 @@ def plan_of(db, sql):
     statement = parse_statement(sql)
     txn = db.txns.begin()
     try:
-        return db._plan_select(statement, txn)
+        return db.pipeline.plan_select(statement, txn)
     finally:
         txn.rollback()
 
@@ -211,8 +211,8 @@ class TestCardinality:
     def test_estimates_available(self, schema_db):
         txn = schema_db.txns.begin()
         try:
-            optimizer = schema_db._make_optimizer(txn)
-            plan = schema_db._make_binder(txn).bind_query(
+            optimizer = schema_db.pipeline.optimizer(txn)
+            plan = schema_db.pipeline.binder(txn).bind_query(
                 parse_statement("SELECT * FROM big WHERE a = 1")
             )
             estimate = optimizer.estimate(plan)
@@ -225,8 +225,8 @@ class TestCardinality:
         db.insert_rows("pts", [(float(i),) for i in range(50)])
         txn = db.txns.begin()
         try:
-            optimizer = db._make_optimizer(txn)
-            plan = db._make_binder(txn).bind_query(
+            optimizer = db.pipeline.optimizer(txn)
+            plan = db.pipeline.binder(txn).bind_query(
                 parse_statement(
                     "SELECT * FROM KMEANS((SELECT x FROM pts), "
                     "(SELECT x FROM pts LIMIT 3), 5)"

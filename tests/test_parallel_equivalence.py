@@ -26,7 +26,6 @@ from repro.errors import ReproError
 from repro.exec.parallel import (
     WorkerPool,
     partial_grouped_aggregate,
-    resolve_workers,
 )
 from repro.storage.column import Column
 from repro.testing.generator import QueryGenerator
@@ -286,9 +285,11 @@ def test_operator_tree_does_not_depend_on_profiling(scan_dbs, shape):
         db = scan_dbs[key]
         txn = db.txns.begin()
         try:
-            plan = db._plan_select(parse_sql(SCAN_SHAPES[shape])[0], txn)
+            plan = db.pipeline.plan_select(
+                parse_sql(SCAN_SHAPES[shape])[0], txn
+            )
             for profile in (True, False):
-                ctx = db._make_exec_context(txn)
+                ctx = db.pipeline.exec_context(txn)
                 ctx.profile = profile
                 trees.append(_describe_tree(build_physical(plan, ctx)))
         finally:
@@ -375,19 +376,6 @@ def test_repro_workers_env_is_respected(monkeypatch):
         assert db.pool.workers == 3
     finally:
         db.close()
-
-
-def test_explicit_workers_argument_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "8")
-    assert resolve_workers(2) == 2
-
-
-def test_invalid_worker_counts_are_rejected(monkeypatch):
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-    monkeypatch.setenv("REPRO_WORKERS", "lots")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api.database import Database
 from repro.errors import ReproError
-from repro.plan.cache import CACHE_ENV, PlanCache, sql_fingerprint
+from repro.plan.cache import PlanCache, sql_fingerprint
 
 
 def counter(db, name):
@@ -208,7 +208,7 @@ def test_dml_under_cached_plan_sees_new_rows():
     assert db.execute(sql, (0,)).rows == [(5,)]
 
 
-def test_session_txn_with_local_ddl_bypasses_cache():
+def test_open_txn_with_local_ddl_bypasses_cache():
     db = make_db(rows=10)
     db.begin()
     db.execute("CREATE TABLE staged (x INTEGER)")
@@ -225,7 +225,7 @@ def test_session_txn_with_local_ddl_bypasses_cache():
 
 
 def test_env_switch_disables_cache(monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, "0")
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
     db = make_db(rows=10, plan_cache=None)
     for _ in range(3):
         db.execute("SELECT count(*) FROM t WHERE id >= ?", (0,))
@@ -234,7 +234,7 @@ def test_env_switch_disables_cache(monkeypatch):
 
 
 def test_constructor_overrides_env(monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, "0")
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
     db = make_db(rows=10, plan_cache=True)
     db.execute("SELECT count(*) FROM t WHERE id >= ?", (0,))
     db.execute("SELECT count(*) FROM t WHERE id >= ?", (1,))

@@ -97,9 +97,8 @@ class TestTopNBitIdentity:
         assert len(analyzed.result) == 3
         assert counter(db, "sort_topn_used_total") > before
 
-    def test_env_switch_disables_fusion(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TOPN", "0")
-        db = _make_db()
+    def test_switch_disables_fusion(self):
+        db = _make_db(topn=False)
         analyzed = db.explain_analyze(
             "SELECT id FROM t ORDER BY a LIMIT 3"
         )
@@ -215,11 +214,11 @@ class TestStatisticsEstimates:
         assert snapshot.get("cardinality_stats_miss_total", 0.0) >= 1.0
 
 
-def _feedback_db():
+def _feedback_db(**kwargs):
     """A join whose static estimate is badly wrong: v = 1.0 matches
     ~95% of big (static equality guess: 10%), so the optimizer's
     build-side choice flips once observed cardinalities arrive."""
-    db = Database(plan_cache=True)
+    db = Database(plan_cache=True, **kwargs)
     db.execute("CREATE TABLE big (k INTEGER, v DOUBLE)")
     db.insert_rows(
         "big",
@@ -341,8 +340,8 @@ class TestCardinalityFeedback:
         )
 
     def test_feedback_disabled_by_switch(self):
-        db = _feedback_db()
-        db.feedback_enabled = False
+        db = _feedback_db(feedback=False)
+        assert db.feedback_enabled is False
         for _ in range(3):
             db.execute(FEEDBACK_SQL)
         assert (
@@ -351,7 +350,16 @@ class TestCardinalityFeedback:
         )
         assert "src=feedback" not in db.explain(FEEDBACK_SQL)
 
-    def test_feedback_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FEEDBACK", "off")
+    def test_explain_statement_and_method_print_the_same_plan(self):
+        # The EXPLAIN statement (the only form a remote client has)
+        # must plan under the inner query's fingerprint, like
+        # db.explain and db.execute do: same feedback, same join sides.
         db = _feedback_db()
-        assert db.feedback_enabled is False
+        db.execute(FEEDBACK_SQL)
+        db.execute(FEEDBACK_SQL)
+        method = db.explain(FEEDBACK_SQL)
+        statement = "\n".join(
+            row[0] for row in db.execute("EXPLAIN " + FEEDBACK_SQL).rows
+        )
+        assert "src=feedback" in method
+        assert statement == method

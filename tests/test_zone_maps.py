@@ -27,7 +27,7 @@ def pruned(db):
 
 
 def make_pair(rows, morsel_rows=ZONE_ROWS, nulls_from=None,
-              nan_from=None, workers=None):
+              nan_from=None, workers=None, parallel_threshold=0):
     """(hot, cold) databases over the same ``t(id, v, name)`` data.
 
     ``id`` ascends 0..rows-1 so zone min/max ranges are disjoint;
@@ -41,7 +41,9 @@ def make_pair(rows, morsel_rows=ZONE_ROWS, nulls_from=None,
             plan_cache=plan_cache,
         )
         if workers is not None:
-            kwargs.update(workers=workers, parallel_threshold=0)
+            kwargs.update(
+                workers=workers, parallel_threshold=parallel_threshold
+            )
         db = Database(**kwargs)
         db.execute(
             "CREATE TABLE t (id INTEGER, name VARCHAR, v DOUBLE)"
@@ -247,8 +249,10 @@ def test_parallel_scan_prunes_and_matches_serial():
 
 
 def test_parallel_threshold_counts_rows_left_after_pruning():
-    hot, cold = make_pair(3 * ZONE_ROWS, morsel_rows=1024, workers=4)
-    hot.parallel_threshold = 2 * ZONE_ROWS
+    hot, cold = make_pair(
+        3 * ZONE_ROWS, morsel_rows=1024, workers=4,
+        parallel_threshold=2 * ZONE_ROWS,
+    )
     check(hot, cold, "SELECT count(*) FROM t WHERE id >= 0")
     assert counter(hot, "exec_parallel_pipelines_total") == 1.0
     # Zone maps keep one zone (4096 rows < threshold): the scan streams
@@ -300,7 +304,7 @@ def test_stacked_filters_prune_on_both_predicates_when_profiled():
     lo, hi = ZONE_ROWS + 10, ZONE_ROWS + 20
     txn = hot.txns.begin()
     try:
-        plan = hot._plan_select(
+        plan = hot.pipeline.plan_select(
             parse_sql(
                 f"SELECT id FROM t WHERE id >= {lo} AND id < {hi}"
             )[0],
@@ -316,7 +320,7 @@ def test_stacked_filters_prune_on_both_predicates_when_profiled():
             ),
             project.exprs, project.output,
         )
-        ctx = hot._make_exec_context(txn)
+        ctx = hot.pipeline.exec_context(txn)
         ctx.profile = True
         op = build_physical(stacked, ctx)
         batch = op.execute_materialized(ctx.new_eval_context())
