@@ -23,6 +23,7 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from ..errors import InjectedFault, ReproError, ResourceGovernorError
+from ..exec.common import GROUP_KEY_PATHS
 from ..exec.physical import ExecutionContext, materialize
 from ..exec.planner import build_physical
 from ..governor import QueryContext
@@ -52,6 +53,7 @@ HOT_PATH_COUNTERS = (
     "exec_morsels_dispatched_total",
     "exec_loop_invariant_materialized_total",
     "exec_loop_invariant_reused_total",
+    *(f'exec_group_keys_total{{path="{p}"}}' for p in GROUP_KEY_PATHS),
     "analytics_csr_cache_hits_total",
     "analytics_csr_cache_misses_total",
 )
@@ -509,6 +511,11 @@ class StatementPipeline:
         ):
             if amount:
                 metrics.counter(name).inc(amount)
+        for path, amount in stats.group_keys.items():
+            if amount:
+                metrics.counter("exec_group_keys_total", path=path).inc(
+                    amount
+                )
         metrics.gauge("exec_peak_live_tuples").set(stats.peak_live_tuples)
 
     def record(

@@ -11,7 +11,12 @@ from ..expr import aggregates as agg_registry
 from ..expr.compiler import EvalContext
 from ..plan.logical import LogicalAggregate, LogicalDistinct
 from ..storage.column import Column, ColumnBatch
-from .common import factorize, group_representatives
+from .common import (
+    compose_codes,
+    factorize,
+    factorize_column,
+    group_representatives,
+)
 from .physical import ExecutionContext, PhysicalOperator
 
 
@@ -70,7 +75,7 @@ class HashAggregateOp(PhysicalOperator):
 
         if node.group_exprs:
             key_cols = [fn(batch, eval_ctx) for fn in self._group_fns]
-            codes, n_groups = factorize(key_cols)
+            codes, n_groups = factorize(key_cols, self._ctx.stats)
             if n_groups == 0:
                 yield self.empty_batch()
                 return
@@ -95,7 +100,7 @@ class HashAggregateOp(PhysicalOperator):
                 if arg_col is None:
                     raise ExecutionError("COUNT(DISTINCT *) is not valid")
                 use_col, use_codes = _deduplicate(
-                    arg_col, codes, n_groups
+                    arg_col, codes, n_groups, self._ctx.stats
                 )
             # Partial-aggregate/merge path: chunk boundaries and merge
             # order are worker-independent, so workers=1 (inline) and
@@ -116,17 +121,24 @@ class HashAggregateOp(PhysicalOperator):
         yield ColumnBatch(columns)
 
 
+def _first_rows(codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """The first row of every group, in row order (a sort of groups,
+    not of rows)."""
+    return np.sort(group_representatives(codes, n_groups))
+
+
 def _deduplicate(
-    col: Column, codes: np.ndarray, n_groups: int
+    col: Column, codes: np.ndarray, n_groups: int, stats=None
 ) -> tuple[Column, np.ndarray]:
     """Keep one row per (group, value) pair — DISTINCT aggregation input.
     NULLs are preserved (the kernels skip them anyway)."""
-    value_codes, n_values = factorize([col])
+    value_codes, n_values = factorize_column(col, stats)
     if n_values == 0:
         return col, codes
-    combined = codes * np.int64(n_values) + value_codes
-    _uniques, first_idx = np.unique(combined, return_index=True)
-    keep = np.sort(first_idx)
+    pair_codes, n_pairs = compose_codes(
+        codes, n_groups, value_codes, n_values
+    )
+    keep = _first_rows(pair_codes, n_pairs)
     return col.take(keep), codes[keep]
 
 
@@ -152,18 +164,14 @@ class DistinctOp(PhysicalOperator):
         if len(batch) == 0:
             yield batch
             return
-        yield distinct_rows(batch)
+        yield distinct_rows(batch, self._ctx.stats)
 
 
-def distinct_rows(batch: ColumnBatch) -> ColumnBatch:
+def distinct_rows(batch: ColumnBatch, stats=None) -> ColumnBatch:
     """Deduplicate full rows of a batch, keeping first occurrences in
     their original order."""
     cols = [batch[name] for name in batch.names()]
-    codes, n_groups = factorize(cols)
-    if n_groups == 0:
+    codes, n_groups = factorize(cols, stats)
+    if n_groups == 0 or n_groups == len(batch):
         return batch
-    _uniques, first_idx = np.unique(codes, return_index=True)
-    keep = np.sort(first_idx)
-    if len(keep) == len(batch):
-        return batch
-    return batch.take(keep)
+    return batch.take(_first_rows(codes, n_groups))

@@ -71,7 +71,7 @@ class RecursiveCTEOp(PhysicalOperator):
         if not node.union_all:
             from .aggregate import distinct_rows
 
-            current = distinct_rows(current)
+            current = distinct_rows(current, ctx.stats)
 
         accumulated: list[ColumnBatch] = [current]
         seen_codes: set[int] | None = None
@@ -152,7 +152,7 @@ class RecursiveCTEOp(PhysicalOperator):
         row, and deduplicate the round itself."""
         from .aggregate import distinct_rows
 
-        produced = distinct_rows(produced)
+        produced = distinct_rows(produced, self._ctx.stats)
         if len(produced) == 0:
             return produced
         slots = [c.slot for c in self.output]
@@ -166,7 +166,7 @@ class RecursiveCTEOp(PhysicalOperator):
             )
             for slot in slots
         ]
-        codes, n_groups = factorize(stacked)
+        codes, n_groups = factorize(stacked, self._ctx.stats)
         seen = np.zeros(n_groups, dtype=np.bool_)
         seen[codes[:n_prior]] = True
         fresh = ~seen[codes[n_prior:]]

@@ -20,7 +20,7 @@ from ..expr.compiler import EvalContext
 from ..plan.logical import LogicalJoin, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..types import TypeKind
-from .common import factorize
+from .common import DENSE_SPAN_FACTOR, factorize
 from .parallel import _parallel_safe, morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
@@ -70,15 +70,6 @@ def _raw_small_build_keys(
     )
 
 
-#: The probe reads match ranges from an offset table (one slot per key
-#: value between the smallest and largest build key) when that span is
-#: at most this many slots per build row plus one per probe row, so the
-#: table costs no more than a pass over the join's inputs; sparser keys
-#: are binary-searched. Factorized codes always qualify (they count the
-#: distinct keys of both sides), raw integer ids usually do.
-DENSE_SPAN_FACTOR = 4
-
-
 def _offset_table(
     sorted_codes: np.ndarray, probe_rows: int = 0
 ) -> Optional[tuple[int, np.ndarray]]:
@@ -86,7 +77,14 @@ def _offset_table(
     ``sorted_codes[offsets[k - base]:offsets[k - base + 1]]``, or None
     when the keys are too sparse (or absent) for a table. ``offsets``
     ends in one spare slot with an empty range — where the probe sends
-    keys outside ``[base, base + span)``."""
+    keys outside ``[base, base + span)``.
+
+    The table has one slot per key value between the smallest and
+    largest build key, and is built when that span is at most
+    ``DENSE_SPAN_FACTOR`` slots per build row plus one per probe row, so
+    it costs no more than a pass over the join's inputs; sparser keys
+    are binary-searched. Factorized codes always qualify (they count
+    the distinct keys of both sides), raw integer ids usually do."""
     if len(sorted_codes) == 0:
         return None
     base = int(sorted_codes[0])
@@ -281,7 +279,7 @@ class HashJoinOp(PhysicalOperator):
                 Column.concat([lc, rc])
                 for lc, rc in zip(left_key_cols, right_key_cols)
             ]
-            codes, _count = factorize(stacked)
+            codes, _count = factorize(stacked, self._ctx.stats)
             left_codes = codes[:n_left].copy()
             right_codes = codes[n_left:].copy()
 

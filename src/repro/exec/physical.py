@@ -11,6 +11,7 @@ from ..governor import QueryContext
 from ..plan.logical import LogicalPlan, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..storage.table import DEFAULT_MORSEL_ROWS, TableData
+from .common import GROUP_KEY_PATHS
 
 #: Minimum rows a base-table scan must have left after zone-map pruning
 #: before it dispatches morsels to the worker pool. Below this, dispatch
@@ -36,6 +37,9 @@ class ExecutionStats:
         #: Morsels skipped via zone maps; ``rows_scanned`` still counts
         #: the full table so scan cardinality semantics stay unchanged.
         self.morsels_pruned = 0
+        #: Key columns factorized, by the route that numbered their
+        #: groups (``exec/common.py::factorize_column``).
+        self.group_keys = dict.fromkeys(GROUP_KEY_PATHS, 0)
 
     def observe_live_tuples(self, count: int) -> None:
         if count > self.peak_live_tuples:

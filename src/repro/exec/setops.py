@@ -48,6 +48,7 @@ class SetOpOp(PhysicalOperator):
 
     def execute(self, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
         op = self._node.op
+        stats = self._ctx.stats
         self._ctx.checkpoint("setop")
         left_slots = self._node.left.output_slots()
         right_slots = self._node.right.output_slots()
@@ -69,10 +70,10 @@ class SetOpOp(PhysicalOperator):
         if op == "union":
             slots = [c.slot for c in self.output]
             if len(left_batch) == 0:
-                yield distinct_rows(right_batch)
+                yield distinct_rows(right_batch, stats)
                 return
             if len(right_batch) == 0:
-                yield distinct_rows(left_batch)
+                yield distinct_rows(left_batch, stats)
                 return
             combined = ColumnBatch(
                 {
@@ -82,7 +83,7 @@ class SetOpOp(PhysicalOperator):
                     for slot in slots
                 }
             )
-            yield distinct_rows(combined)
+            yield distinct_rows(combined, stats)
             return
 
         if op not in ("intersect", "except"):
@@ -95,7 +96,7 @@ class SetOpOp(PhysicalOperator):
             return
         if len(right_batch) == 0:
             if op == "except":
-                yield distinct_rows(left_batch)
+                yield distinct_rows(left_batch, stats)
             else:
                 yield self.empty_batch()
             return
@@ -103,11 +104,11 @@ class SetOpOp(PhysicalOperator):
             Column.concat([left_batch[slot], right_batch[slot]])
             for slot in slots
         ]
-        codes, n_groups = factorize(stacked)
+        codes, n_groups = factorize(stacked, stats)
         left_codes = codes[:n_left]
         right_present = np.zeros(n_groups, dtype=np.bool_)
         right_present[codes[n_left:]] = True
         member = right_present[left_codes]
         keep = member if op == "intersect" else ~member
         filtered = left_batch.filter(keep)
-        yield distinct_rows(filtered)
+        yield distinct_rows(filtered, stats)

@@ -81,7 +81,7 @@ class WindowOp(PhysicalOperator):
             )
         if part_fns:
             part_cols = [fn(batch, eval_ctx) for fn in part_fns]
-            codes, _count = factorize(part_cols)
+            codes, _count = factorize(part_cols, self._ctx.stats)
         else:
             codes = np.zeros(n, dtype=np.int64)
 

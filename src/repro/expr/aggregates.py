@@ -93,25 +93,26 @@ def group_sums(
 def _segmented_reduce(
     values: np.ndarray, codes: np.ndarray, n_groups: int, ufunc
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-group reduce via sort + ``ufunc.reduceat``.
+    """Exact per-group reduce by scattering: ``ufunc.at`` folds each
+    group's values in row order (among equal extremes — 0.0 and -0.0 —
+    the last row's wins).
 
     Returns (result, present) where ``present[g]`` says group ``g`` had at
     least one row; result values for absent groups are unspecified.
     """
     present = np.zeros(n_groups, dtype=np.bool_)
-    if len(values) == 0:
-        return np.zeros(n_groups, dtype=values.dtype), present
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
-    )
-    reduced = ufunc.reduceat(sorted_values, boundaries)
-    group_ids = sorted_codes[boundaries]
     out = np.zeros(n_groups, dtype=values.dtype)
-    out[group_ids] = reduced
-    present[group_ids] = True
+    if len(values) == 0:
+        return out, present
+    present[codes] = True
+    if ufunc.identity is None:
+        # min/max have no neutral start: seed each group with its first
+        # value (reversed, so the earliest row is the write that stays).
+        # Folding that value in once more changes nothing.
+        out[codes[::-1]] = values[::-1]
+    # NaN is a value to propagate here, not an invalid operation.
+    with np.errstate(invalid="ignore"):
+        ufunc.at(out, codes, values)
     return out, present
 
 
@@ -178,7 +179,7 @@ def _sum(col: Optional[Column], codes: np.ndarray, n_groups: int) -> Column:
     if col.sql_type.kind is TypeKind.DOUBLE:
         sums = group_sums(col, codes, n_groups)
         return Column(sums, DOUBLE, valid)
-    # Integral: exact int64 accumulation via segmented reduce.
+    # Integral: exact int64 accumulation.
     mask = _valid_mask(col)
     values = col.values[mask].astype(np.int64)
     sums, _present = _segmented_reduce(values, codes[mask], n_groups, np.add)

@@ -72,10 +72,14 @@ class CardinalityFeedback:
     """Per-fingerprint cache of observed-cardinality overrides.
 
     ``history`` is the session's :class:`~repro.obs.history.QueryHistory`.
-    Overrides are recomputed only when the history has recorded new
-    executions for the fingerprint (checked via its cheap per-fingerprint
-    execution counter), so cache-hit hot paths pay one dict lookup and
-    one integer compare in the common unchanged case.
+    A fingerprint's overrides are cached against its execution count in
+    the history and rebuilt when that count has moved. Every recorded
+    execution moves it, so a statement that runs repeatedly rebuilds its
+    overrides on *every* execution: :meth:`overrides_for` walks all the
+    fingerprint's retained records, which also forces the history's
+    deferred records into being. The cache only answers repeated
+    lookups within one execution. (ROADMAP item 3 has the measurement
+    and the fix that is still to do.)
     """
 
     def __init__(self, history, metrics=None):

@@ -12,6 +12,7 @@ from .rules import (
     prune_columns,
     push_down_limits,
     push_down_predicates,
+    reassociate_invariant_joins,
 )
 
 
@@ -45,7 +46,10 @@ class Optimizer:
        filter that still needs to move),
     4. column pruning (after pushdown so pushed predicates' columns are
        accounted for),
-    5. join build-side selection using cardinality estimates — which
+    5. inside the step/stop plan of a loop only: join re-association,
+       so loop-invariant relations join each other before they join the
+       working table (and hoist as one unit),
+    6. join build-side selection using cardinality estimates — which
        may come from table statistics and observed-cardinality feedback
        (see :mod:`repro.plan.cardinality`).
 
@@ -76,13 +80,21 @@ class Optimizer:
     def estimator(self) -> CardinalityEstimator:
         return self._estimator
 
-    def optimize(self, plan: lp.LogicalPlan) -> lp.LogicalPlan:
+    def optimize(
+        self, plan: lp.LogicalPlan, loop_key: Optional[str] = None
+    ) -> lp.LogicalPlan:
+        """``loop_key`` names the ITERATE / recursive CTE whose step or
+        stop plan ``plan`` is (None for any other plan)."""
         if not self.enabled:
             return plan
         plan = fold_constants(plan)
         plan = push_down_predicates(plan)
         plan = push_down_limits(plan, self._count_limit_pushdown)
         plan = prune_columns(plan)
+        if loop_key is not None:
+            plan = reassociate_invariant_joins(
+                plan, loop_key, self._estimator
+            )
         plan = choose_join_sides(plan, self._estimator)
         plan = self._recurse_into_nested(plan)
         if self._metrics is not None and self._estimator.has_feedback:
@@ -113,8 +125,8 @@ class Optimizer:
             return lp.LogicalIterate(
                 key=plan.key,
                 init=self.optimize(plan.init),
-                step=self.optimize(plan.step),
-                stop=self.optimize(plan.stop),
+                step=self.optimize(plan.step, plan.key),
+                stop=self.optimize(plan.stop, plan.key),
                 output=plan.output,
                 max_iterations=plan.max_iterations,
             )
@@ -122,7 +134,7 @@ class Optimizer:
             return lp.LogicalRecursiveCTE(
                 key=plan.key,
                 init=self.optimize(plan.init),
-                step=self.optimize(plan.step),
+                step=self.optimize(plan.step, plan.key),
                 union_all=plan.union_all,
                 output=plan.output,
                 max_iterations=plan.max_iterations,

@@ -1,6 +1,7 @@
 """Optimizer rewrite rules.
 
-Three classical rules plus the paper's constraint:
+Three classical rules plus the paper's constraint, and one rule for
+the bodies of ITERATE and recursive CTEs:
 
 * **Predicate pushdown** — filters move toward the data, splitting
   conjunctions across joins, sliding through projections (with slot
@@ -13,6 +14,9 @@ Three classical rules plus the paper's constraint:
   plan above actually consumes.
 * **Join side selection** — for inner hash joins, the side estimated
   smaller becomes the build side.
+* **Join re-association in loop bodies** — two loop-invariant relations
+  joined *through* the working table are joined to each other first,
+  so the planner can hoist that join out of the rounds.
 """
 
 from __future__ import annotations
@@ -409,6 +413,73 @@ def choose_join_sides(
                 plan.output,
             )
     return plan
+
+
+# ---------------------------------------------------------------------------
+# join re-association inside loop bodies
+# ---------------------------------------------------------------------------
+
+
+def reassociate_invariant_joins(
+    plan: lp.LogicalPlan, loop_key: str, estimator: CardinalityEstimator
+) -> lp.LogicalPlan:
+    """Inside the step/stop plan of the loop ``loop_key``, rewrite
+
+        ``Join(Join(A, B, p1), C, p2)``  to  ``Join(A, Join(B, C, p2), p1)``
+
+    (inner joins; A and B in either order) when only A reads the loop's
+    working table, p2 is an equi-predicate over B and C alone, and
+    ``Join(B, C, p2)`` is not expected to outgrow the ``Join(A, B, p1)``
+    it replaces. The left-deep tree a FROM list binds to joins the
+    working table first, which leaves nothing but single relations for
+    the planner to hoist; after the rewrite ``Join(B, C)`` is one
+    loop-invariant subtree and runs once per loop, not once per round.
+    Rows keep their order when A is the inner join's left input."""
+    plan = plan.replace_children(
+        [
+            reassociate_invariant_joins(c, loop_key, estimator)
+            for c in plan.children()
+        ]
+    )
+    inner = plan.left if isinstance(plan, lp.LogicalJoin) else None
+    if not (
+        isinstance(inner, lp.LogicalJoin)
+        and plan.kind == "inner"
+        and inner.kind == "inner"
+        and plan.equi_keys
+    ):
+        return plan
+    # One memo for this node's questions: the nodes it is keyed by all
+    # stay alive until the answers have been used.
+    memo: dict = {}
+    reads_loop = [
+        loop_key in lp.loop_dependencies(side, memo)[0]
+        for side in inner.children()
+    ]
+    if reads_loop[0] == reads_loop[1]:
+        return plan
+    a, b = inner.children() if reads_loop[0] else inner.children()[::-1]
+    c = plan.right
+    p2_slots: set[str] = set()
+    for expr in lp.plan_expressions(plan):
+        p2_slots |= _expr_required(expr)
+    if not p2_slots <= set(b.output_slots()) | set(c.output_slots()):
+        return plan
+    invariant = lp.LogicalJoin(
+        "inner", b, c, plan.equi_keys, plan.residual,
+        list(b.output) + list(c.output),
+    )
+    keys, volatile = lp.loop_dependencies(invariant, memo)
+    if (
+        loop_key in keys
+        or volatile
+        or estimator.estimate(invariant) > estimator.estimate(inner)
+    ):
+        return plan
+    children = [a, invariant] if reads_loop[0] else [invariant, a]
+    return lp.LogicalJoin(
+        "inner", *children, inner.equi_keys, inner.residual, plan.output
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,9 @@ class Column:
         """Concatenate columns of an identical SQL type."""
         if not parts:
             raise ExecutionError("cannot concatenate zero columns")
+        encoded = parts[0]._concat_encoded(parts)
+        if encoded is not None:
+            return encoded
         sql_type = parts[0].sql_type
         values = np.concatenate([p.values for p in parts])
         if all(p.valid is None for p in parts):
@@ -185,6 +188,13 @@ class Column:
         else:
             valid = np.concatenate([p.validity() for p in parts])
         return cls(values, sql_type, valid)
+
+    def _concat_encoded(
+        self, parts: Sequence["Column"]
+    ) -> "Column | None":
+        """``parts`` (``self`` first) concatenated without decoding, or
+        None when their physical forms have no common encoded one."""
+        return None
 
     def cast(self, target: SQLType) -> "Column":
         """Vectorised cast to ``target``; NULLs stay NULL."""
@@ -301,7 +311,12 @@ class ColumnBatch:
 
     def rows(self) -> Iterator[tuple[object, ...]]:
         """Iterate rows as Python tuples (slow path: results, tests)."""
-        cols = list(self.columns.values())
+        # Plain views: an encoded column decodes once here, not behind
+        # a property call per cell.
+        cols = [
+            Column(c.values, c.sql_type, c.valid)
+            for c in self.columns.values()
+        ]
         for i in range(self._length):
             yield tuple(c.value_at(i) for c in cols)
 

@@ -187,6 +187,30 @@ class DictionaryColumn(EncodedColumn):
             dict_nbytes=self._dict_bytes,
         )
 
+    def _concat_encoded(
+        self, parts: Sequence[Column]
+    ) -> Optional["DictionaryColumn"]:
+        """Parts that share this column's dictionary *object* (slices,
+        gathers and filters of one stored column) stay codes."""
+        dictionary = self.dictionary
+        for part in parts:
+            if (
+                not isinstance(part, DictionaryColumn)
+                or part.dictionary is not dictionary
+            ):
+                return None
+        if all(p.valid is None for p in parts):
+            valid = None
+        else:
+            valid = np.concatenate([p.validity() for p in parts])
+        return DictionaryColumn(
+            np.concatenate([p.codes for p in parts]),
+            dictionary,
+            self.sql_type,
+            valid,
+            dict_nbytes=self._dict_bytes,
+        )
+
     def zone_map(self):
         """A *code-space* zone map: min/max are dictionary codes, not
         values. Because the dictionary is sorted this is order-faithful;

@@ -104,6 +104,13 @@ SHAPES = {
         "FROM iterate",
         False,
     ),
+    # ``e`` and ``d`` meet only through the working table in the FROM
+    # list; the optimizer joins them to each other first.
+    "two_invariant_tables_joined_through_the_working_table": (
+        "SELECT i.k, i.x + e.v + d.w AS x, i.it + 1 AS it "
+        "FROM iterate i, t e, u d WHERE i.k = e.k AND e.k = d.k",
+        True,
+    ),
     # ``o`` reads the *outer* working table: invariant for the inner
     # loop only. ``m`` is invariant for both and belongs to the outer.
     "nested_iterate_reading_outer_working_table": (
@@ -222,6 +229,154 @@ def test_pagerank_invariants_run_once(sql_of, working):
     assert analyzed.counters["exec_loop_invariant_materialized_total"] == 2
     assert analyzed.counters["exec_loop_invariant_reused_total"] > 0
     assert "exec_loop_invariant_reused_total" in analyzed.format()
+
+
+def joined_to_working_table(analyzed) -> list:
+    """The other input of every hash join that reads a working table."""
+    return [
+        sibling
+        for node in analyzed.operators()
+        if node.label.startswith("HashJoin(")
+        for child, sibling in (node.children, node.children[::-1])
+        if child.label.startswith("WorkingTable(")
+    ]
+
+
+@pytest.mark.parametrize(
+    "sql_of", [pagerank_iterate_sql, pagerank_recursive_sql]
+)
+def test_pagerank_joins_edges_to_deg_once(sql_of):
+    """``FROM iterate r, edges e, deg dg`` binds to (r JOIN e) JOIN dg —
+    two 20,000-row probes a round. Re-associated, ``e JOIN dg`` is one
+    invariant subtree and the round is left with one join."""
+    rounds = 7
+    analyzed = graph_db().explain_analyze(sql_of("edges", 0.85, rounds))
+    (hoisted,) = joined_to_working_table(analyzed)
+    assert hoisted.label.startswith("LoopInvariant(")
+    (once,) = hoisted.children
+    assert once.label.startswith("HashJoin(") and once.calls == 1
+    assert once.children[0].label == "Scan(edges)"
+    assert "HashAggregate(keys=1, aggs=1)" in {  # deg
+        n.label for n in once.children[1].walk()
+    }
+    per_round = [
+        n for n in analyzed.operators()
+        if n.label.startswith("HashJoin(") and n.calls >= rounds
+    ]
+    assert len(per_round) == 1
+    assert {c.label.split("(")[0] for c in per_round[0].children} == {
+        "LoopInvariant", "WorkingTable",
+    }
+
+
+#: FROM lists whose left-deep join tree must stay as bound.
+NOT_REASSOCIATED = {
+    "second_predicate_touches_the_working_table":
+        "FROM iterate i, t e, u d WHERE i.k = e.k AND i.k = d.k",
+    "volatile_side":
+        "FROM iterate i, t e, (SELECT k, tick(w) AS w FROM u) d "
+        "WHERE i.k = e.k AND e.k = d.k",
+    "left_join":
+        "FROM iterate i JOIN t e ON i.k = e.k LEFT JOIN u d ON e.k = d.k",
+    "residual_only_no_equi_key":
+        "FROM iterate i, t e, u d WHERE i.k = e.k AND e.k < d.k",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REASSOCIATED))
+def test_join_order_is_kept_when_the_rule_does_not_apply(case):
+    db = seeded_db(1)
+    db.create_function("tick", lambda w: w, "INTEGER")
+    step = (
+        "SELECT i.k, i.x + coalesce(d.w, 0) AS x, i.it + 1 AS it "
+        + NOT_REASSOCIATED[case]
+    )
+    expected = drive_iterate(db, INIT, step, STOP)
+    analyzed = db.explain_analyze(iterate_sql(INIT, step, STOP))
+    assert sorted(analyzed.result.rows) == expected
+    assert [n.label for n in joined_to_working_table(analyzed)] == [
+        "Scan(t)"
+    ]
+
+
+def test_correlated_parameter_or_a_growing_join_pins_the_order():
+    """Subquery plans are not optimized today, so this case cannot be
+    reached through SQL: the rule is handed ``(w JOIN e) JOIN d`` with a
+    correlated parameter in ``d``'s filter, and with a constant."""
+    from repro.expr import bound as b
+    from repro.plan import logical as lp
+    from repro.plan.cardinality import CardinalityEstimator
+    from repro.plan.rules import reassociate_invariant_joins
+    from repro.types import BOOLEAN, INTEGER
+
+    def relation(alias):
+        return [lp.PlanColumn("k", f"{alias}.k", INTEGER)]
+
+    def ref(alias):
+        return b.BoundColumnRef(f"{alias}.k", INTEGER)
+
+    def body(bound):
+        w, e, d = relation("w"), relation("e"), relation("d")
+        through_w = lp.LogicalJoin(
+            "inner", lp.LogicalWorkingTableRef("loop", w),
+            lp.LogicalScan("t", e), [(ref("w"), ref("e"))], None, w + e,
+        )
+        filtered = lp.LogicalFilter(
+            lp.LogicalScan("u", d),
+            b.BoundBinary(">", ref("d"), bound, BOOLEAN),
+        )
+        return lp.LogicalJoin(
+            "inner", through_w, filtered, [(ref("e"), ref("d"))], None,
+            w + e + d,
+        )
+
+    estimator = CardinalityEstimator(lambda name: 10)
+    moved = reassociate_invariant_joins(
+        body(b.BoundLiteral(0, INTEGER)), "loop", estimator
+    )
+    assert isinstance(moved.left, lp.LogicalWorkingTableRef)
+    assert isinstance(moved.right, lp.LogicalJoin)
+    pinned = reassociate_invariant_joins(
+        body(b.BoundParam("outer.v", INTEGER)), "loop", estimator
+    )
+    assert isinstance(pinned.left, lp.LogicalJoin)
+    assert isinstance(pinned.right, lp.LogicalFilter)
+    # A statement parameter is a constant of the execution.
+    moved = reassociate_invariant_joins(
+        body(b.BoundParam("?0", INTEGER)), "loop", estimator
+    )
+    assert isinstance(moved.right, lp.LogicalJoin)
+    # ``e JOIN d`` expected to outgrow the ``w JOIN e`` it would replace.
+    big_d = CardinalityEstimator({"t": 10, "u": 10**6}.__getitem__)
+    kept = reassociate_invariant_joins(
+        body(b.BoundLiteral(0, INTEGER)), "loop", big_d
+    )
+    assert isinstance(kept.left, lp.LogicalJoin)
+
+
+def test_joins_outside_a_loop_body_keep_their_order():
+    """Same FROM list, no loop: nothing is invariant *in* anything, and
+    the left-deep tree the binder built is what runs."""
+    from repro.plan import logical as lp
+    from repro.sql.parser import parse_statement
+
+    db = seeded_db(3)
+    txn = db.txns.begin()
+    try:
+        plan = db.pipeline.plan_select(
+            parse_statement(
+                "SELECT i.k, e.v + d.w FROM (SELECT k FROM t WHERE v > 0) i, "
+                "t e, u d WHERE i.k = e.k AND e.k = d.k"
+            ),
+            txn,
+        )
+    finally:
+        txn.rollback()
+    top, below = (
+        n for n in lp.walk_plan(plan) if isinstance(n, lp.LogicalJoin)
+    )
+    (last,) = (c for c in top.children() if c is not below)
+    assert isinstance(last, lp.LogicalScan) and last.table_name == "u"
 
 
 def test_operator_tree_is_freed_without_the_cycle_collector():
