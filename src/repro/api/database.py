@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,9 +34,7 @@ from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.encoding import column_encoding_of, column_raw_nbytes
 from ..storage.schema import TableSchema
-from ..storage.table import TableData
 from ..txn.checkpoint import (
-    capture_catalog,
     load_snapshot,
     restore_into,
     snapshot_path,
@@ -55,6 +54,22 @@ def _setting(field: str) -> property:
         lambda self: getattr(self.config, field),
         doc=f"``db.config.{field}`` (read-only).",
     )
+
+
+def _weakly(method) -> Callable:
+    """``method`` as a callback that does not keep its object alive. The
+    parts of a database that call back into it hold these, so that a
+    dropped :class:`Database` is freed — tables and all — when its last
+    reference goes, not whenever the cyclic collector next runs (which
+    counts objects, and a recovered catalog is a few large buffers)."""
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        target = ref()
+        if target is not None:
+            target(*args)
+
+    return call
 
 
 class Database:
@@ -147,7 +162,7 @@ class Database:
         )
         #: The engine-wide statement pipeline (stages, plan cache).
         self.pipeline = StatementPipeline(self)
-        self.pool.on_worker_crash = self.pipeline.on_worker_crash
+        self.pool.on_worker_crash = _weakly(self.pipeline.on_worker_crash)
         #: The session ``db.execute`` / ``db.begin`` / ... run on.
         self.default_session = Session(self.pipeline)
         #: Telemetry of the most recent durable open (``None`` for a
@@ -166,7 +181,7 @@ class Database:
                     error=exc if isinstance(exc, Exception) else None,
                 )
                 raise
-            self.txns.after_commit = self._maybe_checkpoint
+            self.txns.after_commit = _weakly(self._maybe_checkpoint)
 
     # -- settings, as read-only views of ``config`` ----------------------
 
@@ -208,6 +223,7 @@ class Database:
                 tables_restored = restore_into(self.txns, snapshot)
                 min_seq = int(snapshot.get("wal_seq", 0))
                 wal.ensure_seq(min_seq)
+            restored = time.perf_counter()
             replay = wal.replay_stats(self.txns, min_seq=min_seq)
         except BaseException:
             wal.close()
@@ -238,6 +254,10 @@ class Database:
             "transactions_replayed": replay["transactions"],
             "incomplete_transactions": replay["incomplete_transactions"],
             "duration_seconds": duration,
+            # Snapshot load + restore + opening the log, then the
+            # replay of the log's suffix.
+            "snapshot_seconds": restored - started,
+            "replay_seconds": duration - (restored - started),
         }
 
     def checkpoint(self) -> dict:
@@ -256,13 +276,12 @@ class Database:
                 "checkpoint requires a file-backed WAL "
                 "(Database(wal_path=...))"
             )
+        started = time.perf_counter()
         with self.txns._lock:
             ts = self.catalog.current_ts
             seq = wal.last_seq
-            tables = capture_catalog(self.catalog, ts)
-            snapshot_bytes = write_snapshot(
-                snapshot_path(wal.path),
-                {"wal_seq": seq, "commit_ts": ts, "tables": tables},
+            written = write_snapshot(
+                snapshot_path(wal.path), self.catalog, ts, seq
             )
             wal.truncate_through(seq)
         self.metrics.counter("wal_checkpoints_total").inc()
@@ -270,9 +289,10 @@ class Database:
         self.last_checkpoint = {
             "wal_seq": seq,
             "commit_ts": ts,
-            "tables": len(tables),
-            "snapshot_bytes": snapshot_bytes,
+            "tables": len(written["tables"]),
+            "snapshot_bytes": written["bytes"],
             "wal_bytes_after": wal.size_bytes(),
+            "duration_seconds": time.perf_counter() - started,
         }
         return self.last_checkpoint
 
@@ -559,11 +579,10 @@ class Database:
     ) -> int:
         """Bulk-load numpy columns directly into a table (zero-copy
         where dtypes already match). Column names must cover the schema.
-        Note: this fast path bypasses the WAL."""
+        On a durable database the batch is logged as one binary column
+        chunk, like any other append."""
         with self.default_session.autocommit() as txn:
-            current = txn.read(table)
-            schema = current.schema
-            cols = []
+            schema = txn.schema_of(table)
             for col_schema in schema:
                 if col_schema.name not in columns:
                     raise CatalogError(
@@ -573,15 +592,14 @@ class Database:
             lengths = {len(v) for v in columns.values()}
             if len(lengths) != 1:
                 raise CatalogError("load_columns: ragged input")
+            cols = []
             for col_schema in schema:
                 values = np.asarray(columns[col_schema.name])
                 target = col_schema.sql_type.numpy_dtype()
                 if values.dtype != target:
                     values = values.astype(target)
                 cols.append(Column(values, col_schema.sql_type))
-            addition = TableData(schema, cols)
-            txn.write(table, current.append_data(addition))
-            return addition.row_count
+            return txn.append_columns(table, cols)
 
 
 def connect(wal_path: Optional[str] = None, **kwargs) -> Database:

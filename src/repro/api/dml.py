@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BindError, CatalogError, ReproError
+from ..errors import BindError, ReproError
 from ..exec.scan import ValuesOp
 from ..expr.compiler import truth_mask
 from ..plan.logical import PlanColumn
@@ -19,7 +19,7 @@ from ..storage.column import Column, ColumnBatch
 from ..storage.schema import ColumnSchema, TableSchema
 from ..storage.table import TableData
 from ..txn.manager import Transaction
-from ..types import INTEGER, coerce_scalar, type_from_name
+from ..types import INTEGER, SQLType, TypeKind, type_from_name
 from .result import QueryResult
 
 
@@ -37,7 +37,9 @@ def run_create(
         txn.create_table(
             statement.name, schema, statement.if_not_exists
         )
-        txn.insert_rows(statement.name, inner.rows)
+        _append(
+            txn, statement.name, range(len(schema)), inner.output_columns()
+        )
         return QueryResult.statement(len(inner))
     columns = []
     for col in statement.columns:
@@ -50,41 +52,101 @@ def run_create(
     return QueryResult.statement(0)
 
 
+def _assign(column: Column, target: SQLType) -> Column:
+    """A query's output column as values of a table column of type
+    ``target`` (INSERT ... SELECT, CTAS): :meth:`Column.cast`, plus
+    the check per-value coercion used to make — a NaN, an infinity or
+    a number outside the integer type's range is an error, not a
+    wrapped integer."""
+    if column.sql_type.kind is target.kind:
+        return column
+    if (
+        column.sql_type.kind is TypeKind.BOOLEAN
+        and target.kind is TypeKind.VARCHAR
+    ):
+        # What INSERT ... VALUES stores for a boolean, not CAST's 'true'.
+        words = np.array(["False", "True"], dtype=object)
+        values = words[column.values.astype(np.intp)]
+        return Column(values, target, column.valid)
+    dtype = target.numpy_dtype()
+    if dtype.kind == "i" and column.sql_type.is_numeric:
+        live = column.values
+        if column.valid is not None:
+            live = live[column.valid]
+        if live.size:
+            bounds = np.iinfo(dtype)
+            inside = (live > bounds.min - 1.0) & (live < bounds.max + 1.0)
+            if not inside.all():
+                raise BindError(
+                    f"cannot coerce {live[~inside][0].item()!r} to {target}"
+                )
+    return column.cast(target)
+
+
+def _append(txn: Transaction, table: str, positions, columns) -> int:
+    """Append rows: ``columns`` go to the schema ordinals in
+    ``positions`` (coerced to their types), every other column is
+    NULL."""
+    schema = txn.schema_of(table)
+    if len(columns) != len(positions):
+        raise BindError(
+            f"INSERT expects {len(positions)} values, got {len(columns)}"
+        )
+    n = len(columns[0]) if columns else 0
+    given = dict(zip(positions, columns))
+    return txn.append_columns(
+        table,
+        [
+            _assign(given[i], col.sql_type)
+            if i in given
+            else Column.all_null(n, col.sql_type)
+            for i, col in enumerate(schema)
+        ],
+    )
+
+
+def _target_positions(txn: Transaction, statement: ast.Insert) -> list[int]:
+    schema = txn.schema_of(statement.table)
+    return [
+        schema.index_of(name)
+        for name in statement.columns or schema.names()
+    ]
+
+
 def run_insert(
     pipe, running, statement: ast.Insert, txn: Transaction
 ) -> QueryResult:
-    schema = txn.schema_of(statement.table)
-    target_columns = statement.columns or schema.names()
-    positions = [schema.index_of(name) for name in target_columns]
-
+    positions = _target_positions(txn, statement)
     if statement.query is not None:
         inner = pipe.run_select(statement.query, txn, running)
-        source_rows = inner.rows
-    else:
-        assert statement.rows is not None
-        source_rows = _evaluate_value_rows(
-            pipe, running, statement.rows, txn
+        return QueryResult.statement(
+            _append(txn, statement.table, positions, inner.output_columns())
         )
+    assert statement.rows is not None
+    rows = _evaluate_value_rows(pipe, running, statement.rows, txn)
+    return QueryResult.statement(
+        _append_cells(txn, statement.table, positions, rows)
+    )
 
-    width = len(schema)
-    rows_out = []
-    for row in source_rows:
+
+def _append_cells(
+    txn: Transaction, table: str, positions: list[int], rows: list
+) -> int:
+    """Append Python value rows whose cells go to ``positions``."""
+    for row in rows:
         if len(row) != len(positions):
             raise BindError(
                 f"INSERT expects {len(positions)} values, got "
                 f"{len(row)}"
             )
-        full: list[object] = [None] * width
-        for pos, value in zip(positions, row):
-            col_schema = schema.columns[pos]
-            full[pos] = (
-                None
-                if value is None
-                else coerce_scalar(value, col_schema.sql_type)
-            )
-        rows_out.append(tuple(full))
-    count = txn.insert_rows(statement.table, rows_out)
-    return QueryResult.statement(count)
+    schema = txn.schema_of(table)
+    columns = [
+        Column.from_values(
+            [row[k] for row in rows], schema.columns[pos].sql_type
+        )
+        for k, pos in enumerate(positions)
+    ]
+    return _append(txn, table, positions, columns)
 
 
 def _evaluate_value_rows(
@@ -123,6 +185,19 @@ def _table_as_batch(
     return batch, columns
 
 
+def _matching_positions(binder, ctx, where, batch, columns) -> np.ndarray:
+    """Row numbers of the table (as ``batch``) a statement's WHERE
+    keeps — all of them without one."""
+    if where is None:
+        return np.arange(len(batch))
+    predicate = binder.bind_standalone(where, columns)
+    return np.flatnonzero(
+        truth_mask(
+            ctx.compiler.compile(predicate)(batch, ctx.new_eval_context())
+        )
+    )
+
+
 def run_update(
     pipe, running, statement: ast.Update, txn: Transaction
 ) -> QueryResult:
@@ -130,45 +205,21 @@ def run_update(
     batch, columns = _table_as_batch(data)
     binder = pipe.binder(txn)
     ctx = pipe.exec_context(txn, running)
+    positions = _matching_positions(
+        binder, ctx, statement.where, batch, columns
+    )
     eval_ctx = ctx.new_eval_context()
-
-    if statement.where is not None:
-        predicate = binder.bind_standalone(statement.where, columns)
-        mask = truth_mask(
-            ctx.compiler.compile(predicate)(batch, eval_ctx)
-        )
-    else:
-        mask = np.ones(data.row_count, dtype=np.bool_)
-
     replacements: dict[int, Column] = {}
     for col_name, expr in statement.assignments:
         ordinal = data.schema.index_of(col_name)
-        target_schema = data.schema.columns[ordinal]
         bound = binder.bind_standalone(expr, columns)
         new_col = ctx.compiler.compile(bound)(batch, eval_ctx)
-        new_col = new_col.cast(target_schema.sql_type)
-        old_col = data.columns[ordinal]
-        merged_values = np.where(mask, new_col.values, old_col.values)
-        if data.schema.columns[ordinal].sql_type.numpy_dtype() == object:
-            merged_values = merged_values.astype(object)
-        else:
-            merged_values = merged_values.astype(
-                target_schema.sql_type.numpy_dtype()
-            )
-        merged_valid = np.where(
-            mask, new_col.validity(), old_col.validity()
-        )
-        if target_schema.not_null and not merged_valid.all():
-            raise CatalogError(
-                f"NULL in NOT NULL column {col_name!r}"
-            )
-        replacements[ordinal] = Column(
-            merged_values, target_schema.sql_type, merged_valid
-        )
-    new_data = data.replace_columns(replacements)
-    txn.write(statement.table, new_data)
-    _log_replace(pipe, txn, statement.table, new_data)
-    updated = int(mask.sum())
+        new_col = new_col.take(positions)
+        target = data.schema.columns[ordinal].sql_type
+        if new_col.sql_type.kind is not target.kind:
+            new_col = new_col.cast(target)
+        replacements[ordinal] = new_col
+    updated = txn.update_rows(statement.table, positions, replacements)
     pipe.metrics.counter("storage_rows_updated_total").inc(updated)
     return QueryResult.statement(updated)
 
@@ -178,33 +229,15 @@ def run_delete(
 ) -> QueryResult:
     data = txn.read(statement.table)
     batch, columns = _table_as_batch(data)
-    if statement.where is None:
-        keep = np.zeros(data.row_count, dtype=np.bool_)
-    else:
-        binder = pipe.binder(txn)
-        ctx = pipe.exec_context(txn, running)
-        predicate = binder.bind_standalone(statement.where, columns)
-        mask = truth_mask(
-            ctx.compiler.compile(predicate)(
-                batch, ctx.new_eval_context()
-            )
-        )
-        keep = ~mask
-    deleted = int(data.row_count - keep.sum())
-    new_data = data.delete_where(keep)
-    txn.write(statement.table, new_data)
-    _log_replace(pipe, txn, statement.table, new_data)
+    deleted = txn.delete_rows(
+        statement.table,
+        _matching_positions(
+            pipe.binder(txn), pipe.exec_context(txn, running),
+            statement.where, batch, columns,
+        ),
+    )
     pipe.metrics.counter("storage_rows_deleted_total").inc(deleted)
     return QueryResult.statement(deleted)
-
-
-def _log_replace(
-    pipe, txn: Transaction, table: str, data: TableData
-) -> None:
-    """Record a whole-table replacement in the WAL (UPDATE/DELETE)."""
-    if pipe.txns.wal is None:
-        return
-    txn._log.append(("replace", table.lower(), list(data.rows())))
 
 
 def bulk_insert_template(sql: str, first_row: tuple):
@@ -235,38 +268,28 @@ def bulk_insert_template(sql: str, first_row: tuple):
 def bulk_insert(
     statement: ast.Insert, rows: list[tuple], txn: Transaction
 ) -> int:
-    """Coerce every parameter tuple against the schema and install
-    them all with a single ``insert_rows``."""
+    """Install every parameter tuple with a single append: each target
+    column's cells are gathered (placeholders from the tuples, literals
+    from the statement) and converted as one column."""
     n_params = len(rows[0])
-    schema = txn.schema_of(statement.table)
-    target_columns = statement.columns or schema.names()
-    positions = [schema.index_of(name) for name in target_columns]
-    width = len(schema)
-    types = [schema.columns[pos].sql_type for pos in positions]
-    rows_out = []
     for params in rows:
         if len(params) != n_params:
             raise BindError(
                 f"executemany row has {len(params)} "
                 f"parameters, expected {n_params}"
             )
-        for template in statement.rows:
-            if len(template) != len(positions):
-                raise BindError(
-                    f"INSERT expects {len(positions)} "
-                    f"values, got {len(template)}"
-                )
-            full: list[object] = [None] * width
-            for pos, sql_type, cell in zip(positions, types, template):
-                value = (
-                    params[cell.index]
-                    if isinstance(cell, ast.Placeholder)
-                    else cell.value
-                )
-                full[pos] = (
-                    None
-                    if value is None
-                    else coerce_scalar(value, sql_type)
-                )
-            rows_out.append(tuple(full))
-    return txn.insert_rows(statement.table, rows_out)
+    return _append_cells(
+        txn,
+        statement.table,
+        _target_positions(txn, statement),
+        [
+            [
+                params[cell.index]
+                if isinstance(cell, ast.Placeholder)
+                else cell.value
+                for cell in template
+            ]
+            for params in rows
+            for template in statement.rows
+        ],
+    )

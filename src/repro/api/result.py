@@ -109,6 +109,13 @@ class QueryResult:
                 return self._batch[slot]
         raise KeyError(name)
 
+    def output_columns(self) -> list[Column]:
+        """The result's columns in output order (numpy-backed; what
+        INSERT ... SELECT and CREATE TABLE AS append)."""
+        if self._batch is None:
+            return []
+        return [self._batch[slot] for slot in self._slots]
+
     def to_csv(self, path_or_buffer, delimiter: str = ",") -> int:
         """Write the result as CSV; returns the data-row count."""
         from .csv_io import result_to_csv

@@ -136,6 +136,13 @@ class WalCorruptionError(TransactionError):
         self.info = info or {}
 
 
+class ChunkError(ReproError):
+    """A binary column chunk (:mod:`repro.storage.chunk`) is truncated,
+    fails its checksum or does not describe the columns it claims to.
+    The WAL and the checkpoint reader turn it into
+    :class:`WalCorruptionError`."""
+
+
 class UDFError(ReproError):
     """Raised when a user-defined function misbehaves: wrong arity,
     unregistered name, or an exception escaping the UDF body."""

@@ -122,10 +122,19 @@ class Catalog:
         with self._lock:
             return self.table(name).latest_commit_ts()
 
-    def vacuum(self, oldest_active_ts: int) -> int:
+    def vacuum(
+        self, oldest_active_ts: int, names: Iterable[str] | None = None
+    ) -> int:
         """Drop versions invisible to every snapshot at or newer than
-        ``oldest_active_ts``. Returns the number of versions freed."""
+        ``oldest_active_ts`` — of every table, or of ``names`` only (a
+        commit prunes the tables it wrote). Returns the number of
+        versions freed."""
         with self._lock:
+            if names is not None:
+                return sum(
+                    self._tables[name].truncate_history(oldest_active_ts)
+                    for name in names
+                )
             freed = 0
             for table in self._tables.values():
                 freed += table.truncate_history(oldest_active_ts)

@@ -20,6 +20,20 @@ from ..errors import ExecutionError
 from ..types import SQLType, TypeKind, coerce_scalar
 
 
+#: Python types whose values ``np.asarray`` converts to a SQL type's
+#: dtype exactly as per-cell ``coerce_scalar`` would (bool is not int
+#: here: ``type(True)`` is ``bool``).
+_NATIVE = {
+    TypeKind.BOOLEAN: (bool,),
+    TypeKind.INTEGER: (int,),
+    TypeKind.BIGINT: (int,),
+    TypeKind.DATE: (int,),
+    TypeKind.DOUBLE: (float, int),
+    TypeKind.VARCHAR: (str,),
+    TypeKind.NULL: (),
+}
+
+
 class Column:
     """An immutable typed vector of values with NULL tracking.
 
@@ -69,11 +83,17 @@ class Column:
         cls, values: Iterable[object], sql_type: SQLType
     ) -> "Column":
         """Build a column from arbitrary Python values, coercing each to
-        ``sql_type`` and tracking NULLs. The slow path; used by INSERT,
-        literals, and tests — not by the vectorised execution engine."""
+        ``sql_type`` and tracking NULLs — the one place Python rows
+        become columns (INSERT ... VALUES, ``insert_rows``, CSV import,
+        literals). Values that are all of the one Python type the SQL
+        type stores natively (so: no ``None``) convert as one array;
+        anything else is coerced cell by cell, with the same errors."""
         items = list(values)
         n = len(items)
         dtype = sql_type.numpy_dtype()
+        kinds = set(map(type, items))
+        if len(kinds) == 1 and kinds.pop() in _NATIVE[sql_type.kind]:
+            return cls(np.asarray(items, dtype=dtype), sql_type)
         out = np.zeros(n, dtype=dtype)
         valid = np.ones(n, dtype=np.bool_)
         for i, item in enumerate(items):

@@ -35,10 +35,14 @@ Selection policy (:func:`encode_column`):
   twin checks).
 
 The policy is a property of the session (``Database(encoding=...)`` or
-``REPRO_ENCODING``) and is applied inside ``Transaction.write`` — the
-single choke point every INSERT/UPDATE/DELETE/CTAS/WAL-replay funnels
-through — so encoded state survives DML and rollback for free (table
-versions are immutable; rollback just drops the staged version).
+``REPRO_ENCODING``) and is applied where a transaction stages a table
+version — the single choke point every INSERT/UPDATE/DELETE/CTAS/
+WAL-replay funnels through — so encoded state survives DML and
+rollback for free (table versions are immutable; rollback just drops
+the staged version). What reaches it is a dictionary column or plain
+values (:func:`stored_form`), so under ``auto`` the layout of a stored
+column follows from its values, not from the statements that produced
+them.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class DictionaryColumn(EncodedColumn):
     Invariants (checked by ``tests/test_encoding.py``): the dictionary
     is sorted, free of duplicates and of NULL, and — on committed table
     versions — every entry is referenced by at least one valid row
-    (:func:`compact_dictionary` runs at every ``Transaction.write``).
+    (:func:`compact_dictionary` runs whenever a version is staged).
     """
 
     __slots__ = ("codes", "dictionary", "_dict_bytes")
@@ -612,11 +616,87 @@ def compact_dictionary(column: DictionaryColumn) -> Column:
     )
 
 
+def plain_values(column: Column) -> np.ndarray:
+    """The dense value array of ``column``. Unlike ``column.values`` it
+    does not cache the decode on an encoded column, so serialising or
+    rewriting a *stored* column does not pin a second copy of it."""
+    if isinstance(column, EncodedColumn):
+        return column._decode()
+    return column.values
+
+
+def stored_form(column: Column, sql_type: SQLType) -> Column:
+    """``column`` as the write path stages and logs it for a table
+    column of type ``sql_type`` (same kind): a dictionary column keeps
+    its codes, anything else becomes plain values of the stored dtype,
+    so the layout ``encode_column`` then picks depends on the values
+    alone and a replayed or recovered table gets the same one."""
+    if isinstance(column, DictionaryColumn):
+        if column.sql_type == sql_type:
+            return column
+        return DictionaryColumn(
+            column.codes, column.dictionary, sql_type, column.valid,
+            dict_nbytes=column._dict_bytes,
+        )
+    values = plain_values(column)
+    dtype = sql_type.numpy_dtype()
+    if values.dtype != dtype:
+        values = values.astype(dtype)
+    return Column(values, sql_type, column.valid)
+
+
+def merge_dictionary(
+    mine: DictionaryColumn, addition: Column
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dictionary, codes of mine, codes of addition)`` under one
+    sorted dictionary holding the words of both columns.
+
+    Only ``addition`` is encoded — against ``mine.dictionary``, which is
+    returned as the same object when it already holds every word; new
+    words cost one merge and one integer remap of ``mine.codes``. For
+    the write path only (append and UPDATE of a stored dictionary
+    column): :meth:`Column.concat` keeps its read-side contract and
+    decodes parts whose dictionaries differ."""
+    if isinstance(addition, DictionaryColumn):
+        words, add_codes = addition.dictionary, addition.codes
+    else:
+        values, valid = addition.values, addition.valid
+        words, inverse = np.unique(
+            values if valid is None else values[valid],
+            return_inverse=True,
+        )
+        add_codes = np.zeros(len(addition), dtype=np.int32)
+        add_codes[slice(None) if valid is None else valid] = inverse
+    dictionary = mine.dictionary
+    if words is dictionary or len(words) == 0:
+        return dictionary, mine.codes, add_codes
+    if len(dictionary):
+        at = np.searchsorted(dictionary, words)
+        known = dictionary[np.minimum(at, len(dictionary) - 1)] == words
+        if bool(known.all()):
+            return dictionary, mine.codes, at.astype(np.int32)[add_codes]
+    merged = np.union1d(dictionary, words)
+    remap = np.searchsorted(merged, dictionary).astype(np.int32)
+    return (
+        merged,
+        remap[mine.codes] if len(remap) else mine.codes,
+        np.searchsorted(merged, words).astype(np.int32)[add_codes],
+    )
+
+
 def decode_column(column: Column) -> Column:
     """The raw physical form of a (possibly encoded) column."""
     if not isinstance(column, EncodedColumn):
         return column
     return Column(column.values, column.sql_type, column.valid)
+
+
+def _auto_dictionary(column: DictionaryColumn) -> bool:
+    """Whether ``auto`` stores these values as a dictionary column."""
+    n = len(column)
+    return n >= _AUTO_MIN_ROWS and len(column.dictionary) <= max(
+        1, (3 * n) // 4
+    )
 
 
 def encode_column(column: Column, policy: str = "auto") -> Column:
@@ -630,7 +710,15 @@ def encode_column(column: Column, policy: str = "auto") -> Column:
         return decode_column(column)
     if isinstance(column, DictionaryColumn):
         if policy in ("auto", "dict"):
-            return compact_dictionary(column)
+            column = compact_dictionary(column)
+        if (
+            policy == "auto"
+            and isinstance(column, DictionaryColumn)
+            and not _auto_dictionary(column)
+        ):
+            # Extended or updated past the point where a dictionary
+            # pays: store what a fresh encode of these values would.
+            return decode_column(column)
         return column
     if isinstance(column, EncodedColumn):
         return column
@@ -645,8 +733,7 @@ def encode_column(column: Column, policy: str = "auto") -> Column:
         ):
             encoded = dictionary_encode(column)
             if encoded is not None and (
-                policy == "dict"
-                or len(encoded.dictionary) <= max(1, (3 * n) // 4)
+                policy == "dict" or _auto_dictionary(encoded)
             ):
                 return encoded
         return column

@@ -73,5 +73,17 @@ class TableSchema:
     def column(self, name: str) -> ColumnSchema:
         return self.columns[self.index_of(name)]
 
+    def check_not_null(self, columns, ordinals=None) -> None:
+        """Raise CatalogError if one of ``columns`` — the schema's
+        columns in order, or those at ``ordinals`` — holds a NULL its
+        NOT NULL constraint forbids."""
+        if ordinals is None:
+            ordinals = range(len(self.columns))
+        for i, column in zip(ordinals, columns):
+            if self.columns[i].not_null and column.valid is not None:
+                raise CatalogError(
+                    f"NULL in NOT NULL column {self.columns[i].name!r}"
+                )
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.columns) + ")"

@@ -20,6 +20,12 @@ import numpy as np
 
 from ..errors import CatalogError, ExecutionError
 from .column import Column, ColumnBatch
+from .encoding import (
+    DictionaryColumn,
+    decode_column,
+    merge_dictionary,
+    plain_values,
+)
 from .schema import TableSchema
 
 #: Default number of rows per batch ("morsel") produced by table scans.
@@ -72,12 +78,12 @@ class TableData:
                 )
         cols = []
         for i, col_schema in enumerate(schema):
-            values = [r[i] for r in materialised]
-            if col_schema.not_null and any(v is None for v in values):
-                raise CatalogError(
-                    f"NULL in NOT NULL column {col_schema.name!r}"
+            cols.append(
+                Column.from_values(
+                    [r[i] for r in materialised], col_schema.sql_type
                 )
-            cols.append(Column.from_values(values, col_schema.sql_type))
+            )
+        schema.check_not_null(cols)
         return cls(schema, cols)
 
     @classmethod
@@ -124,39 +130,95 @@ class TableData:
         return self.append_data(addition)
 
     def append_data(self, other: "TableData") -> "TableData":
-        """A new version with another version's rows appended."""
+        """A new version with another version's rows appended. A stored
+        dictionary column is extended, not re-encoded: only the
+        addition is looked up in (or merged into) its dictionary."""
         if other.row_count == 0:
             return self
         if self.row_count == 0:
             return TableData(self.schema, other.columns)
         cols = [
-            Column.concat([mine, theirs])
+            _extend_dictionary(mine, theirs)
+            if isinstance(mine, DictionaryColumn)
+            else Column.concat([mine, theirs])
             for mine, theirs in zip(self.columns, other.columns)
         ]
         return TableData(self.schema, cols)
 
     def delete_where(self, keep_mask: np.ndarray) -> "TableData":
-        """A new version keeping only rows where ``keep_mask`` is True."""
+        """A new version keeping only rows where ``keep_mask`` is True.
+        Frame-of-reference columns come back as plain values, so the
+        layout they are stored in next follows from the surviving
+        values alone (dictionary columns keep their codes)."""
         if len(keep_mask) != self.row_count:
             raise ExecutionError("delete mask length mismatch")
+        kept = (c.filter(keep_mask) for c in self.columns)
         return TableData(
-            self.schema, [c.filter(keep_mask) for c in self.columns]
+            self.schema,
+            [
+                c if isinstance(c, DictionaryColumn) else decode_column(c)
+                for c in kept
+            ],
         )
 
-    def replace_columns(
-        self, replacements: dict[int, Column]
+    def update_rows(
+        self, positions: np.ndarray, replacements: dict[int, Column]
     ) -> "TableData":
-        """A new version with the given column ordinals replaced (UPDATE)."""
+        """A new version in which, for each column ordinal in
+        ``replacements``, the rows at ``positions`` take the values of
+        the replacement column (one value per position, already of the
+        column's type) — UPDATE."""
         cols = list(self.columns)
-        for i, col in replacements.items():
-            if len(col) != self.row_count:
+        for i, new in replacements.items():
+            if len(new) != len(positions):
                 raise ExecutionError("update column length mismatch")
-            cols[i] = col.cast(self.schema.columns[i].sql_type)
+            cols[i] = _scatter(cols[i], positions, new)
         return TableData(self.schema, cols)
 
     def rows(self) -> Iterator[tuple[object, ...]]:
         """Iterate rows as Python tuples (slow path)."""
         return self.to_batch().rows()
+
+
+def _merged_validity(old: Column, new: Column, merge) -> np.ndarray | None:
+    if old.valid is None and new.valid is None:
+        return None
+    return merge(old.validity(), new.validity())
+
+
+def _extend_dictionary(
+    mine: DictionaryColumn, addition: Column
+) -> DictionaryColumn:
+    dictionary, codes, added = merge_dictionary(mine, addition)
+    return DictionaryColumn(
+        np.concatenate([codes, added]),
+        dictionary,
+        mine.sql_type,
+        _merged_validity(mine, addition, lambda a, b: np.concatenate([a, b])),
+        dict_nbytes=(
+            mine._dict_bytes if dictionary is mine.dictionary else None
+        ),
+    )
+
+
+def _scatter(old: Column, positions: np.ndarray, new: Column) -> Column:
+    """``old`` with ``new``'s values written at ``positions``."""
+
+    def put(target, source):
+        target = np.array(target)
+        target[positions] = source
+        return target
+
+    valid = _merged_validity(old, new, put)
+    if isinstance(old, DictionaryColumn):
+        dictionary, codes, new_codes = merge_dictionary(old, new)
+        return DictionaryColumn(
+            put(codes, new_codes), dictionary, old.sql_type, valid,
+            dict_nbytes=(
+                old._dict_bytes if dictionary is old.dictionary else None
+            ),
+        )
+    return Column(put(plain_values(old), new.values), old.sql_type, valid)
 
 
 class Table:
@@ -218,7 +280,8 @@ class Table:
         for i, (commit_ts, _) in enumerate(self.versions):
             if commit_ts <= keep_after_ts:
                 idx = i
-        dropped = idx
-        if dropped:
-            del self.versions[:idx]
-        return dropped
+        if idx:
+            # Rebind, never shrink in place: a reader on another thread
+            # may be iterating the list it fetched.
+            self.versions = self.versions[idx:]
+        return idx

@@ -306,6 +306,7 @@ def run_crash_seed(seed: int, verbose: bool = False) -> list[str]:
     descriptions (empty = contract upheld)."""
     import repro
     from repro.errors import WalCorruptionError
+    from repro.txn.wal import describe
 
     failures: list[str] = []
     rng = random.Random(seed * 7919 + 13)
@@ -424,7 +425,8 @@ def run_crash_seed(seed: int, verbose: bool = False) -> list[str]:
             failures.append(
                 f"{label}: recovered state is not prefix-consistent "
                 f"(acked {acked}/{len(ops)}); "
-                f"last_recovery={db.last_recovery}"
+                f"last_recovery={db.last_recovery}; log:\n  "
+                + "\n  ".join(describe(wal_path))
             )
         elif corrupt_fault and match < len(ops) and kind == "corrupt_flip":
             # Data went missing: it must have been *signalled*.

@@ -17,13 +17,26 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import CatalogError, SerializationConflict, TransactionError
 from ..obs.metrics import MetricsRegistry
 from ..storage.catalog import Catalog
-from ..storage.encoding import encode_table_data
+from ..storage.column import Column
+from ..storage.encoding import encode_table_data, stored_form
 from ..storage.schema import TableSchema
 from ..storage.table import TableData
 from .wal import WriteAheadLog
+
+
+def _conform(column: Column, col_schema) -> Column:
+    """``column`` in the form a table column is staged and logged in."""
+    if column.sql_type.kind is not col_schema.sql_type.kind:
+        raise CatalogError(
+            f"column {col_schema.name!r} is {col_schema.sql_type}, "
+            f"got {column.sql_type} values"
+        )
+    return stored_form(column, col_schema.sql_type)
 
 
 class Transaction:
@@ -55,6 +68,7 @@ class Transaction:
         return self._manager.catalog.data(key, self.start_ts)
 
     def table_exists(self, name: str) -> bool:
+        self._check_active()
         key = name.lower()
         if key in self.dropped_tables:
             return False
@@ -66,6 +80,7 @@ class Transaction:
         return self.read(name).schema
 
     def visible_tables(self) -> list[str]:
+        self._check_active()
         names = set(self._manager.catalog.table_names(self.start_ts))
         names |= set(self.created_tables)
         names -= self.dropped_tables
@@ -100,37 +115,94 @@ class Transaction:
             self.dropped_tables.add(key)
         self._log.append(("drop_table", key))
 
-    def write(self, name: str, data: TableData) -> None:
-        """Stage a full new version of ``name`` (the engine computes the
-        new version from the visible one; this installs it in the write
-        set).
+    def _stage(self, key: str, data: TableData) -> None:
+        """Install a full new version of table ``key`` in the write set.
 
-        This is the one choke point every mutation funnels through
-        (INSERT/UPDATE/DELETE/CTAS/bulk load/WAL replay), so the
-        session's column-encoding policy is applied here: the staged
-        version is re-encoded before it can be read back or committed.
-        Rollback needs no special handling — versions are immutable and
-        an aborted transaction simply drops its staged ones."""
-        self._check_active()
-        key = name.lower()
-        if not self.table_exists(key):
-            raise CatalogError(f"no such table: {name!r}")
+        Every mutation funnels through here (by way of
+        :meth:`append_columns`, :meth:`delete_rows` and
+        :meth:`update_rows`, which also log the delta), so the session's
+        column-encoding policy is applied here: the staged version is
+        re-encoded before it can be read back or committed. Rollback
+        needs no special handling — versions are immutable and an
+        aborted transaction simply drops its staged ones."""
         self.write_set[key] = encode_table_data(
             data, self._manager.encoding
         )
 
+    def _writable(self, name: str) -> tuple[str, TableData]:
+        self._check_active()
+        return name.lower(), self.read(name)
+
+    def append_columns(self, name: str, columns: Sequence[Column]) -> int:
+        """Append a batch of rows given as one column per schema column,
+        already of the table's types; returns the number appended.
+
+        Like :meth:`delete_rows` and :meth:`update_rows` this stages
+        the new version *and* logs the delta that produced it, together
+        with the row count it was computed against; a batch, position
+        set or update that changes no row stages and logs nothing."""
+        key, current = self._writable(name)
+        schema = current.schema
+        if len(columns) != len(schema):
+            raise CatalogError(
+                f"{name!r} has {len(schema)} columns, got {len(columns)}"
+            )
+        addition = TableData(
+            schema, [_conform(c, s) for c, s in zip(columns, schema)]
+        )
+        schema.check_not_null(addition.columns)
+        if addition.row_count:
+            self._stage(key, current.append_data(addition))
+            self._log.append(
+                ("append", key, current.row_count, addition.columns)
+            )
+        self._manager.metrics.counter(
+            "storage_rows_inserted_total"
+        ).inc(addition.row_count)
+        return addition.row_count
+
     def insert_rows(
         self, name: str, rows: Iterable[Sequence[object]]
     ) -> int:
-        """Append rows to a table; returns the number inserted."""
-        materialised = [tuple(r) for r in rows]
-        current = self.read(name)
-        self.write(name, current.append_rows(materialised))
-        self._log.append(("insert", name.lower(), materialised))
-        self._manager.metrics.counter(
-            "storage_rows_inserted_total"
-        ).inc(len(materialised))
-        return len(materialised)
+        """Append Python rows to a table; returns the number inserted."""
+        addition = TableData.from_rows(self.schema_of(name), rows)
+        return self.append_columns(name, addition.columns)
+
+    def delete_rows(self, name: str, positions: np.ndarray) -> int:
+        """Delete the rows at ``positions`` (distinct row numbers of
+        the version this transaction sees); returns how many."""
+        key, current = self._writable(name)
+        if len(positions):
+            keep = np.ones(current.row_count, dtype=np.bool_)
+            keep[positions] = False
+            self._stage(key, current.delete_where(keep))
+            self._log.append(
+                ("delete", key, current.row_count, positions)
+            )
+        return len(positions)
+
+    def update_rows(
+        self,
+        name: str,
+        positions: np.ndarray,
+        replacements: dict[int, Column],
+    ) -> int:
+        """Give the rows at ``positions`` new values in the columns
+        whose ordinals key ``replacements`` (one value per position,
+        already of the column's type); returns how many rows."""
+        key, current = self._writable(name)
+        schema = current.schema
+        replacements = {
+            i: _conform(col, schema.columns[i])
+            for i, col in replacements.items()
+        }
+        schema.check_not_null(replacements.values(), replacements)
+        if len(positions) and replacements:
+            self._stage(key, current.update_rows(positions, replacements))
+            self._log.append(
+                ("update", key, current.row_count, positions, replacements)
+            )
+        return len(positions)
 
     # -- savepoints --------------------------------------------------------------
 
@@ -169,17 +241,26 @@ class Transaction:
         self._check_active()
         ts = self._manager.commit(self)
         self.status = "committed"
+        self._release()
         return ts
 
     def rollback(self) -> None:
         self._check_active()
         self._manager.metrics.counter("txn_rollbacks_total").inc()
         self._manager.finish(self)
+        self.status = "aborted"
+        self._release()
+
+    def _release(self) -> None:
+        """A finished transaction lets go of its staged versions and of
+        the engine. Whatever still refers to it (a binder's closures,
+        until the cyclic collector gets to them) then pins neither
+        superseded table versions nor a dropped database's catalog."""
         self.write_set.clear()
         self.created_tables.clear()
         self.dropped_tables.clear()
         self._log.clear()
-        self.status = "aborted"
+        self._manager = None
 
     def _check_active(self) -> None:
         if self.status != "active":
@@ -309,6 +390,20 @@ class TransactionManager:
                 ]
                 if updates:
                     ts = self.catalog.install(updates)
+                    # The versions this commit superseded go as soon as
+                    # no other snapshot can see them, or a stream of
+                    # point updates holds one table copy per statement.
+                    horizon = min(
+                        (
+                            other.start_ts
+                            for other in self._active.values()
+                            if other is not txn
+                        ),
+                        default=ts,
+                    )
+                    self.metrics.counter(
+                        "storage_versions_vacuumed_total"
+                    ).inc(self.catalog.vacuum(horizon, txn.write_set))
                 else:
                     ts = self.catalog.current_ts
                 self.metrics.counter("txn_commits_total").inc()

@@ -1,55 +1,70 @@
 """Write-ahead log: checksummed, length-prefixed, fsync-durable.
 
-Committed transactions append one logical record per operation
-(create/drop table, insert, whole-table replace) followed by a commit
-marker; all of a transaction's frames are written in one ``write`` and
-made durable with one ``fsync`` before the commit is acknowledged.
-Recovery replays complete transactions **atomically** (grouped by
-transaction id, one commit per original transaction) in commit order.
+Committed transactions append one record per operation (create/drop
+table, and the three *delta* kinds ``append``, ``delete``, ``update``)
+followed by a commit marker; all of a transaction's frames are written
+in one ``write`` and made durable with one ``fsync`` before the commit
+is acknowledged. Recovery replays complete transactions **atomically**
+(grouped by transaction id, one commit per original transaction) in
+commit order.
 
-The engine logs *logical* operations rather than physical page images
-because the storage layer is pure main-memory copy-on-write: replaying
-logical ops against an empty catalog deterministically reconstructs
-state. DELETE and UPDATE are logged as the full replacement row set of
-the table (simple and correct for a main-memory engine whose versions
-are already whole-table snapshots); ``Database.checkpoint()`` bounds
-the resulting log growth (docs/durability.md).
+A data record carries what changed, never the table: ``append`` holds
+the appended rows as one column chunk (:mod:`repro.storage.chunk`),
+``delete`` the positions of the deleted rows, ``update`` the positions,
+the ordinals of the assigned columns and a chunk of the new values.
+Positions only mean something against the table version they were
+computed from, so every data record also carries ``rows_before`` — the
+row count of that version — and replay raises
+:class:`~repro.errors.WalCorruptionError` rather than apply a delta to
+a table of any other size. ``Database.checkpoint()`` bounds the log
+(docs/durability.md).
 
 On-disk format
 --------------
 
 ::
 
-    file   := magic frame*
-    magic  := b"RPWALv2\\n"                      (8 bytes)
-    frame  := header payload
-    header := length:u32be crc32:u32be seq:u64be (16 bytes)
+    file    := magic frame*
+    magic   := b"RPWALv3\n"                      (8 bytes)
+    frame   := header payload
+    header  := length:u32be crc32:u32be seq:u64be (16 bytes)
+    payload := hlen:u32le head chunk?
 
-``length`` is the payload byte count, ``payload`` is one UTF-8 JSON
-document, ``seq`` is a per-record monotonically increasing sequence
-number (contiguous within one log file), and ``crc32`` covers the
-8-byte big-endian ``seq`` followed by the payload. The reader
-distinguishes two failure classes:
+``length`` is the payload byte count, ``seq`` is a per-record
+monotonically increasing sequence number (contiguous within one log
+file), and ``crc32`` covers the 8-byte big-endian ``seq`` followed by
+the payload. ``head`` is a small UTF-8 JSON object of ``hlen`` bytes
+(space-padded so the chunk after it starts on an 8-byte boundary of
+the payload): ``txn``, ``op`` and, by kind, ``name``, ``schema``,
+``rows_before``, ``rows``, ``ordinals``. The chunk is raw bytes; JSON
+never holds table contents. The reader distinguishes two failure
+classes:
 
 * **torn tail** — the final frame is incomplete (header or payload
   runs past end-of-file). This is the normal signature of a crash
   mid-append; the tail is truncated and the log continues.
 * **corruption** — a frame is *complete* but wrong: CRC mismatch,
-  undecodable payload, or a sequence-number break. This means bit rot
+  undecodable head, or a sequence-number break. This means bit rot
   or an overwrite, never a clean crash. In ``recovery="strict"`` mode
   it raises :class:`~repro.errors.WalCorruptionError`; in ``tolerant``
   mode the corrupt suffix is discarded and counted.
 
-A non-empty file that does not start with the magic is **not a repro
-WAL**: opening it raises :class:`~repro.errors.WalCorruptionError` in
-both recovery modes and leaves its bytes untouched — the log never
-truncates or appends to a file it did not write.
+A non-empty file that does not start with the magic is **not a log
+this engine wrote in this format**: opening it raises
+:class:`~repro.errors.WalCorruptionError` in both recovery modes and
+leaves its bytes untouched — the log never truncates or appends to a
+file it did not write. That includes logs of an earlier format version
+(``RPWALv2``): the message names the version, and there is no second
+reader.
 
 Durability of the file itself: the log keeps **one** append handle
 (``O_APPEND``) for its whole life, fsyncs it at every commit, and
 fsyncs the *parent directory* when the file is first created (and
 after every atomic rename), so a freshly created log cannot vanish
 across a crash.
+
+``python -m repro.txn.wal <path>`` prints one line per record (``seq
+txn op table rows bytes``) without touching the file.
 
 Fault-injection hooks (used by :mod:`repro.testing.crash`):
 ``REPRO_WAL_FSYNC_FAIL=N`` makes the Nth commit fsync raise (the log
@@ -62,23 +77,34 @@ frame behind.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
+import re
 import signal
 import struct
+import sys
+import time
 import zlib
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from ..errors import TransactionError, WalCorruptionError
-from ..types import SQLType, TypeKind
+import numpy as np
+
+from ..errors import ChunkError, TransactionError, WalCorruptionError
+from ..storage.chunk import decode_chunk, encode_chunk
+from ..storage.column import Column
 from ..storage.schema import ColumnSchema, TableSchema
+from ..types import BIGINT, SQLType, TypeKind
 
-#: File magic (8 bytes).
-MAGIC = b"RPWALv2\n"
+#: File magic (8 bytes); everything before the digit names the family.
+MAGIC = b"RPWALv3\n"
 
 #: Frame header: payload length (u32), crc32 (u32), sequence (u64).
 _HEADER = struct.Struct(">IIQ")
+
+#: Length prefix of a payload's (or a snapshot body's) JSON head.
+_HEAD_LENGTH = struct.Struct("<I")
 
 #: Sanity cap on a single record's payload (guards the reader against
 #: interpreting garbage as a multi-gigabyte length).
@@ -87,33 +113,83 @@ MAX_RECORD_BYTES = 1 << 30
 #: What a reader does on mid-log corruption.
 RECOVERY_MODES = ("tolerant", "strict")
 
+#: Record kinds; the last three carry a column chunk.
+_OPS = ("commit", "create_table", "drop_table", "append", "delete", "update")
+
 #: Environment hooks for deterministic crash injection.
 FSYNC_FAIL_HOOK = "REPRO_WAL_FSYNC_FAIL"
 KILL_AT_BYTES_HOOK = "REPRO_WAL_KILL_AT_BYTES"
 
 
 def _schema_to_json(schema: TableSchema) -> list[dict]:
-    out = []
-    for col in schema:
-        out.append(
-            {
-                "name": col.name,
-                "type": col.sql_type.kind.value,
-                "width": col.sql_type.width,
-                "not_null": col.not_null,
-            }
-        )
-    return out
+    return [
+        {
+            "name": col.name,
+            "type": col.sql_type.kind.value,
+            "width": col.sql_type.width,
+            "not_null": col.not_null,
+        }
+        for col in schema
+    ]
 
 
 def _schema_from_json(payload: list[dict]) -> TableSchema:
-    cols = []
-    for item in payload:
-        sql_type = SQLType(TypeKind(item["type"]), item.get("width"))
-        cols.append(
-            ColumnSchema(item["name"], sql_type, item.get("not_null", False))
+    return TableSchema(
+        tuple(
+            ColumnSchema(
+                item["name"],
+                SQLType(TypeKind(item["type"]), item.get("width")),
+                item.get("not_null", False),
+            )
+            for item in payload
         )
-    return TableSchema(tuple(cols))
+    )
+
+
+def pack_head(head: dict) -> bytes:
+    """``hlen head``: the JSON head of a log payload or a snapshot
+    body, space-padded so whatever follows it starts on an 8-byte
+    boundary."""
+    text = json.dumps(head, separators=(",", ":")).encode("utf-8")
+    text += b" " * (-(len(text) + _HEAD_LENGTH.size) % 8)
+    return _HEAD_LENGTH.pack(len(text)) + text
+
+
+def unpack_head(data, start: int, end: int) -> tuple[dict, int]:
+    """The head packed at ``data[start:end]`` and the offset after it;
+    ValueError when those bytes do not start with one."""
+    body = start + _HEAD_LENGTH.size
+    if body > end:
+        raise ValueError("shorter than a head length")
+    body += _HEAD_LENGTH.unpack_from(data, start)[0]
+    if body > end:
+        raise ValueError("head runs past the end")
+    head = json.loads(str(data[start + _HEAD_LENGTH.size : body], "utf-8"))
+    if not isinstance(head, dict):
+        raise ValueError("head is not an object")
+    return head, body
+
+
+def refuse_other_format(data: bytes, magic: bytes, what: str) -> None:
+    """Raise WalCorruptionError unless ``data`` starts with ``magic``,
+    naming the version when it is another version of the same format
+    (there is one reader and one writer: the current version's)."""
+    if data.startswith(magic):
+        return
+    current = magic[:-1].decode()
+    family = re.escape(magic.rstrip(b"0123456789\n"))
+    other = re.match(family + rb"(\d+)\n", data)
+    if other:
+        detail = (
+            f"is in format version {int(other[1])} "
+            f"({other[0][:-1].decode()}); this engine reads and writes "
+            f"{current} only"
+        )
+    else:
+        detail = f"is not a repro {what.split()[0]} (no {magic!r} magic)"
+    raise WalCorruptionError(
+        f"{what} {detail}; refusing to touch it", info={"bytes": len(data)}
+    )
 
 
 def fsync_directory(path: str) -> None:
@@ -131,36 +207,174 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+@dataclasses.dataclass
 class ScanInfo:
     """What one pass over the log found (recovery telemetry)."""
 
-    __slots__ = (
-        "records_scanned",
-        "records_discarded",
-        "bytes_discarded",
-        "torn_bytes",
-        "corrupt",
-        "corrupt_detail",
-        "valid_bytes",
-        "last_seq",
-    )
+    records_scanned: int = 0
+    #: Records (or, for undecodable garbage, at least one) dropped
+    #: because of mid-log corruption — NOT the torn tail.
+    records_discarded: int = 0
+    bytes_discarded: int = 0
+    #: Trailing bytes belonging to an incomplete final frame.
+    torn_bytes: int = 0
+    corrupt: bool = False
+    corrupt_detail: Optional[str] = None
+    #: Offset of the end of the last valid frame (truncation point).
+    valid_bytes: int = 0
+    last_seq: int = 0
 
-    def __init__(self) -> None:
-        self.records_scanned = 0
-        #: Records (or, for undecodable garbage, at least one) dropped
-        #: because of mid-log corruption — NOT the torn tail.
-        self.records_discarded = 0
-        self.bytes_discarded = 0
-        #: Trailing bytes belonging to an incomplete final frame.
-        self.torn_bytes = 0
-        self.corrupt = False
-        self.corrupt_detail: Optional[str] = None
-        #: Offset of the end of the last valid frame (truncation point).
-        self.valid_bytes = 0
-        self.last_seq = 0
+    to_dict = dataclasses.asdict
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+
+class Frame(NamedTuple):
+    """One valid record: its sequence number, its decoded head, and the
+    offsets of the frame, of the chunk (if any) and of the frame's end."""
+
+    seq: int
+    head: dict
+    start: int
+    chunk: int
+    end: int
+
+
+def scan_log(data: bytes, path: str = "log") -> tuple[list[Frame], ScanInfo]:
+    """Validate ``data`` frame by frame — CRC, sequence chain and head
+    decode in one pass; opening, replay and checkpoint truncation all
+    read the log through here. Chunk bodies are covered by the CRC and
+    decoded only by whoever applies them."""
+    refuse_other_format(data, MAGIC, f"WAL {path}")
+    frames: list[Frame] = []
+    info = ScanInfo()
+    view = memoryview(data)
+    pos = info.valid_bytes = len(MAGIC)
+    size = len(data)
+    while pos < size:
+        if size - pos < _HEADER.size:
+            info.torn_bytes = size - pos
+            break
+        length, crc, seq = _HEADER.unpack_from(data, pos)
+        payload = pos + _HEADER.size
+        end = payload + length
+        if length > MAX_RECORD_BYTES or end > size:
+            # Frame runs past EOF: an append died mid-write.
+            info.torn_bytes = size - pos
+            break
+        seq_crc = zlib.crc32(view[pos + 8 : payload])
+        if zlib.crc32(view[payload:end], seq_crc) != crc:
+            info.corrupt_detail = f"crc mismatch at offset {pos} (seq {seq})"
+            break
+        if frames and seq != frames[-1].seq + 1:
+            info.corrupt_detail = (
+                f"sequence break at offset {pos}: "
+                f"{frames[-1].seq} -> {seq}"
+            )
+            break
+        try:
+            head, chunk = unpack_head(view, payload, end)
+            if head.get("op") not in _OPS:
+                raise ValueError(f"unknown op {head.get('op')!r}")
+        except ValueError as exc:
+            info.corrupt_detail = (
+                f"undecodable payload at offset {pos} (seq {seq}): {exc}"
+            )
+            break
+        frames.append(Frame(seq, head, pos, chunk, end))
+        pos = info.valid_bytes = end
+    info.records_scanned = len(frames)
+    info.last_seq = frames[-1].seq if frames else 0
+    if info.corrupt_detail is not None:
+        info.corrupt = True
+        rest = data[info.valid_bytes :]
+        info.bytes_discarded = len(rest)
+        # Best-effort count of whole frames lost after the corrupt
+        # point (framing may itself be damaged, so this is a floor).
+        info.records_discarded = max(1, _count_frames(rest))
+    return frames, info
+
+
+def _count_frames(data: bytes) -> int:
+    """How many structurally complete frames ``data`` holds (no
+    CRC/seq validation — used only to size a corrupt suffix)."""
+    count, pos, size = 0, 0, len(data)
+    while size - pos >= _HEADER.size:
+        length, _, _ = _HEADER.unpack_from(data, pos)
+        end = pos + _HEADER.size + length
+        if length > MAX_RECORD_BYTES or end > size:
+            break
+        count += 1
+        pos = end
+    return count
+
+
+def _positions_column(positions: np.ndarray) -> Column:
+    return Column(np.asarray(positions, dtype=np.int64), BIGINT)
+
+
+def _encode(txn_id: int, op: tuple) -> list[bytes]:
+    """One staged operation (``Transaction._log``) as payload parts."""
+    kind, name = op[0], op[1]
+    head = {"txn": txn_id, "op": kind, "name": name}
+    if kind == "create_table":
+        head["schema"] = _schema_to_json(op[2])
+        return [pack_head(head)]
+    if kind == "drop_table":
+        return [pack_head(head)]
+    head["rows_before"] = op[2]
+    if kind == "append":
+        columns = list(op[3])
+        head["rows"] = len(columns[0]) if columns else 0
+    elif kind == "delete":
+        columns = [_positions_column(op[3])]
+        head["rows"] = len(op[3])
+    elif kind == "update":
+        columns = [_positions_column(op[3]), *op[4].values()]
+        head["rows"] = len(op[3])
+        head["ordinals"] = list(op[4])
+    else:
+        raise TransactionError(f"unknown WAL operation: {kind!r}")
+    return [pack_head(head), encode_chunk(columns)]
+
+
+def apply_record(txn, head: dict, chunk: bytes) -> None:
+    """Apply one record inside an open transaction. A delta whose
+    ``rows_before`` is not the row count of the table it meets, or
+    whose chunk or positions do not fit it, is corruption."""
+    op, name = head["op"], head["name"]
+    if op == "create_table":
+        txn.create_table(name, _schema_from_json(head["schema"]))
+        return
+    if op == "drop_table":
+        txn.drop_table(name)
+        return
+    rows = txn.read(name).row_count
+    if rows != head["rows_before"]:
+        raise WalCorruptionError(
+            f"{op} record for {name!r} was logged against "
+            f"{head['rows_before']} row(s), the table has {rows}"
+        )
+    try:
+        columns, _ = decode_chunk(chunk)
+    except ChunkError as exc:
+        raise WalCorruptionError(
+            f"{op} record for {name!r}: {exc}"
+        ) from exc
+    if op == "append":
+        txn.append_columns(name, columns)
+        return
+    positions = columns[0].values
+    if len(positions) and not (
+        0 <= positions.min() and positions.max() < rows
+    ):
+        raise WalCorruptionError(
+            f"{op} record for {name!r} names a row outside the table"
+        )
+    if op == "delete":
+        txn.delete_rows(name, positions)
+    else:
+        txn.update_rows(
+            name, positions, dict(zip(head["ordinals"], columns[1:]))
+        )
 
 
 class WriteAheadLog:
@@ -251,7 +465,7 @@ class WriteAheadLog:
                 handle.flush()
                 os.fsync(handle.fileno())
             data = MAGIC
-        info = self._scan(data)
+        _, info = scan_log(data, self.path)
         self.open_scan = info
         self._seq = info.last_seq
         if info.corrupt and self.recovery == "strict":
@@ -307,10 +521,11 @@ class WriteAheadLog:
 
     # -- writing ---------------------------------------------------------------
 
-    def _frame(self, seq: int, payload: bytes) -> bytes:
-        seq_bytes = struct.pack(">Q", seq)
-        crc = zlib.crc32(seq_bytes + payload) & 0xFFFFFFFF
-        return _HEADER.pack(len(payload), crc, seq) + payload
+    def _observe(self, name: str, started: float) -> None:
+        if self.metrics is not None:
+            self.metrics.histogram(name).observe(
+                time.perf_counter() - started
+            )
 
     def log_commit(self, txn_id: int, operations: Sequence[tuple]) -> int:
         """Append a transaction's operations plus its commit marker and
@@ -324,25 +539,34 @@ class WriteAheadLog:
                 f"write-ahead log is poisoned after a failed fsync "
                 f"({self._poisoned}); restart and recover"
             )
-        frames = []
-        n_records = 0
-        for op in operations:
-            self._seq += 1
-            payload = json.dumps(self._encode(txn_id, op)).encode("utf-8")
-            frames.append(self._frame(self._seq, payload))
-            n_records += 1
-        self._seq += 1
-        frames.append(
-            self._frame(
-                self._seq,
-                json.dumps({"txn": txn_id, "op": "commit"}).encode("utf-8"),
+        started = time.perf_counter()
+        payloads = [_encode(txn_id, op) for op in operations]
+        payloads.append([pack_head({"txn": txn_id, "op": "commit"})])
+        largest = max(sum(map(len, payload)) for payload in payloads)
+        if largest > MAX_RECORD_BYTES:
+            # The reader takes a longer frame for a torn tail: refuse
+            # to write what recovery would then silently drop.
+            raise TransactionError(
+                f"one statement's log record is {largest} bytes, over "
+                f"the {MAX_RECORD_BYTES}-byte limit; write in smaller "
+                "batches"
             )
-        )
-        n_records += 1
-        blob = b"".join(frames)
+        parts = []
+        for payload in payloads:
+            self._seq += 1
+            seq_bytes = struct.pack(">Q", self._seq)
+            crc = zlib.crc32(seq_bytes)
+            for part in payload:
+                crc = zlib.crc32(part, crc)
+            parts.append(
+                _HEADER.pack(sum(map(len, payload)), crc, self._seq)
+            )
+            parts.extend(payload)
+        blob = b"".join(parts)
+        self._observe("wal_serialize_seconds", started)
         self._write_durable(blob)
         if self.metrics is not None:
-            self.metrics.counter("wal_records_total").inc(n_records)
+            self.metrics.counter("wal_records_total").inc(len(payloads))
         return len(blob)
 
     def _write_durable(self, blob: bytes) -> None:
@@ -363,6 +587,7 @@ class WriteAheadLog:
             self._handle.write(blob[:keep])
             self._handle.flush()
             os.kill(os.getpid(), signal.SIGKILL)
+        started = time.perf_counter()
         self._handle.write(blob)
         self._handle.flush()
         self._fsync_calls += 1
@@ -384,138 +609,19 @@ class WriteAheadLog:
             raise TransactionError(
                 f"wal fsync failed: commit not durable ({exc})"
             ) from exc
+        self._observe("wal_fsync_seconds", started)
         self._bytes += len(blob)
-
-    @staticmethod
-    def _encode(txn_id: int, op: tuple) -> dict:
-        kind = op[0]
-        if kind == "create_table":
-            _, name, schema = op
-            return {
-                "txn": txn_id,
-                "op": "create_table",
-                "name": name,
-                "schema": _schema_to_json(schema),
-            }
-        if kind == "drop_table":
-            _, name = op
-            return {"txn": txn_id, "op": "drop_table", "name": name}
-        if kind == "insert":
-            _, name, rows = op
-            return {
-                "txn": txn_id,
-                "op": "insert",
-                "name": name,
-                "rows": [list(r) for r in rows],
-            }
-        if kind == "replace":
-            _, name, rows = op
-            return {
-                "txn": txn_id,
-                "op": "replace",
-                "name": name,
-                "rows": [list(r) for r in rows],
-            }
-        raise TransactionError(f"unknown WAL operation: {kind!r}")
 
     # -- reading ---------------------------------------------------------------
 
-    def _scan(self, data: bytes) -> ScanInfo:
-        if not data.startswith(MAGIC):
-            raise WalCorruptionError(
-                f"{self.path or 'log'} is not a repro WAL (no "
-                f"{MAGIC!r} magic); refusing to touch it",
-                info={"bytes": len(data)},
-            )
-        info = ScanInfo()
-        pos = len(MAGIC)
-        info.valid_bytes = pos
-        size = len(data)
-        prev_seq: Optional[int] = None
-        while pos < size:
-            if size - pos < _HEADER.size:
-                info.torn_bytes = size - pos
-                break
-            length, crc, seq = _HEADER.unpack_from(data, pos)
-            end = pos + _HEADER.size + length
-            if length > MAX_RECORD_BYTES or end > size:
-                # Frame runs past EOF: an append died mid-write.
-                info.torn_bytes = size - pos
-                break
-            payload = data[pos + _HEADER.size : end]
-            seq_bytes = struct.pack(">Q", seq)
-            if zlib.crc32(seq_bytes + payload) & 0xFFFFFFFF != crc:
-                info.corrupt = True
-                info.corrupt_detail = (
-                    f"crc mismatch at offset {pos} (seq {seq})"
-                )
-                break
-            if prev_seq is not None and seq != prev_seq + 1:
-                info.corrupt = True
-                info.corrupt_detail = (
-                    f"sequence break at offset {pos}: "
-                    f"{prev_seq} -> {seq}"
-                )
-                break
-            try:
-                json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                info.corrupt = True
-                info.corrupt_detail = (
-                    f"undecodable payload at offset {pos} (seq {seq})"
-                )
-                break
-            prev_seq = seq
-            info.last_seq = seq
-            info.records_scanned += 1
-            pos = end
-            info.valid_bytes = pos
-        if info.corrupt:
-            rest = data[info.valid_bytes:]
-            info.bytes_discarded = len(rest)
-            # Best-effort count of whole frames lost after the corrupt
-            # point (framing may itself be damaged, so this is a floor).
-            info.records_discarded = max(1, self._count_frames(rest))
-        return info
-
-    @staticmethod
-    def _count_frames(data: bytes) -> int:
-        """How many structurally complete frames ``data`` holds (no
-        CRC/seq validation — used only to size a corrupt suffix)."""
-        count, pos, size = 0, 0, len(data)
-        while size - pos >= _HEADER.size:
-            length, _, _ = _HEADER.unpack_from(data, pos)
-            end = pos + _HEADER.size + length
-            if length > MAX_RECORD_BYTES or end > size:
-                break
-            count += 1
-            pos = end
-        return count
-
-    @staticmethod
-    def _frames(data: bytes, info: ScanInfo):
-        """``(seq, start, end)`` byte extents of every valid frame a
-        :meth:`_scan` of ``data`` found, in log order."""
-        pos = len(MAGIC)
-        for _ in range(info.records_scanned):
-            length, _, seq = _HEADER.unpack_from(data, pos)
-            end = pos + _HEADER.size + length
-            yield seq, pos, end
-            pos = end
-
-    def scan(self) -> tuple[list[dict], ScanInfo]:
-        """All valid records plus what the pass found.
-
-        Honors ``self.recovery``: mid-log corruption raises
+    def _frames(self) -> tuple[bytes, list[Frame], ScanInfo]:
+        """The log's bytes and every valid frame in them, under the
+        recovery policy: mid-log corruption raises
         :class:`WalCorruptionError` in strict mode; in tolerant mode
-        the corrupt suffix is dropped and counted on the returned
+        the corrupt suffix is dropped and counted on the
         :class:`ScanInfo`. A torn tail is never an error."""
         data = self._read_bytes()
-        info = self._scan(data)
-        records = [
-            json.loads(data[start + _HEADER.size : end].decode("utf-8"))
-            for _, start, end in self._frames(data, info)
-        ]
+        frames, info = scan_log(data, self.path)
         if info.corrupt and self.recovery == "strict":
             raise WalCorruptionError(
                 f"write-ahead log corrupt: {info.corrupt_detail} "
@@ -523,50 +629,20 @@ class WriteAheadLog:
                 f"{info.bytes_discarded} byte(s) unrecoverable)",
                 info=info.to_dict(),
             )
-        return records, info
+        return data, frames, info
+
+    def scan(self) -> tuple[list[dict], ScanInfo]:
+        """The head of every valid record (``txn``, ``op`` and, by
+        kind, ``name``, ``rows_before``, ``rows``, ... — never table
+        contents) plus what the pass found; honors ``self.recovery``."""
+        _, frames, info = self._frames()
+        return [frame.head for frame in frames], info
 
     def records(self) -> list[dict]:
-        """All well-formed records (tolerant of a torn tail; honors the
-        log's ``recovery`` mode for mid-log corruption)."""
+        """:meth:`scan` without the telemetry."""
         return self.scan()[0]
 
-    def committed_operations(self) -> list[dict]:
-        """Operations of transactions that reached their commit marker,
-        in commit order."""
-        records = self.records()
-        committed = {
-            r["txn"] for r in records if r.get("op") == "commit"
-        }
-        return [
-            r
-            for r in records
-            if r.get("op") != "commit" and r.get("txn") in committed
-        ]
-
     # -- replay ---------------------------------------------------------------
-
-    @staticmethod
-    def apply_operation(txn, record: dict) -> None:
-        """Apply one logical record inside an open transaction."""
-        op = record["op"]
-        if op == "create_table":
-            txn.create_table(
-                record["name"], _schema_from_json(record["schema"])
-            )
-        elif op == "drop_table":
-            txn.drop_table(record["name"])
-        elif op == "insert":
-            txn.insert_rows(record["name"], record["rows"])
-        elif op == "replace":
-            from ..storage.table import TableData
-
-            data = txn.read(record["name"])
-            txn.write(
-                record["name"],
-                TableData.from_rows(data.schema, record["rows"]),
-            )
-        else:
-            raise TransactionError(f"unknown WAL record: {op!r}")
 
     def replay_into(self, manager, min_seq: int = 0) -> int:
         """Re-apply committed transactions through a fresh transaction
@@ -583,32 +659,29 @@ class WriteAheadLog:
         return self.replay_stats(manager, min_seq=min_seq)["operations"]
 
     def replay_stats(self, manager, min_seq: int = 0) -> dict:
-        data = self._read_bytes()
-        # scan() already applied the recovery policy; re-walk the
-        # frames for (seq, record) pairs.
-        records, info = self.scan()
-        seqs = [seq for seq, _, _ in self._frames(data, info)]
-        pending: dict[int, list[dict]] = {}
+        data, frames, _ = self._frames()
+        pending: dict[int, list[Optional[Frame]]] = {}
         operations = 0
         transactions = 0
         skipped = 0
-        for seq, record in zip(seqs, records):
-            txn_id = record.get("txn")
-            if record.get("op") != "commit":
+        for frame in frames:
+            txn_id = frame.head.get("txn")
+            if frame.head["op"] != "commit":
                 pending.setdefault(txn_id, []).append(
-                    record if seq > min_seq else None
+                    frame if frame.seq > min_seq else None
                 )
                 continue
-            group = pending.pop(txn_id, [])
-            group = [r for r in group if r is not None]
+            group = [f for f in pending.pop(txn_id, []) if f is not None]
             if not group:
                 skipped += 1
                 continue
             txn = manager.begin()
             saved_wal, manager.wal = manager.wal, None
             try:
-                for op_record in group:
-                    self.apply_operation(txn, op_record)
+                for f in group:
+                    # A copy, so that the columns decoded from it pin
+                    # this record's bytes and not the whole log's.
+                    apply_record(txn, f.head, data[f.chunk : f.end])
                 txn.commit()
             except BaseException:
                 if txn.status == "active":
@@ -634,12 +707,15 @@ class WriteAheadLog:
         (they are covered by a durable snapshot). The surviving suffix
         is rewritten into a fresh file that replaces the log in one
         rename; the append handle is reopened on the new file."""
-        data = self._read_bytes()
-        blob = MAGIC + b"".join(
-            data[start:end]
-            for rec_seq, start, end in self._frames(data, self._scan(data))
-            if rec_seq > seq
-        )
+        blob = MAGIC
+        if seq < self._seq:
+            # (A checkpoint covers the whole log and never gets here.)
+            data = self._read_bytes()
+            blob += b"".join(
+                data[frame.start : frame.end]
+                for frame in scan_log(data, self.path)[0]
+                if frame.seq > seq
+            )
         if self._memory is not None:
             self._memory = io.BytesIO()
             self._memory.write(blob)
@@ -655,3 +731,44 @@ class WriteAheadLog:
         fsync_directory(self.path)
         self._bytes = len(blob)
         self._handle = open(self.path, "ab")
+
+
+def describe(path: str) -> list[str]:
+    """One line per record of the log at ``path`` — ``seq txn op table
+    rows bytes`` — and one for a torn or corrupt tail. Read-only."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    frames, info = scan_log(data, path)
+    lines = ["seq txn op table rows bytes"]
+    for f in frames:
+        head = f.head
+        lines.append(
+            f"{f.seq} {head.get('txn')} {head['op']} "
+            f"{head.get('name', '-')} {head.get('rows', '-')} "
+            f"{f.end - f.start}"
+        )
+    if info.corrupt:
+        lines.append(
+            f"corrupt: {info.corrupt_detail}; "
+            f"{info.bytes_discarded} byte(s) after it"
+        )
+    elif info.torn_bytes:
+        lines.append(f"torn tail: {info.torn_bytes} byte(s)")
+    return lines
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python -m repro.txn.wal <path>", file=sys.stderr)
+        return 2
+    try:
+        print("\n".join(describe(args[0])))
+    except (OSError, WalCorruptionError) as exc:
+        print(f"{args[0]}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -189,3 +189,115 @@ class TestStatementTransactions:
                 db.execute("INSERT INTO t VALUES (3)")
                 raise RuntimeError("boom")
         assert db.execute("SELECT count(*) FROM t").scalar() == 2
+
+
+class TestInsertSelectCoercion:
+    """INSERT ... SELECT and CTAS append the query's column batch; the
+    values stored are the ones the row-at-a-time path used to store
+    (expected values recorded from the parent commit)."""
+
+    SRC = [
+        (1, 10, 2.7, "42", True),
+        (-3, -5, -2.7, "7", False),
+        (None, None, None, None, None),
+        (7, 2**40, 1e3, "-1", True),
+        (0, 0, -0.0, "0", False),
+    ]
+
+    @pytest.fixture
+    def src(self, db):
+        db.execute(
+            "CREATE TABLE src "
+            "(i INTEGER, b BIGINT, d DOUBLE, s VARCHAR, f BOOLEAN)"
+        )
+        db.insert_rows("src", self.SRC)
+        return db
+
+    @pytest.mark.parametrize(
+        "target,source,expected",
+        [
+            ("INTEGER", "d", [2, -2, None, 1000, 0]),
+            ("BIGINT", "d", [2, -2, None, 1000, 0]),
+            ("DOUBLE", "i", [1.0, -3.0, None, 7.0, 0.0]),
+            ("DOUBLE", "b", [10.0, -5.0, None, 1099511627776.0, 0.0]),
+            ("VARCHAR", "i", ["1", "-3", None, "7", "0"]),
+            ("VARCHAR", "d", ["2.7", "-2.7", None, "1000.0", "-0.0"]),
+            ("VARCHAR", "b", ["10", "-5", None, "1099511627776", "0"]),
+            ("VARCHAR", "f", ["True", "False", None, "True", "False"]),
+            ("VARCHAR(3)", "s", ["42", "7", None, "-1", "0"]),
+            ("INTEGER", "s", [42, 7, None, -1, 0]),
+            ("DOUBLE", "s", [42.0, 7.0, None, -1.0, 0.0]),
+            ("INTEGER", "f", [1, 0, None, 1, 0]),
+            ("BOOLEAN", "i", [True, True, None, True, False]),
+            ("DATE", "i", [1, -3, None, 7, 0]),
+            ("INTEGER", "NULL", [None] * 5),
+        ],
+    )
+    def test_values_match_the_row_path(self, src, target, source, expected):
+        src.execute(f"CREATE TABLE dst (x {target})")
+        result = src.execute(f"INSERT INTO dst SELECT {source} FROM src")
+        assert result.rowcount == 5
+        got = [row[0] for row in src.execute("SELECT x FROM dst").rows]
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert repr(got) == repr(expected)  # -0.0 stays -0.0
+
+    def test_out_of_range_and_non_finite_are_errors(self, src):
+        src.execute("CREATE TABLE dst (x INTEGER)")
+        with pytest.raises(BindError, match="1099511627776 to INTEGER"):
+            src.execute("INSERT INTO dst SELECT b FROM src")
+        with pytest.raises(BindError, match="3000000000.0 to INTEGER"):
+            src.execute("INSERT INTO dst SELECT d * 3000000 FROM src")
+        with pytest.raises(BindError, match="inf to INTEGER"):
+            src.execute("INSERT INTO dst SELECT exp(d * 1000) FROM src")
+        with pytest.raises(BindError, match="'x' to INTEGER"):
+            src.execute("INSERT INTO dst SELECT 'x' FROM src")
+        assert src.row_count("dst") == 0
+        # In range, the same narrowing goes through.
+        src.execute("INSERT INTO dst SELECT b FROM src WHERE b < 100")
+        assert src.execute("SELECT x FROM dst").rows == [(10,), (-5,), (0,)]
+
+    def test_not_null_violation(self, src):
+        src.execute("CREATE TABLE dst (x INTEGER NOT NULL)")
+        with pytest.raises(CatalogError, match="NULL in NOT NULL column 'x'"):
+            src.execute("INSERT INTO dst SELECT i FROM src")
+        assert src.row_count("dst") == 0
+
+    def test_column_list_and_width(self, src):
+        src.execute("CREATE TABLE dst (x INTEGER, y VARCHAR, z DOUBLE)")
+        src.execute("INSERT INTO dst (z, x) SELECT i, d FROM src")
+        assert src.execute("SELECT x, y, z FROM dst").rows == [
+            (2, None, 1.0), (-2, None, -3.0), (None, None, None),
+            (1000, None, 7.0), (0, None, 0.0),
+        ]
+        with pytest.raises(BindError, match="expects 3 values, got 1"):
+            src.execute("INSERT INTO dst SELECT i FROM src")
+        # The width is wrong whether or not the query returns rows.
+        with pytest.raises(BindError, match="expects 3 values, got 1"):
+            src.execute("INSERT INTO dst SELECT i FROM src WHERE i > 100")
+
+    def test_ctas_keeps_types_and_values(self, src):
+        src.execute(
+            "CREATE TABLE dst AS SELECT i, d, s, f, b, i + d AS e FROM src"
+        )
+        assert [str(t) for t in src.table_schema("dst").types()] == [
+            "INTEGER", "DOUBLE", "VARCHAR", "BOOLEAN", "BIGINT", "DOUBLE",
+        ]
+        assert src.execute("SELECT i, b, d, s, f FROM dst").rows == self.SRC
+
+    def test_dictionary_source_stays_a_dictionary(self):
+        from repro.storage.encoding import DictionaryColumn
+
+        db = repro.Database(encoding="auto")
+        db.execute("CREATE TABLE src (k INTEGER, w VARCHAR)")
+        db.insert_rows("src", [(i, f"w{i % 3}") for i in range(30)])
+        db.execute("CREATE TABLE dst (k INTEGER, w VARCHAR)")
+        db.execute("INSERT INTO dst SELECT k, w FROM src WHERE k < 20")
+        db.execute("INSERT INTO dst SELECT k, w FROM src WHERE k >= 20")
+        db.execute("INSERT INTO dst VALUES (99, 'new'), (100, 'w1')")
+        stored = db.catalog.data("dst").column_by_name("w")
+        assert isinstance(stored, DictionaryColumn)
+        assert stored.dictionary.tolist() == ["new", "w0", "w1", "w2"]
+        assert db.execute("SELECT k, w FROM dst").rows == [
+            (i, f"w{i % 3}") for i in range(30)
+        ] + [(99, "new"), (100, "w1")]

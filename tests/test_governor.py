@@ -308,12 +308,13 @@ class TestExecutemanyAtomicity:
                 raise KeyboardInterrupt()
             return real_coerce(value, sql_type)
 
+        # Mixed Python types, so the batch converts cell by cell.
         monkeypatch.setattr(
-            "repro.api.dml.coerce_scalar", exploding
+            "repro.storage.column.coerce_scalar", exploding
         )
         with pytest.raises(KeyboardInterrupt):
             db.executemany(
-                "INSERT INTO t VALUES (?)", [(1,), (2,), (3,), (4,)]
+                "INSERT INTO t VALUES (?)", [(1,), (2.0,), (3,), (4,)]
             )
         monkeypatch.undo()
         # The whole batch rolled back; the session is not mid-txn.
@@ -336,12 +337,13 @@ class TestExecutemanyAtomicity:
 
         db.begin()
         db.execute("INSERT INTO t VALUES (100)")
+        # Mixed Python types, so the batch converts cell by cell.
         monkeypatch.setattr(
-            "repro.api.dml.coerce_scalar", exploding
+            "repro.storage.column.coerce_scalar", exploding
         )
         with pytest.raises(KeyboardInterrupt):
             db.executemany(
-                "INSERT INTO t VALUES (?)", [(1,), (2,), (3,), (4,)]
+                "INSERT INTO t VALUES (?)", [(1,), (2.0,), (3,), (4,)]
             )
         monkeypatch.undo()
         # The batch unwound to its savepoint; the earlier statement of

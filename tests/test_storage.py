@@ -216,12 +216,19 @@ class TestTableData:
         assert len(batches) == 1
         assert batches[0].names() == ["id", "name"]
 
-    def test_replace_columns(self):
-        data = TableData.from_rows(self._schema(), [(1, "a")])
-        new = data.replace_columns(
-            {0: Column.from_values([9], INTEGER)}
+    def test_update_rows(self):
+        data = TableData.from_rows(
+            self._schema(), [(1, "a"), (2, "b"), (3, None)]
         )
-        assert list(new.rows()) == [(9, "a")]
+        new = data.update_rows(
+            np.asarray([0, 2]),
+            {
+                0: Column.from_values([9, None], INTEGER),
+                1: Column.from_values(["z", "y"], VARCHAR),
+            },
+        )
+        assert list(new.rows()) == [(9, "z"), (2, "b"), (None, "y")]
+        assert list(data.rows()) == [(1, "a"), (2, "b"), (3, None)]
 
 
 class TestTableVersions:

@@ -1,25 +1,33 @@
-"""WAL v2: framing, corruption handling, checkpoint/restore, recovery.
+"""The WAL: framing, delta records, corruption handling,
+checkpoint/restore, recovery.
 
 The durability contract under test (docs/durability.md): every
 acknowledged commit survives, a torn tail is truncated and never an
 error, mid-log corruption is either raised typed (strict) or
-discarded-and-counted (tolerant), checkpoints bound replay via the
-snapshot's WAL sequence number, and replay is atomic per original
-transaction.
+discarded-and-counted (tolerant), a delta is never applied to a table
+of another size than it was logged against, checkpoints bound replay
+via the snapshot's WAL sequence number, replay is atomic per original
+transaction, and files of an earlier format version are refused
+untouched.
 """
 
 import os
 import shutil
 import struct
+import zlib
 
+import numpy as np
 import pytest
 
 import repro
 from repro.errors import CatalogError, TransactionError, WalCorruptionError
-from repro.storage import Catalog, TableSchema
+from repro.storage import Catalog, TableData, TableSchema
+from repro.storage.chunk import encode_chunk
 from repro.txn import TransactionManager, WriteAheadLog
-from repro.txn.wal import MAGIC, _HEADER
-from repro.txn.checkpoint import load_snapshot, snapshot_path
+from repro.txn.wal import (
+    MAGIC, _HEADER, describe, main, pack_head, scan_log,
+)
+from repro.txn.checkpoint import SNAP_MAGIC, load_snapshot, snapshot_path
 from repro.types import INTEGER, VARCHAR
 
 
@@ -31,6 +39,12 @@ def make_manager(wal=None):
     return TransactionManager(Catalog(), wal)
 
 
+def append_op(table: str, rows_before: int, rows: list[tuple]) -> tuple:
+    """An ``append`` as ``Transaction.append_columns`` logs it."""
+    columns = TableData.from_rows(simple_schema(), rows).columns
+    return ("append", table, rows_before, columns)
+
+
 def write_small_log(path: str) -> int:
     """Two committed transactions; returns the committed row total."""
     wal = WriteAheadLog(path)
@@ -38,12 +52,17 @@ def write_small_log(path: str) -> int:
         1,
         [
             ("create_table", "t", simple_schema()),
-            ("insert", "t", [(1, "a"), (2, "b")]),
+            append_op("t", 0, [(1, "a"), (2, "b")]),
         ],
     )
-    wal.log_commit(2, [("insert", "t", [(3, "c")])])
+    wal.log_commit(2, [append_op("t", 2, [(3, "c")])])
     wal.close()
     return 3
+
+
+def frame(seq: int, payload: bytes) -> bytes:
+    crc = zlib.crc32(struct.pack(">Q", seq) + payload) & 0xFFFFFFFF
+    return _HEADER.pack(len(payload), crc, seq) + payload
 
 
 def dump(db):
@@ -71,9 +90,14 @@ class TestFraming:
         wal = WriteAheadLog(path)
         records = wal.records()
         assert [r["op"] for r in records] == [
-            "create_table", "insert", "commit", "insert", "commit",
+            "create_table", "append", "commit", "append", "commit",
         ]
         assert wal.last_seq == 5
+        # A record's head describes the delta; it never holds rows.
+        assert records[1] == {
+            "txn": 1, "op": "append", "name": "t",
+            "rows_before": 0, "rows": 2,
+        }
         wal.close()
 
     def test_replay_returns_operation_count(self, tmp_path):
@@ -82,7 +106,8 @@ class TestFraming:
         wal = WriteAheadLog(path)
         manager = make_manager()
         assert wal.replay_into(manager) == 3
-        assert manager.catalog.data("t").row_count == 3
+        data = manager.catalog.data("t")
+        assert list(data.rows()) == [(1, "a"), (2, "b"), (3, "c")]
         wal.close()
 
     def test_memory_mode_roundtrip(self):
@@ -91,7 +116,7 @@ class TestFraming:
             1,
             [
                 ("create_table", "t", simple_schema()),
-                ("insert", "t", [(1, "a")]),
+                append_op("t", 0, [(1, "a")]),
             ],
         )
         manager = make_manager()
@@ -102,10 +127,34 @@ class TestFraming:
         write_small_log(path)
         wal = WriteAheadLog(path)
         assert wal.last_seq == 5
-        wal.log_commit(3, [("insert", "t", [(4, "d")])])
+        wal.log_commit(3, [append_op("t", 3, [(4, "d")])])
         assert wal.last_seq == 7
         records = wal.records()
         assert len(records) == 7
+        wal.close()
+
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_truncate_through_keeps_the_suffix(self, tmp_path, on_disk):
+        path = str(tmp_path / "t.wal") if on_disk else None
+        wal = WriteAheadLog(path)
+        wal.log_commit(
+            1,
+            [
+                ("create_table", "t", simple_schema()),
+                append_op("t", 0, [(1, "a")]),
+            ],
+        )
+        wal.log_commit(2, [append_op("t", 1, [(2, "b")])])
+        wal.truncate_through(3)
+        assert [(r["txn"], r["op"]) for r in wal.records()] == [
+            (2, "append"), (2, "commit"),
+        ]
+        wal.log_commit(3, [append_op("t", 2, [(3, "c")])])
+        assert wal.last_seq == 7
+        wal.truncate_through(wal.last_seq)
+        assert wal.records() == []
+        assert wal.size_bytes() == len(MAGIC)
         wal.close()
 
 
@@ -138,7 +187,7 @@ class TestTornTail:
         with open(path, "ab") as fh:
             fh.write(b"\x00\x00\x01")  # half a header
         wal = WriteAheadLog(path)
-        wal.log_commit(9, [("insert", "t", [(4, "d")])])
+        wal.log_commit(9, [append_op("t", 3, [(4, "d")])])
         wal.close()
         reader = WriteAheadLog(path, recovery="strict")
         assert [r["txn"] for r in reader.records()][-1] == 9
@@ -207,7 +256,7 @@ class TestCorruption:
         assert excinfo.value.info["records_discarded"] >= 1
         # A poisoned log refuses appends rather than writing after rot.
         with pytest.raises(TransactionError):
-            wal.log_commit(5, [("insert", "t", [(9, "z")])])
+            wal.log_commit(5, [append_op("t", 3, [(9, "z")])])
         wal.close()
 
     def test_sequence_break_is_corruption(self, tmp_path):
@@ -299,8 +348,8 @@ class TestGroupedReplay:
         wal.log_commit(
             2,
             [
-                ("insert", "t", [(1, "a")]),
-                ("insert", "missing", [(2, "b")]),  # fails on replay
+                append_op("t", 0, [(1, "a")]),
+                append_op("missing", 0, [(2, "b")]),  # fails on replay
             ],
         )
         wal.close()
@@ -318,17 +367,13 @@ class TestGroupedReplay:
         wal.log_commit(1, [("create_table", "t", simple_schema())])
         wal.close()
         # Frames without a commit marker: an interrupted transaction.
-        data = open(path, "rb").read()
-        import json as _json
-        import zlib as _zlib
-
-        payload = _json.dumps(
-            {"txn": 9, "op": "insert", "name": "t", "rows": [[7, "x"]]}
-        ).encode()
-        seq_bytes = struct.pack(">Q", 3)
-        crc = _zlib.crc32(seq_bytes + payload) & 0xFFFFFFFF
+        head = {
+            "txn": 9, "op": "append", "name": "t",
+            "rows_before": 0, "rows": 1,
+        }
+        chunk = encode_chunk(append_op("t", 0, [(7, "x")])[3])
         with open(path, "ab") as fh:
-            fh.write(_HEADER.pack(len(payload), crc, 3) + payload)
+            fh.write(frame(3, pack_head(head) + chunk))
         reader = WriteAheadLog(path)
         manager = make_manager()
         stats = reader.replay_stats(manager)
@@ -462,9 +507,11 @@ class TestCheckpoint:
         db.insert_rows("t", [(1, "a")])
         db.checkpoint()
         db.close()
-        payload = load_snapshot(snapshot_path(path))
-        assert payload["wal_seq"] >= 1
-        assert payload["tables"]["t"]["rows"] == [[1, "a"]]
+        snapshot = load_snapshot(snapshot_path(path))
+        assert snapshot["wal_seq"] >= 1
+        (table,) = snapshot["tables"]
+        assert (table["name"], table["rows"]) == ("t", 1)
+        assert [c.to_pylist() for c in table["columns"]] == [[1], ["a"]]
 
 
 class TestForeignFile:
@@ -472,7 +519,8 @@ class TestForeignFile:
     rejected in both recovery modes and never modified. (The seed-era
     JSON-lines "v1" format is such a file now — before, *any* foreign
     file was sniffed as v1 and tolerant recovery truncated it to zero
-    bytes.)"""
+    bytes.) A file of an earlier *binary* format version is refused the
+    same way, with a message that names its version."""
 
     @pytest.mark.parametrize("recovery", ["strict", "tolerant"])
     @pytest.mark.parametrize(
@@ -581,3 +629,314 @@ class TestFsyncDurability:
 
     def test_export_surface(self):
         assert repro.WalCorruptionError is WalCorruptionError
+
+
+def durable_db(tmp_path, **kwargs):
+    return repro.Database(wal_path=str(tmp_path / "db.wal"), **kwargs)
+
+
+def load_numbered(db, table: str, n: int) -> None:
+    db.execute(f"CREATE TABLE {table} (id INTEGER, bal INTEGER, owner VARCHAR)")
+    db.load_columns(
+        table,
+        {
+            "id": np.arange(n),
+            "bal": np.arange(n) * 7 % 1000,
+            "owner": np.array([f"own{i % 50:02d}" for i in range(n)], dtype=object),
+        },
+    )
+
+
+class TestDeltaRecords:
+    def test_update_and_delete_log_positions_not_tables(self, tmp_path):
+        db = durable_db(tmp_path)
+        load_numbered(db, "t", 1000)
+        db.execute("UPDATE t SET bal = bal + 1, owner = 'new' WHERE id = 17")
+        db.execute("DELETE FROM t WHERE id IN (3, 5)")
+        heads = [
+            r for r in db.txns.wal.records()
+            if r["op"] in ("update", "delete")
+        ]
+        assert heads == [
+            {
+                "txn": heads[0]["txn"], "op": "update", "name": "t",
+                "rows_before": 1000, "rows": 1, "ordinals": [1, 2],
+            },
+            {
+                "txn": heads[1]["txn"], "op": "delete", "name": "t",
+                "rows_before": 1000, "rows": 2,
+            },
+        ]
+        live = dump(db)
+        db.close()
+        assert dump(durable_db(tmp_path)) == live
+
+    def test_one_row_update_bytes_do_not_depend_on_table_size(self, tmp_path):
+        """Same bytes on a 1,000-row and a 50,000-row table — but for
+        ``rows_before`` in the JSON head (and the frame CRC over it),
+        which is the table size by definition."""
+        appended = []
+        for n in (1_000, 50_000):
+            path = tmp_path / f"n{n}.wal"
+            db = repro.Database(wal_path=str(path))
+            load_numbered(db, "t", n)
+            before = path.read_bytes()
+            db.execute("UPDATE t SET bal = bal + 1 WHERE id = 500")
+            after = path.read_bytes()
+            db.close()
+            assert after.startswith(before)
+            frames, _ = scan_log(MAGIC + after[len(before):])
+            update, commit = frames
+            assert update.head.pop("rows_before") == n
+            appended.append(
+                (
+                    len(after) - len(before),
+                    update.head,
+                    after[len(before):][update.chunk - 8 : update.end - 8],
+                    commit.head,
+                )
+            )
+        assert appended[0] == appended[1]
+        assert appended[0][0] <= 512
+
+    def test_statement_that_changes_nothing_logs_nothing(self, tmp_path):
+        db = durable_db(tmp_path)
+        load_numbered(db, "t", 100)
+        db.execute("CREATE TABLE u (id INTEGER, bal INTEGER, owner VARCHAR)")
+        size = db.txns.wal.size_bytes()
+        counters = db.metrics.snapshot()["counters"]
+        assert db.execute("UPDATE t SET bal = 0 WHERE id = -1").rowcount == 0
+        assert db.execute("DELETE FROM t WHERE id = -1").rowcount == 0
+        assert db.execute(
+            "INSERT INTO u SELECT * FROM t WHERE id < 0"
+        ).rowcount == 0
+        assert db.insert_rows("u", []) == 0
+        assert db.txns.wal.size_bytes() == size
+        after = db.metrics.snapshot()["counters"]
+        for name in (
+            "storage_rows_updated_total", "storage_rows_deleted_total",
+            "storage_rows_inserted_total", "wal_records_total",
+        ):
+            assert after.get(name, 0) == counters.get(name, 0)
+        # Inside a transaction that also writes, only the write is logged.
+        with db.transaction():
+            db.execute("DELETE FROM t WHERE id = -1")
+            db.execute("DELETE FROM t WHERE id = 1")
+        ops = [r["op"] for r in db.txns.wal.records()]
+        assert ops[-2:] == ["delete", "commit"]
+        db.close()
+
+    def test_oversized_record_is_refused_before_it_is_written(
+        self, tmp_path, monkeypatch
+    ):
+        """A frame longer than the reader's cap would read back as a
+        torn tail and be dropped: the writer refuses it instead."""
+        import repro.txn.wal as wal_module
+
+        db = durable_db(tmp_path)
+        load_numbered(db, "t", 10)
+        size = db.txns.wal.size_bytes()
+        seq = db.txns.wal.last_seq
+        monkeypatch.setattr(wal_module, "MAX_RECORD_BYTES", 1024)
+        with pytest.raises(TransactionError, match="smaller batches"):
+            db.insert_rows("t", [(i, i, "x" * 40) for i in range(100)])
+        monkeypatch.undo()
+        assert db.txns.wal.size_bytes() == size
+        assert db.txns.wal.last_seq == seq
+        # Nothing of the refused transaction happened, the log goes on.
+        assert db.row_count("t") == 10
+        db.execute("DELETE FROM t WHERE id = 1")
+        db.close()
+        again = durable_db(tmp_path, recovery="strict")
+        assert again.row_count("t") == 9
+        again.close()
+
+    def test_rows_before_mismatch_is_corruption(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        wal = WriteAheadLog(path)
+        wal.log_commit(
+            1,
+            [
+                ("create_table", "t", simple_schema()),
+                append_op("t", 0, [(1, "a"), (2, "b")]),
+            ],
+        )
+        # Logged against 5 rows; the table it meets on replay has 2.
+        wal.log_commit(2, [("delete", "t", 5, np.asarray([4]))])
+        wal.close()
+        for recovery in ("strict", "tolerant"):
+            reader = WriteAheadLog(path, recovery=recovery)
+            manager = make_manager()
+            with pytest.raises(WalCorruptionError, match="5 row"):
+                reader.replay_into(manager)
+            # Atomic per transaction: txn 1 stands, txn 2 left no trace.
+            assert manager.catalog.data("t").row_count == 2
+            reader.close()
+
+    def test_position_outside_the_table_is_corruption(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        wal = WriteAheadLog(path)
+        wal.log_commit(
+            1,
+            [
+                ("create_table", "t", simple_schema()),
+                append_op("t", 0, [(1, "a"), (2, "b")]),
+                ("delete", "t", 2, np.asarray([2])),
+            ],
+        )
+        wal.close()
+        reader = WriteAheadLog(path)
+        with pytest.raises(WalCorruptionError, match="outside the table"):
+            reader.replay_into(make_manager())
+        reader.close()
+
+    def test_bit_flip_inside_a_chunk_body(self, tmp_path):
+        path = tmp_path / "db.wal"
+        db = repro.Database(wal_path=str(path))
+        db.execute("CREATE TABLE t (id INTEGER, name VARCHAR)")
+        db.insert_rows("t", [(1, "a")])
+        size = db.txns.wal.size_bytes()
+        db.insert_rows("t", [(i, "b" * 40) for i in range(2, 40)])
+        db.close()
+        data = bytearray(path.read_bytes())
+        # The last append's chunk sits well inside the final frames:
+        # flip a value byte, far from every frame header and JSON head.
+        data[size + (len(data) - size) // 2] ^= 0x04
+        path.write_bytes(bytes(data))
+        with pytest.raises(WalCorruptionError, match="crc mismatch"):
+            repro.Database(
+                wal_path=str(path), recovery="strict",
+                flight_dir=str(tmp_path / "fr"),
+            )
+        assert path.read_bytes() == bytes(data)
+        db2 = repro.Database(wal_path=str(path), recovery="tolerant")
+        assert db2.last_recovery["records_discarded"] >= 1
+        assert db2.last_recovery["bytes_discarded"] > 0
+        assert db2.execute("SELECT id, name FROM t").rows == [(1, "a")]
+        assert os.path.getsize(path) == size
+        db2.close()
+
+
+class TestOlderFormats:
+    """One reader, one writer: a log or a snapshot of an earlier format
+    version is refused with a message naming the version, and not a
+    byte of it changes."""
+
+    V2_LOG = b"RPWALv2\n" + frame(
+        1, b'{"txn": 1, "op": "create_table", "name": "t", "schema": []}'
+    ) + frame(2, b'{"txn": 1, "op": "commit"}')
+
+    @pytest.mark.parametrize("recovery", ["strict", "tolerant"])
+    def test_v2_log_is_refused_untouched(self, tmp_path, recovery):
+        path = tmp_path / "old.wal"
+        path.write_bytes(self.V2_LOG)
+        with pytest.raises(WalCorruptionError, match="format version 2"):
+            repro.Database(
+                wal_path=str(path), recovery=recovery,
+                flight_dir=str(tmp_path / "fr"),
+            )
+        assert path.read_bytes() == self.V2_LOG
+        assert not os.path.exists(snapshot_path(str(path)))
+
+    @pytest.mark.parametrize("recovery", ["strict", "tolerant"])
+    def test_v1_snapshot_is_refused_untouched(self, tmp_path, recovery):
+        path = tmp_path / "db.wal"
+        repro.Database(wal_path=str(path)).close()
+        body = b'{"wal_seq": 0, "commit_ts": 0, "tables": {}}'
+        old = (
+            b"RPSNAPv1\n"
+            + struct.pack(">IQ", zlib.crc32(body), len(body))
+            + body
+        )
+        snap = tmp_path / "db.wal.ckpt"
+        snap.write_bytes(old)
+        log_before = path.read_bytes()
+        with pytest.raises(WalCorruptionError, match="format version 1"):
+            repro.Database(
+                wal_path=str(path), recovery=recovery,
+                flight_dir=str(tmp_path / "fr"),
+            )
+        assert snap.read_bytes() == old
+        assert path.read_bytes() == log_before
+
+    def test_current_magics(self):
+        assert MAGIC == b"RPWALv3\n"
+        assert SNAP_MAGIC == b"RPSNAPv2\n"
+
+
+class TestLoadColumnsIsDurable:
+    """``load_columns`` logs its batch like any append. (It used to
+    bypass the WAL: after load + INSERT a reopen kept 1 row of 4, and
+    positional deltas logged after an unlogged load could not be
+    replayed at all.)"""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "INSERT INTO t VALUES (9, 9, 'w')",
+            "UPDATE t SET owner = 'w' WHERE id = 1",
+            "DELETE FROM t WHERE id = 1",
+        ],
+    )
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_load_then_statement_survives_reopen(
+        self, tmp_path, statement, checkpoint
+    ):
+        db = durable_db(tmp_path)
+        load_numbered(db, "t", 3)
+        if checkpoint:
+            db.checkpoint()
+        db.execute(statement)
+        rows = db.execute("SELECT * FROM t").rows
+        assert len(rows) in (2, 3, 4)
+        db.close()
+        again = durable_db(tmp_path)
+        assert again.execute("SELECT * FROM t").rows == rows
+        again.close()
+
+
+class TestTelemetry:
+    def test_commit_and_recovery_are_timed(self, tmp_path):
+        db = durable_db(tmp_path)
+        load_numbered(db, "t", 100)
+        db.execute("UPDATE t SET bal = 1 WHERE id = 1")
+        histograms = db.metrics.snapshot()["histograms"]
+        commits = db.metrics.snapshot()["counters"]["txn_commits_total"]
+        for name in ("wal_serialize_seconds", "wal_fsync_seconds"):
+            assert histograms[name]["count"] == commits
+            assert histograms[name]["sum"] > 0
+        info = db.checkpoint()
+        assert 0 < info["duration_seconds"] < 60
+        db.execute("UPDATE t SET bal = 2 WHERE id = 2")
+        db.close()
+        again = durable_db(tmp_path)
+        rec = again.last_recovery
+        assert rec["snapshot_seconds"] > 0 and rec["replay_seconds"] > 0
+        assert rec["snapshot_seconds"] + rec["replay_seconds"] == pytest.approx(
+            rec["duration_seconds"]
+        )
+        again.close()
+
+    def test_describe_lists_records_read_only(self, tmp_path, capsys):
+        path = tmp_path / "db.wal"
+        db = repro.Database(wal_path=str(path))
+        load_numbered(db, "t", 10)
+        db.execute("DELETE FROM t WHERE id < 3")
+        db.close()
+        with open(path, "ab") as fh:
+            fh.write(b"\x00\x00\x01")  # a torn tail stays where it is
+        before = path.read_bytes()
+        lines = describe(str(path))
+        assert lines[0] == "seq txn op table rows bytes"
+        assert [line.split()[2] for line in lines[1:-1]] == [
+            "create_table", "commit", "append", "commit", "delete", "commit",
+        ]
+        seq, _txn, op, table, rows, nbytes = lines[5].split()
+        assert (seq, op, table, rows) == ("5", "delete", "t", "3")
+        assert int(nbytes) > 0
+        assert lines[-1] == "torn tail: 3 byte(s)"
+        assert main([str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert path.read_bytes() == before
+        assert main([str(tmp_path / "missing.wal")]) == 1
+        assert main([]) == 2
