@@ -1,11 +1,10 @@
 # Convenience targets; everything assumes PYTHONPATH=src.
 
 PY := PYTHONPATH=src python
-N ?= 1000
+N ?= 500
 START ?= 0
-WORKERS ?= 4
 
-.PHONY: test test-all fuzz fuzz-parallel bench obs-smoke perf-smoke chaos battery server-smoke crash-battery
+.PHONY: test test-all fuzz bench obs-smoke perf-smoke chaos battery server-smoke crash-battery
 
 # The tier-1 suite runs three times: fully serial, with a 4-worker
 # pool (the serial-equivalence contract of the morsel-driven executor,
@@ -14,13 +13,14 @@ WORKERS ?= 4
 # and raw storage forced (docs/storage.md). All three legs run the same
 # operators; the third is a configuration, not a second code path, and
 # proves the caches and encodings never change results. Around them
-# run the six batteries described at their own targets: obs-smoke
-# (first, as a prerequisite), battery, chaos, crash-battery,
+# run the seven batteries described at their own targets: obs-smoke
+# (first, as a prerequisite), fuzz, battery, chaos, crash-battery,
 # server-smoke and perf-smoke.
 test: obs-smoke
 	REPRO_WORKERS=1 $(PY) -m pytest -x -q
 	REPRO_WORKERS=4 $(PY) -m pytest -x -q
 	REPRO_PLAN_CACHE=0 REPRO_ENCODING=raw REPRO_WORKERS=1 $(PY) -m pytest -x -q
+	$(MAKE) fuzz
 	$(MAKE) battery
 	$(MAKE) chaos
 	$(MAKE) crash-battery
@@ -28,32 +28,24 @@ test: obs-smoke
 	$(MAKE) perf-smoke
 
 # TPC-H-shaped SQL battery (tests/sql_battery/) under raw and encoded
-# storage, serial and 4 workers, vs the SQLite oracle — plus a
-# string-heavy encoded-vs-raw differential fuzz sweep.
+# storage, serial and 4 workers, vs the SQLite oracle.
 battery:
 	$(PY) -m pytest -x -q -m battery
-	$(PY) -m repro.testing.fuzz --seeds 50 --encoding-check \
-		--schema strings
 
 # Seeded fault-injection battery (docs/robustness.md): every injected
 # fault must be tolerated or fail typed with statement atomicity
-# (checked against an uninjected twin), then a chaos-armed differential
-# fuzz leg against SQLite.
+# (checked against an uninjected twin).
 chaos:
 	$(PY) -m repro.testing.chaos --seeds 260 --start 1
-	$(PY) -m repro.testing.fuzz --seeds 25 --chaos
 
 # Kill-point crash-recovery battery (docs/durability.md): 200 seeded
 # scenarios — SIGKILL mid-append, kill mid-commit-stream, torn-write
 # truncation, injected fsync failure, bit rot in log and snapshot —
 # each recovered and diffed against an acknowledged-prefix twin; plus
-# the crash-marked pytest slice (server restart cycle included) and a
-# fuzzer leg that recovers a fresh database from the WAL after every
-# generated statement.
+# the crash-marked pytest slice (server restart cycle included).
 crash-battery:
 	$(PY) -m repro.testing.crash --seeds 200 --jobs 8
 	$(PY) -m pytest -x -q -m crash
-	$(PY) -m repro.testing.fuzz --seeds 25 --durability-check
 
 # Multi-session server battery (docs/server.md): a live server on an
 # ephemeral port, 8 concurrent client sessions of mixed DML / query /
@@ -81,17 +73,14 @@ perf-smoke:
 test-all:
 	$(PY) -m pytest -q -m ""
 
-# --cache-check runs every statement cold, plan-cached, and on a
-# cache-disabled twin; any leg disagreeing is a divergence.
+# Configuration-sampling differential fuzzer (docs/testing.md): each
+# seed draws workers, morsel size, plan cache, encoding, top-N,
+# feedback, WAL/checkpoint/recovery, fault injection and schema
+# profile; its answers, cold and cached, must match a plain reference
+# engine's and SQLite's. A failing seed S reproduces exactly with
+# `make fuzz N=1 START=S`.
 fuzz:
-	$(PY) -m repro.testing.fuzz --seeds $(N) --start $(START) \
-		--cache-check -v
-
-# Differential fuzzing of the parallel paths: tiny morsels, zero
-# cardinality threshold, $(WORKERS) worker threads vs the SQLite oracle.
-fuzz-parallel:
-	$(PY) -m repro.testing.fuzz --seeds 200 --start $(START) \
-		--workers $(WORKERS) --cache-check -v
+	$(PY) -m repro.testing.fuzz --seeds $(N) --start $(START) -v
 
 bench:
 	$(PY) -m repro.bench all --scale 0.001

@@ -6,10 +6,11 @@ whole SQL surface against a reference implementation:
 
 * :mod:`repro.testing.generator` — a deterministic, schema-aware random
   SQL workload generator (seed in, queries out).
-* :mod:`repro.testing.oracle` — runs each query through both our
-  :class:`repro.Database` and an in-memory ``sqlite3`` mirror of the
-  same data, normalizes both results, and minimizes reproducers on
-  divergence.
+* :mod:`repro.testing.oracle` — draws one engine configuration per
+  seed, runs each query on that configuration, on a plain reference
+  :class:`repro.Database` and on an in-memory ``sqlite3`` mirror of the
+  same data, normalizes the results, and minimizes reproducers — query,
+  configuration and data — on divergence.
 * :mod:`repro.testing.fuzz` — the CLI entry point
   (``python -m repro.testing.fuzz --seeds N``).
 """
@@ -22,7 +23,14 @@ from .generator import (
     expr_to_sql,
     random_ast_expr,
 )
-from .oracle import Divergence, DifferentialOracle, run_seed, run_seeds
+from .oracle import (
+    Divergence,
+    DifferentialOracle,
+    FuzzConfig,
+    draw_config,
+    run_seed,
+    run_seeds,
+)
 
 __all__ = [
     "GenColumn",
@@ -33,6 +41,8 @@ __all__ = [
     "random_ast_expr",
     "Divergence",
     "DifferentialOracle",
+    "FuzzConfig",
+    "draw_config",
     "run_seed",
     "run_seeds",
 ]

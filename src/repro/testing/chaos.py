@@ -34,8 +34,9 @@ database, mirrors every *successful* statement onto an untouched
    no transaction left open — statement atomicity.
 
 Enable engine-wide via ``REPRO_CHAOS=<seed>`` (or ``<kind>:<nth>``) or
-per-database via ``Database(chaos=ChaosInjector(...))``; the fuzzer
-grows a ``--chaos`` flag that arms a fresh injector per fuzz seed.
+per-database via ``Database(chaos=ChaosInjector(...))``; the fuzzer's
+configuration draw (:mod:`repro.testing.oracle`) arms a fresh injector,
+seeded from the fuzz seed, on about half of its seeds.
 """
 
 from __future__ import annotations

@@ -46,6 +46,10 @@ _WORDS = [
     "ginkgo", "hazel", "iris", "juniper", "karri", "larch",
 ]
 
+#: ``"strings"`` skews schemas toward wide, low-cardinality VARCHAR
+#: columns — the shape dictionary encoding targets.
+SCHEMA_PROFILES = ("default", "strings")
+
 
 @dataclass(frozen=True)
 class GenColumn:
@@ -212,22 +216,14 @@ class QueryGenerator:
     The same seed always yields the same schema and query sequence.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        allow_subqueries: bool = True,
-        schema_profile: str = "default",
-    ):
-        if schema_profile not in ("default", "strings"):
+    def __init__(self, seed: int, schema_profile: str = "default"):
+        if schema_profile not in SCHEMA_PROFILES:
             raise ValueError(
                 f"unknown schema profile {schema_profile!r}; "
-                "expected 'default' or 'strings'"
+                f"expected one of {', '.join(SCHEMA_PROFILES)}"
             )
         self.seed = seed
         self.rng = random.Random(seed)
-        self.allow_subqueries = allow_subqueries
-        #: ``"strings"`` skews schemas toward wide, low-cardinality
-        #: VARCHAR columns — the shape dictionary encoding targets.
         self.schema_profile = schema_profile
         self._alias_counter = 0
 
@@ -364,7 +360,7 @@ class QueryGenerator:
     def _plain_query(self, tables: list[GenTable]) -> GenQuery:
         rng = self.rng
         base, base_alias, joins, where, scope = self._pick_from(tables)
-        exprs = _ExprGen(rng, scope, tables, self.allow_subqueries)
+        exprs = _ExprGen(rng, scope, tables)
         items = [
             exprs.scalar() for _ in range(rng.randint(1, 4))
         ]
@@ -384,7 +380,7 @@ class QueryGenerator:
         base, base_alias, joins, where, scope = self._pick_from(
             tables, max_joins=1
         )
-        exprs = _ExprGen(rng, scope, tables, self.allow_subqueries)
+        exprs = _ExprGen(rng, scope, tables)
         if rng.random() < 0.2:
             # Global aggregation: one row, aggregates only.
             keys: list[GenExpr] = []
@@ -430,7 +426,7 @@ class QueryGenerator:
         base, base_alias, joins, where, scope = self._pick_from(
             tables, max_joins=1
         )
-        exprs = _ExprGen(rng, scope, tables, self.allow_subqueries)
+        exprs = _ExprGen(rng, scope, tables)
         if signature is None:
             signature = [
                 rng.choice([INTEGER, INTEGER, VARCHAR, BOOLEAN])
@@ -480,12 +476,10 @@ class _ExprGen:
         rng: random.Random,
         scope: list[tuple[str, GenColumn]],
         tables: list[GenTable],
-        allow_subqueries: bool,
     ):
         self.rng = rng
         self.scope = scope
         self.tables = tables
-        self.allow_subqueries = allow_subqueries
 
     def _cols(self, *types: str) -> list[tuple[str, GenColumn]]:
         return [
@@ -792,7 +786,7 @@ class _ExprGen:
                     frozenset({alias}),
                 )
             # fall through to a string comparison below
-        if choice < 0.93 or not self.allow_subqueries:
+        if choice < 0.93:
             left = self.string(0)
             right = self.string(0)
             op = rng.choice(["=", "<>", "<", ">"])

@@ -1,15 +1,18 @@
-"""Differential oracle: our engine vs an in-memory SQLite mirror.
+"""Differential oracle: a sampled engine configuration vs a plain
+reference engine vs an in-memory SQLite mirror.
 
-Both engines load identical data (from the generator's table specs),
-run the same generated query, and must produce the same *normalized*
-result. Normalization bridges representation differences that are not
-semantic: numpy scalars vs Python scalars, booleans vs SQLite's 0/1,
-float rounding noise (different summation orders), and row order when
-the query doesn't pin a total order.
+Each seed draws one *subject* configuration (:func:`draw_config`). All
+three engines load the generator's data and run its queries: the
+:data:`REFERENCE` engine must agree with SQLite, and the subject with
+the reference — no switch may change an answer. Normalization bridges
+representation differences that are not semantic: numpy vs Python
+scalars, booleans vs SQLite's 0/1, float noise from summation order,
+row order where the query pins none.
 
-On divergence the oracle shrinks the query (dropping clauses, items,
-joins) and then the data (dropping rows) while the divergence persists,
-so the reported reproducer is close to minimal.
+On divergence the oracle shrinks the query, then the configuration
+(resetting switches to the reference), then the data, while the
+divergence persists — so the reproducer is close to minimal and names
+the switches that matter.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import copy
 import math
 import os
+import random
 import sqlite3
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -26,9 +31,13 @@ import numpy as np
 from ..api.database import Database
 from ..errors import InjectedFault, ReproError, ResourceGovernorError
 from ..obs.metrics import global_registry
+from ..storage.encoding import ENCODING_POLICIES
+from ..storage.table import DEFAULT_MORSEL_ROWS
+from ..txn.wal import RECOVERY_MODES
 from .generator import (
     BOOLEAN,
     FLOAT,
+    SCHEMA_PROFILES,
     GenQuery,
     GenTable,
     INTEGER,
@@ -47,6 +56,9 @@ _SQLITE_TYPES = {
 #: counts are O(100), so genuine equality holds far tighter than this.
 _ABS_TOL = 1e-6
 _REL_TOL = 1e-6
+
+#: Queries generated per seed unless told otherwise.
+DEFAULT_QUERIES_PER_SEED = 3
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +142,146 @@ def rows_equal(
     return True
 
 
+def _sorted_by(rows: list[tuple], order_by: list) -> bool:
+    """Whether normalized ``rows`` follow ``order_by`` — (1-based
+    ordinal, descending, nulls_last) keys — by their own values."""
+    for prev, row in zip(rows, rows[1:]):
+        for ordinal, descending, nulls_last in order_by:
+            a, b = prev[ordinal - 1], row[ordinal - 1]
+            if a == b:
+                continue
+            if a is None or b is None:
+                if (a is None) == nulls_last:
+                    return False
+            elif (a > b) != descending:
+                return False
+            break
+    return True
+
+
+def rows_agree(
+    left: list[tuple], right: list[tuple], order_by: Optional[list]
+) -> bool:
+    """:func:`rows_equal`, where an ordered comparison (``order_by``
+    given) that fails positionally still agrees when both sides are
+    sorted by their own values and equal as bags: float noise can flip
+    two rows whose float sort keys tie within tolerance."""
+    if rows_equal(left, right, order_by is not None):
+        return True
+    return (
+        order_by is not None
+        and _sorted_by(left, order_by)
+        and _sorted_by(right, order_by)
+        and rows_equal(
+            sorted(left, key=_sort_key), sorted(right, key=_sort_key),
+            ordered=False,
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# Configurations
+# ---------------------------------------------------------------------------
+
+#: A checkpoint threshold every data load crosses, so recovery goes
+#: through snapshot restore plus a short log suffix.
+TINY_CHECKPOINT_BYTES = 256
+
+
+@dataclass(frozen=True)
+class FuzzConfig:
+    """One point of :data:`CONFIG_SPACE`. The defaults are the plain
+    reference engine; ``schema`` picks the generator's schema profile
+    and is shared by subject and reference."""
+
+    chaos: bool = False
+    wal: bool = False
+    checkpoint_bytes: Optional[int] = None
+    recovery: str = "tolerant"
+    workers: int = 1
+    morsel_rows: int = DEFAULT_MORSEL_ROWS
+    plan_cache: bool = False
+    encoding: str = "raw"
+    topn: bool = False
+    feedback: bool = False
+    schema: str = "default"
+
+    def __str__(self) -> str:
+        return " ".join(
+            f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+        )
+
+    def engine_settings(self) -> dict:
+        """``Database`` keyword arguments. Every setting is passed, so
+        no ``REPRO_*`` variable can change it (``checkpoint_bytes=0``
+        pins automatic checkpoints off)."""
+        return {
+            "workers": self.workers,
+            "parallel_threshold": 0,
+            "morsel_rows": self.morsel_rows,
+            "plan_cache": self.plan_cache,
+            "encoding": self.encoding,
+            "topn": self.topn,
+            "feedback": self.feedback,
+            "checkpoint_bytes": self.checkpoint_bytes or 0,
+            "recovery": self.recovery,
+        }
+
+    def switches(self) -> dict:
+        """The engine fields that differ from :data:`REFERENCE`, in
+        minimization order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "schema"
+            and getattr(self, f.name) != getattr(REFERENCE, f.name)
+        }
+
+
+#: The plain reference engine every subject is compared against.
+REFERENCE = FuzzConfig()
+
+#: Each sampled field and its candidate values; :func:`draw_config`
+#: picks one value per field, uniformly. The fault injector comes first
+#: in :class:`FuzzConfig` so minimization drops it before anything else:
+#: a probe whose query it aborts proves nothing.
+CONFIG_SPACE: dict[str, tuple] = {
+    "chaos": (False, True),
+    "wal": (False, True),
+    "checkpoint_bytes": (None, TINY_CHECKPOINT_BYTES),
+    "recovery": RECOVERY_MODES,
+    "workers": (1, 2, 4),
+    "morsel_rows": (1, 7, 32, DEFAULT_MORSEL_ROWS),
+    "plan_cache": (False, True),
+    "encoding": ENCODING_POLICIES,
+    "topn": (False, True),
+    "feedback": (False, True),
+    "schema": SCHEMA_PROFILES,
+}
+
+
+def draw_config(seed: int) -> FuzzConfig:
+    """The seed's subject configuration. It comes from its own random
+    stream, so the generator's stream — every seed's SQL — is the same
+    whatever the draw."""
+    rng = random.Random(f"fuzz-config:{seed}")
+    return FuzzConfig(
+        **{name: rng.choice(values) for name, values in CONFIG_SPACE.items()}
+    )
+
+
 # ---------------------------------------------------------------------------
 # Engine harnesses
 # ---------------------------------------------------------------------------
 
 
-def build_repro_db(
-    tables: list[GenTable],
-    workers: int = 1,
-    plan_cache: Optional[bool] = None,
-    chaos=None,
-    encoding: Optional[str] = None,
-    topn: Optional[bool] = None,
-    wal_path: Optional[str] = None,
-) -> Database:
-    # Tiny morsels and no cardinality threshold: multi-morsel scans and
-    # the all-morsels-pruned path get differential coverage, and with
-    # workers > 1 every generated query genuinely dispatches to the pool
-    # even on fuzz-sized tables.
-    db = Database(
-        workers=workers, parallel_threshold=0, morsel_rows=32,
-        plan_cache=plan_cache, chaos=chaos, encoding=encoding,
-        topn=topn, wal_path=wal_path,
-    )
+def build_repro_db(tables: list[GenTable], **settings) -> Database:
+    """Our engine, loaded with ``tables``. ``settings`` are ``Database``
+    keyword arguments; by default morsels are tiny and the cardinality
+    threshold zero, so multi-morsel scans get coverage and with
+    ``workers > 1`` every query genuinely dispatches to the pool even
+    on small tables."""
+    db = Database(**{"parallel_threshold": 0, "morsel_rows": 32, **settings})
     for table in tables:
         db.execute(table.ddl())
         if table.rows:
@@ -196,19 +325,41 @@ class Divergence:
 
     seed: int
     query_index: int
-    kind: str  # "result" | "error"
+    kind: str  # "result" | "error" | "config" | "durability"
     sql: str
     tables: list[GenTable]
     detail: str
-    repro_rows: Optional[list[tuple]] = None
-    sqlite_rows: Optional[list[tuple]] = None
+    #: The configuration the seed ran under.
+    config: FuzzConfig
+    #: Its smallest failing switch set (field -> value).
+    switches: dict
+    #: Normalized rows per engine: "subject", "reference", "sqlite".
+    rows: dict
+
+    def reproducer(self) -> str:
+        n_queries = max(self.query_index + 1, DEFAULT_QUERIES_PER_SEED)
+        if self.config != draw_config(self.seed):
+            return (
+                f"repro.testing.oracle.run_seed({self.seed}, "
+                f"queries_per_seed={n_queries}, config={self.config!r})"
+            )
+        command = (
+            f"python -m repro.testing.fuzz --seeds 1 --start {self.seed}"
+        )
+        if n_queries > DEFAULT_QUERIES_PER_SEED:
+            command += f" --queries-per-seed {n_queries}"
+        return command
 
     def report(self) -> str:
         lines = [
             f"=== divergence (seed={self.seed}, "
             f"query={self.query_index}, kind={self.kind}) ===",
-            f"-- reproduce: python -m repro.testing.fuzz "
-            f"--seeds 1 --start {self.seed}",
+            f"-- reproduce: {self.reproducer()}",
+            f"-- config: {self.config}",
+            "-- failing switches: " + (
+                " ".join(f"{k}={v}" for k, v in self.switches.items())
+                or "none"
+            ),
             "-- schema + data:",
         ]
         for table in self.tables:
@@ -219,10 +370,8 @@ class Divergence:
         lines.append("-- query:")
         lines.append(f"{self.sql};")
         lines.append(f"-- {self.detail}")
-        if self.repro_rows is not None:
-            lines.append(f"-- repro rows:  {self.repro_rows[:10]}")
-        if self.sqlite_rows is not None:
-            lines.append(f"-- sqlite rows: {self.sqlite_rows[:10]}")
+        for side, rows in self.rows.items():
+            lines.append(f"-- {side} rows: {rows[:10]}")
         return "\n".join(lines)
 
 
@@ -231,354 +380,170 @@ class Divergence:
 # ---------------------------------------------------------------------------
 
 
+def _run(db: Database, sql: str, ordered: bool) -> tuple:
+    """``(rows, None)`` or ``(None, error)``. Governor aborts — what an
+    armed fault injector raises — propagate."""
+    try:
+        return normalize_rows(db.execute(sql).rows, ordered), None
+    except (ResourceGovernorError, InjectedFault):
+        raise
+    except (ReproError, OverflowError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _disagreement(
+    answers: dict, left: str, right: str, order_by: Optional[list]
+) -> Optional[str]:
+    """How two engines' answers differ, or None when they agree. Both
+    rejecting the statement is agreement (the generator overstepped
+    both dialects)."""
+    (lrows, lerror), (rrows, rerror) = answers[left], answers[right]
+    if lerror is None and rerror is None:
+        if rows_agree(lrows, rrows, order_by):
+            return None
+        return (
+            f"{left} and {right} differ: {len(lrows)} vs "
+            f"{len(rrows)} row(s)"
+        )
+    if lerror is not None and rerror is not None:
+        return None
+    if lerror is not None:
+        return f"{left} error: {lerror}"
+    return f"{right} error: {rerror}"
+
+
+def _failure(kind: str, detail: str, answers: dict) -> dict:
+    return {
+        "kind": kind,
+        "detail": detail,
+        "rows": {
+            side: answers[side][0]
+            for side in ("subject", "reference", "sqlite")
+            if side in answers and answers[side][0] is not None
+        },
+    }
+
+
 class DifferentialOracle:
-    """Runs generated queries through both engines and compares.
+    """Runs generated queries on a *subject* engine built from
+    ``config``, on the :data:`REFERENCE` engine and on SQLite.
 
-    With ``cache_check`` the repro side runs three legs per statement —
-    cold (populates the plan cache), cached (served from it), and a twin
-    database with the whole hot-path stack disabled — and any
-    disagreement between legs is a ``"cache"`` divergence.
+    Per statement, in order: the reference must agree with SQLite
+    (``"result"`` / ``"error"`` divergences); the subject runs it
+    twice — cold, then cached — and each run must agree with the
+    reference (``"config"``); and when the subject has a WAL, a *fresh*
+    database recovered from that log after the statement must hold the
+    subject's full committed state (``"durability"``).
 
-    ``chaos_injector`` arms a seeded fault injector on the repro side
-    *after* data population; statements aborted by the injected fault
-    (the typed governor family) are not divergences — the oracle then
-    checks that later statements still agree with SQLite, i.e. the
-    fault left no partial state behind.
-
-    With ``encoding_check`` the repro side additionally runs every
-    statement on two storage twins — one forced to encoded columns
-    (dictionary/RLE/FOR), one forced raw — and any disagreement between
-    them is an ``"encoding"`` divergence, shrunk to a minimal
-    reproducer exactly like an engine bug.
-
-    With ``topn_check`` the repro side runs every statement on a twin
-    with top-N sort fusion disabled (every ORDER BY + LIMIT takes the
-    full-sort-then-limit path), and any disagreement — ties included,
-    since the bounded sort is required to be bit-identical — is a
-    ``"topn"`` divergence.
-
-    With ``durability_check`` the repro side additionally maintains a
-    WAL-backed twin: every statement runs on it too, and after each
-    statement a *fresh* database is recovered from that WAL and its
-    full committed state compared against the live twin — any
-    round-trip loss through the log (or through checkpoint/replay) is
-    a ``"durability"`` divergence (docs/durability.md)."""
+    With ``config.chaos`` a fault injector seeded from ``seed`` is
+    armed on the subject *after* data population; a statement it aborts
+    (the typed governor family) is skipped, not a divergence — later
+    statements must still agree, i.e. the fault left no partial state
+    behind (docs/robustness.md)."""
 
     def __init__(
         self,
         tables: list[GenTable],
-        workers: int = 1,
-        cache_check: bool = False,
-        chaos_injector=None,
-        encoding_check: bool = False,
-        topn_check: bool = False,
-        durability_check: bool = False,
+        config: FuzzConfig = REFERENCE,
+        seed: int = 0,
     ):
-        self.tables = tables
-        self.workers = workers
-        self.cache_check = cache_check
-        self.encoding_check = encoding_check
-        self.topn_check = topn_check
-        self.durability_check = durability_check
-        # With the encoding twin active the primary runs forced-auto so
-        # the comparison is encoded-vs-raw regardless of REPRO_ENCODING.
-        self.db = build_repro_db(
-            tables, workers=workers, chaos=chaos_injector,
-            encoding="auto" if encoding_check else None,
+        self.config = config
+        # Holds the subject's WAL and its flight-recorder bundles.
+        self._dir = tempfile.TemporaryDirectory(prefix="repro-fuzz-")
+        self.wal_path = (
+            os.path.join(self._dir.name, "db.wal") if config.wal else None
         )
-        if chaos_injector is not None:
-            chaos_injector.arm()
-        self.db_nocache = (
-            build_repro_db(tables, workers=workers, plan_cache=False)
-            if cache_check
-            else None
-        )
-        self.db_raw = (
-            build_repro_db(tables, workers=workers, encoding="raw")
-            if encoding_check
-            else None
-        )
-        self.db_fullsort = (
-            build_repro_db(tables, workers=workers, topn=False)
-            if topn_check
-            else None
-        )
-        self._wal_dir = None
-        self.db_durable = None
-        if durability_check:
-            import tempfile
+        # Imported here: `python -m` runs chaos.py and crash.py after
+        # the package (and so this module) is loaded.
+        from .chaos import ChaosInjector
 
-            self._wal_dir = tempfile.TemporaryDirectory(
-                prefix="repro-fuzz-wal-"
-            )
-            self._wal_path = os.path.join(self._wal_dir.name, "db.wal")
-            self.db_durable = build_repro_db(
-                tables, workers=workers, wal_path=self._wal_path
-            )
+        chaos = ChaosInjector.from_seed(seed) if config.chaos else None
+        self.subject = build_repro_db(
+            tables, chaos=chaos, wal_path=self.wal_path,
+            flight_dir=self._dir.name, **config.engine_settings(),
+        )
+        if chaos is not None:
+            chaos.arm()
+        self.reference = build_repro_db(
+            tables, **REFERENCE.engine_settings()
+        )
         self.conn = build_sqlite_db(tables)
 
     def close(self) -> None:
         self.conn.close()
-        self.db.close()
-        if self.db_nocache is not None:
-            self.db_nocache.close()
-        if self.db_raw is not None:
-            self.db_raw.close()
-        if self.db_fullsort is not None:
-            self.db_fullsort.close()
-        if self.db_durable is not None:
-            self.db_durable.close()
-        if self._wal_dir is not None:
-            self._wal_dir.cleanup()
-
-    def _check_cache_legs(
-        self, sql: str, ordered: bool, cold_rows: list[tuple]
-    ) -> Optional[dict]:
-        """Compare the cold run's rows against the cached re-run and
-        the cache-disabled twin."""
-        for leg, db in (
-            ("cached", self.db),
-            ("cache-disabled", self.db_nocache),
-        ):
-            try:
-                rows = normalize_rows(db.execute(sql).rows, ordered)
-            except (ResourceGovernorError, InjectedFault):
-                # Chaos fault in a cache leg: abort, not a divergence.
-                global_registry().counter(
-                    "fuzz_chaos_faults_total"
-                ).inc()
-                return None
-            except (ReproError, OverflowError, ValueError) as exc:
-                return {
-                    "kind": "cache",
-                    "detail": (
-                        f"{leg} leg raised where the cold run "
-                        f"succeeded: {type(exc).__name__}: {exc}"
-                    ),
-                    "repro_rows": cold_rows,
-                }
-            if not rows_equal(cold_rows, rows, ordered):
-                return {
-                    "kind": "cache",
-                    "detail": (
-                        f"{leg} leg differs from the cold run: "
-                        f"{len(cold_rows)} vs {len(rows)} row(s)"
-                    ),
-                    "repro_rows": cold_rows,
-                    "sqlite_rows": rows,
-                }
-        return None
-
-    def _check_encoding_leg(
-        self, sql: str, ordered: bool, cold_rows: list[tuple]
-    ) -> Optional[dict]:
-        """Compare the (encoded) primary's rows against the raw-storage
-        twin: encoding must change footprint, never results."""
-        try:
-            rows = normalize_rows(
-                self.db_raw.execute(sql).rows, ordered
-            )
-        except (ResourceGovernorError, InjectedFault):
-            global_registry().counter("fuzz_chaos_faults_total").inc()
-            return None
-        except (ReproError, OverflowError, ValueError) as exc:
-            return {
-                "kind": "encoding",
-                "detail": (
-                    f"raw-storage twin raised where the encoded run "
-                    f"succeeded: {type(exc).__name__}: {exc}"
-                ),
-                "repro_rows": cold_rows,
-            }
-        if not rows_equal(cold_rows, rows, ordered):
-            return {
-                "kind": "encoding",
-                "detail": (
-                    f"encoded and raw storage disagree: "
-                    f"{len(cold_rows)} vs {len(rows)} row(s)"
-                ),
-                "repro_rows": cold_rows,
-                "sqlite_rows": rows,
-            }
-        return None
-
-    def _check_topn_leg(
-        self, sql: str, ordered: bool, cold_rows: list[tuple]
-    ) -> Optional[dict]:
-        """Compare the primary (top-N fusion enabled) against the
-        full-sort twin. Ordered queries compare positionally, so a
-        top-N that resolves ties differently from the stable full sort
-        is caught as a divergence."""
-        try:
-            rows = normalize_rows(
-                self.db_fullsort.execute(sql).rows, ordered
-            )
-        except (ResourceGovernorError, InjectedFault):
-            global_registry().counter("fuzz_chaos_faults_total").inc()
-            return None
-        except (ReproError, OverflowError, ValueError) as exc:
-            return {
-                "kind": "topn",
-                "detail": (
-                    f"full-sort twin raised where the top-N run "
-                    f"succeeded: {type(exc).__name__}: {exc}"
-                ),
-                "repro_rows": cold_rows,
-            }
-        if not rows_equal(cold_rows, rows, ordered):
-            return {
-                "kind": "topn",
-                "detail": (
-                    f"top-N and full-sort disagree: "
-                    f"{len(cold_rows)} vs {len(rows)} row(s)"
-                ),
-                "repro_rows": cold_rows,
-                "sqlite_rows": rows,
-            }
-        return None
-
-    def _check_durability_leg(
-        self, sql: str, ordered: bool, cold_rows: list[tuple]
-    ) -> Optional[dict]:
-        """Run the statement on the WAL-backed twin, then recover a
-        fresh database from that WAL and require its full committed
-        state to match the live twin's — the log must round-trip
-        everything, after every statement."""
-        try:
-            rows = normalize_rows(
-                self.db_durable.execute(sql).rows, ordered
-            )
-        except (ResourceGovernorError, InjectedFault):
-            global_registry().counter("fuzz_chaos_faults_total").inc()
-            return None
-        except (ReproError, OverflowError, ValueError) as exc:
-            return {
-                "kind": "durability",
-                "detail": (
-                    f"WAL-backed twin raised where the primary "
-                    f"succeeded: {type(exc).__name__}: {exc}"
-                ),
-                "repro_rows": cold_rows,
-            }
-        if not rows_equal(cold_rows, rows, ordered):
-            return {
-                "kind": "durability",
-                "detail": (
-                    f"WAL-backed twin differs from the primary: "
-                    f"{len(cold_rows)} vs {len(rows)} row(s)"
-                ),
-                "repro_rows": cold_rows,
-                "sqlite_rows": rows,
-            }
-        from .crash import dump_state
-
-        recovered = Database(wal_path=self._wal_path, workers=1)
-        try:
-            live_state = dump_state(self.db_durable)
-            rec_state = dump_state(recovered)
-        finally:
-            recovered.close()
-        if live_state != rec_state:
-            return {
-                "kind": "durability",
-                "detail": (
-                    "state recovered from the WAL differs from the "
-                    "live twin: "
-                    + ", ".join(
-                        f"{name}: {len(rec_state.get(name, []))} vs "
-                        f"{len(live_state.get(name, []))} row(s)"
-                        for name in sorted(
-                            set(live_state) | set(rec_state)
-                        )
-                        if live_state.get(name) != rec_state.get(name)
-                    )
-                ),
-                "repro_rows": cold_rows,
-            }
-        return None
+        self.subject.close()
+        self.reference.close()
+        self._dir.cleanup()
 
     def check(self, query: GenQuery) -> Optional[dict]:
-        """None when both engines agree; otherwise a dict describing
-        the disagreement (used by :meth:`check_query` and the
-        minimizer)."""
-        return self._check_sql(query.to_sql(), query.ordered)
-
-    def _check_sql(self, sql: str, ordered: bool) -> Optional[dict]:
+        """None when every engine agrees; otherwise a dict describing
+        the disagreement (used by :func:`run_seed` and the
+        minimizers)."""
+        sql, ordered = query.to_sql(), query.ordered
+        order_by = query.order_by if ordered else None
         metrics = global_registry()
         metrics.counter("fuzz_queries_total").inc()
-        repro_error = sqlite_error = None
-        repro_rows = sqlite_rows = None
+        answers = {"reference": _run(self.reference, sql, ordered)}
         try:
-            repro_rows = normalize_rows(
-                self.db.execute(sql).rows, ordered
-            )
-            metrics.counter("fuzz_rows_compared_total").inc(
-                len(repro_rows)
-            )
-        except (ResourceGovernorError, InjectedFault):
-            # A chaos-injected abort is not a semantic divergence; the
-            # statement rolled back and later queries re-check state.
-            metrics.counter("fuzz_chaos_faults_total").inc()
-            return None
-        except (ReproError, OverflowError, ValueError) as exc:
-            repro_error = f"{type(exc).__name__}: {exc}"
-        try:
-            sqlite_rows = normalize_rows(
-                self.conn.execute(sql).fetchall(), ordered
+            answers["sqlite"] = (
+                normalize_rows(self.conn.execute(sql).fetchall(), ordered),
+                None,
             )
         except sqlite3.Error as exc:
-            sqlite_error = f"{type(exc).__name__}: {exc}"
-
-        if repro_error is None and self.db_nocache is not None:
-            cache_failure = self._check_cache_legs(
-                sql, ordered, repro_rows
+            answers["sqlite"] = (None, f"{type(exc).__name__}: {exc}")
+        if answers["reference"][0] is not None:
+            metrics.counter("fuzz_rows_compared_total").inc(
+                len(answers["reference"][0])
             )
-            if cache_failure is not None:
-                return cache_failure
-        if repro_error is None and self.db_raw is not None:
-            encoding_failure = self._check_encoding_leg(
-                sql, ordered, repro_rows
-            )
-            if encoding_failure is not None:
-                return encoding_failure
-        if repro_error is None and self.db_fullsort is not None:
-            topn_failure = self._check_topn_leg(
-                sql, ordered, repro_rows
-            )
-            if topn_failure is not None:
-                return topn_failure
-        if repro_error is None and self.db_durable is not None:
-            durability_failure = self._check_durability_leg(
-                sql, ordered, repro_rows
-            )
-            if durability_failure is not None:
-                return durability_failure
-        if repro_error is None and sqlite_error is None:
-            if rows_equal(repro_rows, sqlite_rows, ordered):
+        detail = _disagreement(answers, "reference", "sqlite", order_by)
+        if detail is not None:
+            ran = all(error is None for _rows, error in answers.values())
+            return _failure("result" if ran else "error", detail, answers)
+        for run in ("cold", "cached"):
+            try:
+                answers["subject"] = _run(self.subject, sql, ordered)
+            except (ResourceGovernorError, InjectedFault):
+                # An injected abort rolled the statement back; later
+                # statements re-check the state it left.
+                metrics.counter("fuzz_chaos_faults_total").inc()
                 return None
-            return {
-                "kind": "result",
-                "detail": (
-                    f"results differ: {len(repro_rows)} vs "
-                    f"{len(sqlite_rows)} row(s)"
-                ),
-                "repro_rows": repro_rows,
-                "sqlite_rows": sqlite_rows,
-            }
-        if repro_error is not None and sqlite_error is not None:
-            # Both engines reject the statement: not a semantic
-            # divergence (the generator overstepped both dialects).
+            detail = _disagreement(
+                answers, "subject", "reference", order_by
+            )
+            if detail is not None:
+                return _failure("config", f"{run} run: {detail}", answers)
+        if self.wal_path is not None:
+            detail = self._recovery_disagreement()
+            if detail is not None:
+                return _failure("durability", detail, answers)
+        return None
+
+    def _recovery_disagreement(self) -> Optional[str]:
+        """Recover a fresh database from the subject's WAL (snapshot
+        plus log suffix) and compare full committed states."""
+        from .crash import dump_state
+
+        try:
+            recovered = Database(
+                wal_path=self.wal_path, workers=1, checkpoint_bytes=0,
+                recovery=self.config.recovery, flight_dir=self._dir.name,
+            )
+        except ReproError as exc:
+            return f"recovery failed: {type(exc).__name__}: {exc}"
+        try:
+            live, restored = dump_state(self.subject), dump_state(recovered)
+        finally:
+            recovered.close()
+        if live == restored:
             return None
-        return {
-            "kind": "error",
-            "detail": (
-                f"repro error: {repro_error}"
-                if repro_error is not None
-                else f"sqlite error: {sqlite_error}"
-            ),
-            "repro_rows": repro_rows,
-            "sqlite_rows": sqlite_rows,
-        }
+        return "state recovered from the WAL differs from the subject: " + (
+            ", ".join(
+                f"{name}: {len(restored.get(name, []))} vs "
+                f"{len(live.get(name, []))} row(s)"
+                for name in sorted(set(live) | set(restored))
+                if live.get(name) != restored.get(name)
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -677,29 +642,44 @@ def minimize_query(
     return current
 
 
+def _probe(
+    tables: list[GenTable], query: GenQuery, config: FuzzConfig, seed: int
+) -> Optional[dict]:
+    """``query`` on freshly built engines."""
+    oracle = DifferentialOracle(tables, config, seed)
+    try:
+        return oracle.check(query)
+    finally:
+        oracle.close()
+
+
+def minimize_config(
+    tables: list[GenTable],
+    query: GenQuery,
+    config: FuzzConfig,
+    seed: int = 0,
+) -> FuzzConfig:
+    """Greedy shrink: keep resetting the first switch whose reference
+    value still diverges, until none does — no single remaining switch
+    can then be reset."""
+    while True:
+        for name in config.switches():
+            candidate = replace(config, **{name: getattr(REFERENCE, name)})
+            if _probe(tables, query, candidate, seed) is not None:
+                config = candidate
+                break
+        else:
+            return config
+
+
 def minimize_data(
     tables: list[GenTable],
     query: GenQuery,
-    workers: int = 1,
-    cache_check: bool = False,
-    encoding_check: bool = False,
-    topn_check: bool = False,
-    durability_check: bool = False,
+    config: FuzzConfig = REFERENCE,
+    seed: int = 0,
 ) -> list[GenTable]:
     """Drop row chunks (halves, then quarters, ...) from each table
-    while the divergence persists. Rebuilds both engines per probe."""
-
-    def diverges(candidate_tables: list[GenTable]) -> bool:
-        oracle = DifferentialOracle(
-            candidate_tables, workers=workers, cache_check=cache_check,
-            encoding_check=encoding_check, topn_check=topn_check,
-            durability_check=durability_check,
-        )
-        try:
-            return oracle.check(query) is not None
-        finally:
-            oracle.close()
-
+    while the divergence persists. Rebuilds every engine per probe."""
     current = copy.deepcopy(tables)
     for t_index in range(len(current)):
         chunk = max(len(current[t_index].rows) // 2, 1)
@@ -710,9 +690,9 @@ def minimize_data(
             while start < len(rows):
                 candidate = copy.deepcopy(current)
                 del candidate[t_index].rows[start:start + chunk]
-                if candidate[t_index].rows != rows and diverges(
-                    candidate
-                ):
+                if candidate[t_index].rows != rows and _probe(
+                    candidate, query, config, seed
+                ) is not None:
                     current = candidate
                     rows = current[t_index].rows
                     progressed = True
@@ -732,49 +712,18 @@ def minimize_data(
 
 def run_seed(
     seed: int,
-    queries_per_seed: int = 3,
+    queries_per_seed: int = DEFAULT_QUERIES_PER_SEED,
     minimize: bool = True,
-    allow_subqueries: bool = True,
-    workers: int = 1,
-    cache_check: bool = False,
-    chaos: bool = False,
-    encoding_check: bool = False,
-    topn_check: bool = False,
-    durability_check: bool = False,
-    schema_profile: str = "default",
+    config: Optional[FuzzConfig] = None,
 ) -> list[Divergence]:
-    """Run one seed's schema + queries; returns found divergences.
-
-    ``workers > 1`` runs the repro side with a parallel pool (zero
-    cardinality threshold, tiny morsels) so the differential corpus
-    exercises the morsel-driven paths against SQLite. ``cache_check``
-    additionally compares cold vs plan-cached vs cache-disabled
-    executions of every statement. ``chaos`` arms a seeded fault
-    injector on the repro side: the injected abort itself is tolerated,
-    but every query after it must still agree with SQLite.
-    ``encoding_check`` runs every statement on encoded-vs-raw storage
-    twins; ``topn_check`` runs every statement on a full-sort twin
-    (top-N fusion disabled) and requires bit-identical ordered output;
-    ``durability_check`` keeps a WAL-backed twin and recovers a fresh
-    database from its log after every statement, requiring the
-    round-tripped state to match; ``schema_profile="strings"``
-    generates the string-heavy, low-cardinality schemas that stress
-    dictionary encoding."""
-    generator = QueryGenerator(
-        seed, allow_subqueries=allow_subqueries,
-        schema_profile=schema_profile,
-    )
+    """Run one seed's schema + queries under the seed's drawn
+    configuration (or ``config``, forced); returns found divergences,
+    each shrunk to its query, switches and data."""
+    if config is None:
+        config = draw_config(seed)
+    generator = QueryGenerator(seed, schema_profile=config.schema)
     tables = generator.schema()
-    chaos_injector = None
-    if chaos:
-        from .chaos import ChaosInjector
-
-        chaos_injector = ChaosInjector.from_seed(seed)
-    oracle = DifferentialOracle(
-        tables, workers=workers, cache_check=cache_check,
-        chaos_injector=chaos_injector, encoding_check=encoding_check,
-        topn_check=topn_check, durability_check=durability_check,
-    )
+    oracle = DifferentialOracle(tables, config, seed)
     divergences = []
     try:
         for index in range(queries_per_seed):
@@ -782,27 +731,17 @@ def run_seed(
             failure = oracle.check(query)
             if failure is None:
                 continue
-            small_tables = tables
+            small_tables, small_config = tables, config
             if minimize:
                 query = minimize_query(oracle, query)
+                small_config = minimize_config(tables, query, config, seed)
                 small_tables = minimize_data(
-                    tables, query,
-                    workers=workers, cache_check=cache_check,
-                    encoding_check=encoding_check,
-                    topn_check=topn_check,
-                    durability_check=durability_check,
+                    tables, query, small_config, seed
                 )
-                probe = DifferentialOracle(
-                    small_tables,
-                    workers=workers, cache_check=cache_check,
-                    encoding_check=encoding_check,
-                    topn_check=topn_check,
-                    durability_check=durability_check,
+                failure = (
+                    _probe(small_tables, query, small_config, seed)
+                    or failure
                 )
-                try:
-                    failure = probe.check(query) or failure
-                finally:
-                    probe.close()
             global_registry().counter("fuzz_divergences_total").inc()
             divergences.append(
                 Divergence(
@@ -812,8 +751,9 @@ def run_seed(
                     sql=query.to_sql(),
                     tables=small_tables,
                     detail=failure["detail"],
-                    repro_rows=failure.get("repro_rows"),
-                    sqlite_rows=failure.get("sqlite_rows"),
+                    config=config,
+                    switches=small_config.switches(),
+                    rows=failure["rows"],
                 )
             )
     finally:
@@ -823,32 +763,10 @@ def run_seed(
 
 def run_seeds(
     seeds: Iterable[int],
-    queries_per_seed: int = 3,
+    queries_per_seed: int = DEFAULT_QUERIES_PER_SEED,
     minimize: bool = True,
-    allow_subqueries: bool = True,
-    workers: int = 1,
-    cache_check: bool = False,
-    chaos: bool = False,
-    encoding_check: bool = False,
-    topn_check: bool = False,
-    durability_check: bool = False,
-    schema_profile: str = "default",
 ) -> list[Divergence]:
     out = []
     for seed in seeds:
-        out.extend(
-            run_seed(
-                seed,
-                queries_per_seed=queries_per_seed,
-                minimize=minimize,
-                allow_subqueries=allow_subqueries,
-                workers=workers,
-                cache_check=cache_check,
-                chaos=chaos,
-                encoding_check=encoding_check,
-                topn_check=topn_check,
-                durability_check=durability_check,
-                schema_profile=schema_profile,
-            )
-        )
+        out.extend(run_seed(seed, queries_per_seed, minimize))
     return out

@@ -156,11 +156,22 @@ class TestBattery:
 class TestFuzzChaos:
     def test_fuzz_seed_with_chaos_agrees_with_sqlite(self):
         pytest.importorskip("sqlite3")
-        from repro.testing.oracle import run_seed
+        from dataclasses import replace
 
+        from repro.obs.metrics import global_registry
+        from repro.testing.oracle import REFERENCE, run_seed
+
+        def faults():
+            counters = global_registry().snapshot()["counters"]
+            return counters.get("fuzz_chaos_faults_total", 0)
+
+        config = replace(REFERENCE, chaos=True, workers=2, morsel_rows=7)
         for seed in (3, 4, 5):
-            divergences = run_seed(seed, chaos=True)
-            assert divergences == []
+            before = faults()
+            assert run_seed(seed, config=config) == []
+            # The fault fired and aborted a statement; the queries after
+            # it still agreed.
+            assert faults() == before + 1
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,11 @@
-"""Differential tests: generated SQL against the SQLite oracle.
+"""Differential tests: generated SQL on each seed's drawn engine
+configuration, on the reference engine and on SQLite.
 
-Tier-1 runs a fixed 100-seed range (3 queries per seed = 300 queries);
-the wider sweep is marked ``slow``. Any failure prints a minimized
-standalone reproducer (schema DDL + INSERTs + SQL + seed).
+Tier-1 runs a fixed 100-seed range (3 queries per seed = 300 queries;
+tests/test_config_sampling.py checks that the range draws every sampled
+value); the wider sweep is marked ``slow``. Any failure prints a
+minimized standalone reproducer (schema DDL + INSERTs + SQL + seed +
+failing switches).
 """
 
 import pytest
@@ -12,6 +15,7 @@ from repro.testing.oracle import (
     DifferentialOracle,
     normalize_rows,
     normalize_value,
+    rows_agree,
     rows_equal,
     run_seeds,
 )
@@ -73,7 +77,7 @@ def test_generated_queries_parse_and_run():
             query = generator.query(tables)
             # Must not raise on our engine: the generator stays inside
             # the supported dialect.
-            oracle.db.execute(query.to_sql())
+            oracle.subject.execute(query.to_sql())
     finally:
         oracle.close()
 
@@ -108,6 +112,18 @@ def test_rows_equal_float_tolerance():
     assert rows_equal(left, right, ordered=True)
     assert not rows_equal([(1.1,)], [(1.0,)], ordered=True)
     assert not rows_equal([(1,)], [(1,), (1,)], ordered=False)
+
+
+def test_rows_agree_tolerates_float_ties_in_the_sort_only():
+    # ORDER BY 2 DESC, 1 ASC: summation noise makes one engine see
+    # -36.589999999999996 > -36.59 where the other sees a tie.
+    order_by = [(2, True, True), (1, False, True)]
+    ours = [("dahlia", -36.589999999999996), ("birch", -36.59)]
+    theirs = [("birch", -36.589999999999996), ("dahlia", -36.589999999999996)]
+    assert rows_agree(ours, theirs, order_by)
+    # Unsorted output, or different rows, still disagree.
+    assert not rows_agree(ours[::-1], theirs[::-1], order_by)
+    assert not rows_agree(ours, [("birch", -1.0), ("elm", -2.0)], order_by)
 
 
 def test_run_seed_reports_kind_and_sql():
