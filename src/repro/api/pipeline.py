@@ -53,6 +53,7 @@ HOT_PATH_COUNTERS = (
     "exec_morsels_dispatched_total",
     "exec_loop_invariant_materialized_total",
     "exec_loop_invariant_reused_total",
+    "exec_subquery_runs_total",
     *(f'exec_group_keys_total{{path="{p}"}}' for p in GROUP_KEY_PATHS),
     "analytics_csr_cache_hits_total",
     "analytics_csr_cache_misses_total",
@@ -508,6 +509,7 @@ class StatementPipeline:
             ("exec_parallel_pipelines_total", stats.parallel_pipelines),
             ("exec_morsels_dispatched_total", stats.morsels_dispatched),
             ("scan_morsels_pruned_total", stats.morsels_pruned),
+            ("exec_subquery_runs_total", stats.subquery_runs),
         ):
             if amount:
                 metrics.counter(name).inc(amount)

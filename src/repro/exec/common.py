@@ -21,10 +21,216 @@ from ..types import TypeKind
 
 #: The engine's one density rule: integer keys spanning at most this
 #: many slots per row are addressed through a table with one slot per
-#: key value (group codes here, match ranges in ``exec/join.py``), so
-#: the table costs no more than a pass over its input. Sparser keys are
-#: sorted.
+#: key value (group codes here, match ranges in :func:`offset_table`),
+#: so the table costs no more than a pass over its input. Sparser keys
+#: are sorted.
 DENSE_SPAN_FACTOR = 4
+
+
+def offset_table(
+    sorted_keys: np.ndarray, probe_rows: int = 0
+) -> Optional[tuple[int, np.ndarray]]:
+    """``(base, offsets)`` such that the rows with key ``k`` are
+    ``sorted_keys[offsets[k - base]:offsets[k - base + 1]]``, or None
+    when the keys are too sparse (or absent) for a table. ``offsets``
+    ends in one spare slot with an empty range — where the probe sends
+    keys outside ``[base, base + span)``.
+
+    The table has one slot per key value between the smallest and
+    largest key, and is built when that span is at most
+    ``DENSE_SPAN_FACTOR`` slots per key plus one per probe row, so it
+    costs no more than a pass over its inputs; sparser keys are
+    binary-searched (:func:`key_ranges`). The hash join builds one over
+    its build-side codes, ``x IN (subquery)`` one over the subquery's
+    distinct integer keys (:class:`KeySet`)."""
+    if len(sorted_keys) == 0:
+        return None
+    base = int(sorted_keys[0])
+    # Python ints: the span of two int64 keys can exceed int64.
+    span = int(sorted_keys[-1]) - base + 1
+    if span > DENSE_SPAN_FACTOR * len(sorted_keys) + probe_rows:
+        return None
+    offsets = np.zeros(span + 2, dtype=np.int64)
+    np.cumsum(
+        np.bincount(sorted_keys - base, minlength=span),
+        out=offsets[1:-1],
+    )
+    offsets[-1] = offsets[-2]
+    return base, offsets
+
+
+def key_ranges(
+    sorted_keys: np.ndarray,
+    probe: np.ndarray,
+    table: Optional[tuple[int, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: each probe key's run ``sorted_keys[lo:hi]`` — read
+    from ``table`` (the keys' :func:`offset_table`, int64 probes only)
+    or binary-searched when it is None. Both give the same ranges
+    wherever a range is non-empty."""
+    if table is None:
+        lo = np.searchsorted(sorted_keys, probe, side="left")
+        hi = np.searchsorted(sorted_keys, probe, side="right")
+        return lo, hi
+    base, offsets = table
+    # As uint64, ``key - base`` (wrapping) is below the span exactly for
+    # keys inside it: keys under ``base`` wrap to huge values.
+    slot = np.minimum(
+        (probe - base).view(np.uint64), len(offsets) - 2
+    ).view(np.int64)
+    return offsets[slot], offsets[slot + 1]
+
+
+#: ``KeySet`` domains: values of two different domains are never equal
+#: (a string never equals a number); within ``int`` and ``float`` every
+#: comparison is exact.
+_INT_KINDS = frozenset(
+    {TypeKind.BOOLEAN, TypeKind.INTEGER, TypeKind.BIGINT, TypeKind.DATE}
+)
+
+#: int64's range as floats: ``[-2**63, 2**63)``.
+_INT64_FLOAT_LOW = -(2.0 ** 63)
+_INT64_FLOAT_HIGH = 2.0 ** 63
+
+
+def _key_domain(col: Column) -> Optional[str]:
+    kind = col.sql_type.kind
+    if kind in _INT_KINDS:
+        return "int"
+    if kind is TypeKind.DOUBLE:
+        return "float"
+    if kind is TypeKind.VARCHAR:
+        return "str"
+    return None  # the NULL type: no value at all
+
+
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values: dense integers through a presence
+    table (the density rule), everything else by ``np.unique``."""
+    if values.dtype.kind == "i" and len(values):
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= DENSE_SPAN_FACTOR * len(values):
+            present = np.zeros(span, dtype=np.bool_)
+            present[values - low] = True
+            return np.flatnonzero(present) + low
+    return np.unique(values)
+
+
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Mask of the doubles that equal an int64 exactly."""
+    with np.errstate(invalid="ignore"):
+        return (
+            (values == np.trunc(values))
+            & (values >= _INT64_FLOAT_LOW)
+            & (values < _INT64_FLOAT_HIGH)
+        )
+
+
+class KeySet:
+    """The values of one column, as ``probe IN (subquery)`` tests rows
+    against them: sorted distinct non-NULL keys (NaN dropped: it equals
+    nothing), whether a NULL was among them, and whether the column was
+    empty.
+
+    Membership is SQL equality across types, exact as comparing the
+    Python values would be: BOOLEAN, INTEGER, BIGINT and DATE compare
+    as integers; a DOUBLE equals an integer only when it is that
+    integer exactly (``9007199254740993`` is not ``9007199254740992.0``);
+    ``-0.0`` equals ``0.0``; NaN equals nothing; a string equals only
+    the same string. Integer probes read an :func:`offset_table` when
+    the keys are dense, other probes binary-search; a dictionary-encoded
+    probe is answered once per dictionary entry and gathered by code.
+    """
+
+    __slots__ = (
+        "domain", "keys", "has_null", "empty", "_table", "_int_keys",
+        "_dict_flags",
+    )
+
+    def __init__(self, col: Column):
+        n = len(col)
+        valid = col.valid
+        n_valid = n if valid is None else int(valid.sum())
+        self.domain = _key_domain(col)
+        if self.domain is None:
+            n_valid = 0
+        self.has_null = n_valid < n
+        #: The column had no row at all.
+        self.empty = n == 0
+        self._dict_flags = None
+        self._int_keys = None
+        self._table = None
+        if n_valid == 0:
+            self.keys = np.zeros(0, dtype=np.int64)
+        elif isinstance(col, DictionaryColumn):
+            codes = col.codes if valid is None else col.codes[valid]
+            # The dictionary is sorted: code order is value order.
+            distinct = _distinct_sorted(codes.astype(np.int64))
+            self.keys = col.dictionary[distinct]
+        else:
+            live = col.values if valid is None else col.values[valid]
+            if self.domain == "int":
+                self.keys = _distinct_sorted(live.astype(np.int64))
+                self._table = offset_table(self.keys)
+            elif self.domain == "float":
+                self.keys = np.unique(live[~np.isnan(live)])
+            else:
+                self.keys = np.unique(live)
+
+    def _integer_keys(self) -> tuple[np.ndarray, Optional[tuple]]:
+        """The keys an integer probe can equal, as sorted int64, and
+        their offset table."""
+        if self.domain == "int":
+            return self.keys, self._table
+        if self._int_keys is None:
+            exact = self.keys[_integral(self.keys)].astype(np.int64)
+            self._int_keys = (exact, offset_table(exact))
+        return self._int_keys
+
+    def member(self, col: Column) -> np.ndarray:
+        """Per row of ``col``: whether its value equals a key (False at
+        NULL rows)."""
+        domain = _key_domain(col)
+        if len(self.keys) == 0 or domain is None or (
+            (domain == "str") != (self.domain == "str")
+        ):
+            return np.zeros(len(col), dtype=np.bool_)
+        valid = col.valid
+        if isinstance(col, DictionaryColumn):
+            cached = self._dict_flags
+            if cached is None or cached[0] is not col.dictionary:
+                flags = _found(self.keys, None, col.dictionary)
+                cached = self._dict_flags = (col.dictionary, flags)
+            hit = cached[1][col.codes]
+            return hit if valid is None else hit & valid
+        if valid is None:
+            return self._member_values(domain, col.values)
+        out = np.zeros(len(col), dtype=np.bool_)
+        out[valid] = self._member_values(domain, col.values[valid])
+        return out
+
+    def _member_values(self, domain: str, values: np.ndarray) -> np.ndarray:
+        if domain == "str" or domain == self.domain == "float":
+            return _found(self.keys, None, values)
+        keys, table = self._integer_keys()
+        if domain == "int":
+            return _found(keys, table, values.astype(np.int64, copy=False))
+        # A double probe meets integer keys: only integral doubles can
+        # match, and they compare as the integers they are.
+        exact = _integral(values)
+        out = np.zeros(len(values), dtype=np.bool_)
+        out[exact] = _found(keys, table, values[exact].astype(np.int64))
+        return out
+
+
+def _found(keys: np.ndarray, table, probe: np.ndarray) -> np.ndarray:
+    """Whether each probe value is among the sorted ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(probe), dtype=np.bool_)
+    lo, hi = key_ranges(keys, probe, table)
+    return hi > lo
+
 
 #: The routes of :func:`factorize_column`, as the ``path`` label of
 #: ``exec_group_keys_total``.

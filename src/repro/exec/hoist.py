@@ -43,7 +43,7 @@ class LoopScope:
         #: ``EvalContext.subquery_cache`` keys of the uncorrelated
         #: subqueries in ``body`` whose plan reads this working table.
         self.round_subqueries = [
-            id(expr)
+            id(expr.plan)
             for plan in body
             for node in walk_plan(plan)
             for expr in walk_expressions(node)

@@ -20,7 +20,7 @@ from ..expr.compiler import EvalContext
 from ..plan.logical import LogicalJoin, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..types import TypeKind
-from .common import DENSE_SPAN_FACTOR, factorize
+from .common import factorize, key_ranges, offset_table
 from .parallel import _parallel_safe, morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
@@ -70,37 +70,6 @@ def _raw_small_build_keys(
     )
 
 
-def _offset_table(
-    sorted_codes: np.ndarray, probe_rows: int = 0
-) -> Optional[tuple[int, np.ndarray]]:
-    """``(base, offsets)`` such that the build rows with key ``k`` are
-    ``sorted_codes[offsets[k - base]:offsets[k - base + 1]]``, or None
-    when the keys are too sparse (or absent) for a table. ``offsets``
-    ends in one spare slot with an empty range — where the probe sends
-    keys outside ``[base, base + span)``.
-
-    The table has one slot per key value between the smallest and
-    largest build key, and is built when that span is at most
-    ``DENSE_SPAN_FACTOR`` slots per build row plus one per probe row, so
-    it costs no more than a pass over the join's inputs; sparser keys
-    are binary-searched. Factorized codes always qualify (they count
-    the distinct keys of both sides), raw integer ids usually do."""
-    if len(sorted_codes) == 0:
-        return None
-    base = int(sorted_codes[0])
-    # Python ints: the span of two int64 keys can exceed int64.
-    span = int(sorted_codes[-1]) - base + 1
-    if span > DENSE_SPAN_FACTOR * len(sorted_codes) + probe_rows:
-        return None
-    offsets = np.zeros(span + 2, dtype=np.int64)
-    np.cumsum(
-        np.bincount(sorted_codes - base, minlength=span),
-        out=offsets[1:-1],
-    )
-    offsets[-1] = offsets[-2]
-    return base, offsets
-
-
 def _probe_chunk(
     probe_rows: np.ndarray,
     left_codes: np.ndarray,
@@ -110,22 +79,9 @@ def _probe_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe one chunk of left rows against the sorted build side and
     expand the matching ``[lo, hi)`` ranges into explicit pair lists.
-    ``table`` is the build side's :func:`_offset_table`; both lookups
-    give the same ranges wherever a range is non-empty, so the pairs
-    and their order do not depend on which one ran."""
-    probe_codes = left_codes[probe_rows]
-    if table is None:
-        lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-        hi = np.searchsorted(sorted_codes, probe_codes, side="right")
-    else:
-        base, offsets = table
-        # As uint64, ``key - base`` (wrapping) is below the span exactly
-        # for keys inside it: keys under ``base`` wrap to huge values.
-        slot = np.minimum(
-            (probe_codes - base).view(np.uint64), len(offsets) - 2
-        ).view(np.int64)
-        lo = offsets[slot]
-        hi = offsets[slot + 1]
+    ``table`` is the build side's :func:`~repro.exec.common.offset_table`;
+    the pairs and their order do not depend on whether it is set."""
+    lo, hi = key_ranges(sorted_codes, left_codes[probe_rows], table)
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
@@ -296,7 +252,7 @@ class HashJoinOp(PhysicalOperator):
         right_rows = np.flatnonzero(usable_right)[order]
         sorted_codes = right_codes[right_rows]
         probe_rows = np.flatnonzero(~left_null)
-        table = _offset_table(sorted_codes, len(probe_rows))
+        table = offset_table(sorted_codes, len(probe_rows))
         if parallel and 0 < len(probe_rows) \
                 and len(probe_rows) >= self._ctx.parallel_threshold:
             # Probe in parallel over fixed probe-row chunks. Each

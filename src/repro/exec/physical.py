@@ -40,6 +40,10 @@ class ExecutionStats:
         #: Key columns factorized, by the route that numbered their
         #: groups (``exec/common.py::factorize_column``).
         self.group_keys = dict.fromkeys(GROUP_KEY_PATHS, 0)
+        #: Subplan executions for subqueries inside expressions: one
+        #: per statement for an uncorrelated subquery, one per distinct
+        #: outer value in a batch for a correlated one.
+        self.subquery_runs = 0
 
     def observe_live_tuples(self, count: int) -> None:
         if count > self.peak_live_tuples:
@@ -302,6 +306,7 @@ class ExecutionContext:
         if op is None:
             op = build_physical(plan, self)
             self._physical_cache[id(plan)] = op
+        self.stats.subquery_runs += 1
         eval_ctx = self.new_eval_context(params)
         eval_ctx.subquery_cache = {}  # params change => don't share cache
         batches = list(op.execute(eval_ctx))

@@ -14,7 +14,9 @@ program form:
   the fancy-index gather, which is where filter time goes.
 * **Zone-map pruning**: morsel ranges provably empty under the leading
   filter predicates are never sliced at all
-  (:class:`repro.storage.zonemap.ScanPruner`).
+  (:class:`repro.storage.zonemap.ScanPruner`). The uncorrelated
+  subqueries of those predicates run when the scan opens, so a pushed
+  ``x IN (SELECT ...)`` costs no pruning.
 
 Filter steps evaluate **sequentially** (no mask merging): conjunct
 evaluation order is observable through data-dependent errors
@@ -29,9 +31,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..expr.compiler import EvalContext
+from ..expr.bound import BoundSubquery
+from ..expr.compiler import EvalContext, subquery_result
 from ..plan import logical as lp
-from ..plan.logical import LogicalValues, LogicalWorkingTableRef
+from ..plan.logical import (
+    LogicalValues,
+    LogicalWorkingTableRef,
+    statement_constant,
+)
 from ..storage.column import Column, ColumnBatch
 from ..storage.zonemap import ScanPruner
 from ..types import INTEGER
@@ -66,7 +73,7 @@ def build_pipeline_program(
         needed_after[i] = list(needed)
         refs = list(needed) if isinstance(stage, lp.LogicalFilter) else []
         for expr in _stage_exprs(stage):
-            for slot in sorted(expr.referenced_slots()):
+            for slot in sorted(expr.consumed_slots()):
                 if slot not in refs:
                     refs.append(slot)
         needed = refs
@@ -122,21 +129,30 @@ def run_program(
     return batch
 
 
-def pipeline_pruner(
-    scan: lp.LogicalScan, stages: list[lp.LogicalPlan]
-) -> Optional[ScanPruner]:
-    """A :class:`ScanPruner` over the leading filter stages (the
-    filters applied before any projection changes the slot space), or
-    None when those predicates admit no pruning."""
+def leading_predicates(stages: list[lp.LogicalPlan]) -> list:
+    """The predicates of the leading filter stages: the filters applied
+    before any projection changes the slot space — the ones zone maps
+    can prune for."""
     leading = []
     for stage in reversed(stages):
         if not isinstance(stage, lp.LogicalFilter):
             break
         leading.append(stage.predicate)
-    if not leading:
-        return None
-    pruner = ScanPruner(scan.output, leading)
-    return pruner if pruner.active else None
+    return leading
+
+
+def opening_subqueries(predicates: list) -> list[BoundSubquery]:
+    """The subqueries of ``predicates`` the scan runs when it opens:
+    those with one result per execution. Their results are ready before
+    zone maps skip a morsel, so skipping cannot skip a subplan error."""
+    found = []
+    stack = list(predicates)
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, BoundSubquery) and statement_constant(expr):
+            found.append(expr)
+        stack.extend(expr.children())
+    return found
 
 
 class ScanOp(PhysicalOperator):
@@ -167,9 +183,15 @@ class ScanOp(PhysicalOperator):
         self._scan = scan
         self._ctx = ctx
         self._program = build_pipeline_program(stages, ctx)
-        self._pruner = (
-            pipeline_pruner(scan, stages) if ctx.hot_path else None
-        )
+        leading = leading_predicates(stages)
+        self._opening = opening_subqueries(leading)
+        self._pruner = None
+        if ctx.hot_path and leading:
+            pruner = ScanPruner(
+                scan.output, leading,
+                frozenset(id(expr) for expr in self._opening),
+            )
+            self._pruner = pruner if pruner.active else None
         # Subqueries and user UDFs pin the pipeline to the caller thread.
         self._parallel_safe = all(
             _parallel_safe(expr)
@@ -182,6 +204,8 @@ class ScanOp(PhysicalOperator):
 
     def execute(self, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
         ctx = self._ctx
+        for subquery in self._opening:
+            subquery_result(subquery, eval_ctx)
         data = ctx.read_table(self._scan.table_name)
         ctx.stats.rows_scanned += data.row_count
         ranges = morsel_ranges(data.row_count, ctx.morsel_rows)

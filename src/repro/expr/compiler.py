@@ -24,6 +24,7 @@ from ..errors import ExecutionError, UDFError
 from ..storage.column import Column, ColumnBatch
 from ..storage.encoding import DictionaryColumn, EncodedColumn
 from ..types import (
+    BIGINT,
     BOOLEAN,
     DOUBLE,
     SQLType,
@@ -50,9 +51,10 @@ class EvalContext:
     """Runtime state threaded through expression evaluation.
 
     ``params`` holds correlated-subquery parameter values for the current
-    outer row. ``execute_plan`` is injected by the executor so expressions
-    can run subplans (scalar/IN/EXISTS subqueries); uncorrelated subquery
-    results are cached per query execution.
+    outer value. ``execute_plan`` is injected by the executor so
+    expressions can run subplans (scalar/IN/EXISTS subqueries);
+    uncorrelated subquery results are cached per query execution
+    (:func:`subquery_result`).
     """
 
     def __init__(
@@ -150,6 +152,145 @@ def _to_dtype(value, dtype: np.dtype):
 
 
 # ---------------------------------------------------------------------------
+# Subqueries
+# ---------------------------------------------------------------------------
+
+
+def _run_subquery(expr: b.BoundSubquery, ctx: EvalContext, params: dict):
+    """Run the subplan once. The result's shape depends on ``kind``:
+    EXISTS a bool, a scalar subquery its one-row column (a NULL row
+    when it returned none), IN a :class:`~repro.exec.common.KeySet`."""
+    from ..exec.common import KeySet
+
+    if ctx.execute_plan is None:
+        raise ExecutionError(
+            "subquery evaluation requires an executor context"
+        )
+    batch = ctx.execute_plan(expr.plan, params)
+    if expr.kind == "exists":
+        return len(batch) > 0
+    col = batch[batch.names()[0]]
+    if expr.kind == "in":
+        return KeySet(col)
+    if len(col) > 1:
+        raise ExecutionError("scalar subquery returned more than one row")
+    if len(col) == 0:
+        return Column.from_values([None], expr.sql_type)
+    return col
+
+
+def subquery_result(expr: b.BoundSubquery, ctx: EvalContext):
+    """The result of an uncorrelated subquery: computed on first demand
+    and kept in ``ctx.subquery_cache`` for the rest of the execution.
+    The key is the subplan, so copies of the node that pushdown made
+    (one per UNION branch, say) share one run."""
+    key = id(expr.plan)
+    cache = ctx.subquery_cache
+    if key not in cache:
+        cache[key] = _run_subquery(expr, ctx, {})
+    return cache[key]
+
+
+def _runs_user_code(plan) -> bool:
+    """Whether a subplan holds a Python UDF or a table function: such a
+    plan runs once per outer row, as the SQL says, never once per
+    distinct outer value."""
+    from ..plan.logical import (
+        LogicalTableFunction,
+        walk_expressions,
+        walk_plan,
+    )
+
+    return any(
+        isinstance(node, LogicalTableFunction)
+        or any(isinstance(e, b.BoundUDF) for e in walk_expressions(node))
+        for node in walk_plan(plan)
+    )
+
+
+def _python_values(col: Column, rows: np.ndarray) -> list:
+    """The Python values (None for NULL) of ``col`` at ``rows`` — the
+    values a correlated parameter takes."""
+    picked = col.take(rows)
+    values = picked.values.tolist()
+    if picked.valid is not None:
+        for i in np.flatnonzero(~picked.valid).tolist():
+            values[i] = None
+    return values
+
+
+def _grouping_key(col: Column) -> Column:
+    """DOUBLE parameters group on their bit pattern: ``-0.0`` and
+    ``0.0`` (or two NaNs) are different parameter values."""
+    if col.sql_type.kind is TypeKind.DOUBLE:
+        return Column(
+            np.ascontiguousarray(col.values).view(np.int64),
+            BIGINT,
+            col.valid,
+        )
+    return col
+
+
+def _correlated_results(
+    expr: b.BoundSubquery, batch: ColumnBatch, ctx: EvalContext,
+    by_row: bool,
+) -> tuple[np.ndarray, list]:
+    """``(codes, results)``: the subplan run once per distinct tuple of
+    outer-slot values in ``batch`` (once per row when ``by_row``), in
+    the order the tuples first appear; row ``i``'s result is
+    ``results[codes[i]]``."""
+    from ..exec.common import factorize, group_representatives
+
+    n = len(batch)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), []
+    cols = [batch[slot] for slot in expr.outer_slots]
+    if by_row:
+        codes, n_groups = np.arange(n, dtype=np.intp), n
+    else:
+        codes, n_groups = factorize([_grouping_key(c) for c in cols])
+    first_rows = group_representatives(codes, n_groups)
+    params = [_python_values(c, first_rows) for c in cols]
+    results: list = [None] * n_groups
+    for group in np.argsort(first_rows, kind="stable").tolist():
+        results[group] = _run_subquery(
+            expr,
+            ctx,
+            {
+                slot: values[group]
+                for slot, values in zip(expr.outer_slots, params)
+            },
+        )
+    return codes, results
+
+
+def _in_result(
+    probe: Column, codes: np.ndarray, key_sets: list, negated: bool
+) -> Column:
+    """``probe [NOT] IN`` the key set of each row's group. SQL rules:
+    a match is TRUE; no match is NULL when the set holds a NULL, FALSE
+    otherwise; a NULL probe is NULL — except against an empty set,
+    where every probe is FALSE (there is no row to be unknown
+    against)."""
+    if len(key_sets) == 1:
+        hit = key_sets[0].member(probe)
+        has_null = np.bool_(key_sets[0].has_null)
+        empty = np.bool_(key_sets[0].empty)
+    else:
+        hit = np.zeros(len(probe), dtype=np.bool_)
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(key_sets)))
+        for group, key_set in enumerate(key_sets):
+            rows = order[ends[group - 1] if group else 0:ends[group]]
+            hit[rows] = key_set.member(probe.take(rows))
+        has_null = np.array([k.has_null for k in key_sets], bool)[codes]
+        empty = np.array([k.empty for k in key_sets], bool)[codes]
+    valid = probe.validity()
+    validity = (valid & (hit | ~has_null)) | empty
+    return Column(~hit if negated else hit, BOOLEAN, validity)
+
+
+# ---------------------------------------------------------------------------
 # Compiled-kernel cache
 # ---------------------------------------------------------------------------
 
@@ -167,8 +308,8 @@ def kernel_fingerprint(expr: b.BoundExpr) -> Optional[tuple]:
     closures: node types, operators, column slots (whose batch keys are
     binder-deterministic), literal values *and* their Python types, and
     SQL result types all participate. Returns None for uncacheable
-    trees: subqueries (their closures key runtime caches on node
-    identity and capture plans) and UDFs/lambdas (arbitrary Python whose
+    trees: subqueries (their closures capture plans and key runtime
+    caches on plan identity) and UDFs/lambdas (arbitrary Python whose
     identity a structural walk cannot capture).
     """
     if isinstance(expr, b.BoundLiteral):
@@ -882,121 +1023,29 @@ class ExpressionCompiler:
 
     def _compile_BoundSubquery(self, expr: b.BoundSubquery) -> Compiled:
         probe = self.compile(expr.probe) if expr.probe is not None else None
-        plan = expr.plan
         kind = expr.kind
         negated = expr.negated
-        outer_slots = expr.outer_slots
         sql_type = expr.sql_type
-        cache_key = id(expr)
-
-        def run_subplan(ctx: EvalContext, params: dict) -> ColumnBatch:
-            if ctx.execute_plan is None:
-                raise ExecutionError(
-                    "subquery evaluation requires an executor context"
-                )
-            return ctx.execute_plan(plan, params)
-
-        def result_for(
-            ctx: EvalContext, params: dict
-        ) -> tuple[object, bool] | tuple[set, bool] | bool:
-            """Evaluate the subquery once; shape depends on ``kind``."""
-            batch = run_subplan(ctx, params)
-            if kind == "exists":
-                return len(batch) > 0
-            first = batch.names()[0]
-            col = batch[first]
-            if kind == "scalar":
-                if len(col) == 0:
-                    return (None, False)
-                if len(col) > 1:
-                    raise ExecutionError(
-                        "scalar subquery returned more than one row"
-                    )
-                return (col.value_at(0), True)
-            # kind == "in": membership set + has-null flag
-            values = set()
-            has_null = False
-            for v in col.to_pylist():
-                if v is None:
-                    has_null = True
-                else:
-                    values.add(v)
-            return (values, has_null)
-
-        def cached_result(ctx: EvalContext):
-            if cache_key not in ctx.subquery_cache:
-                ctx.subquery_cache[cache_key] = result_for(ctx, {})
-            return ctx.subquery_cache[cache_key]
+        by_row = bool(expr.outer_slots) and _runs_user_code(expr.plan)
 
         def run(batch: ColumnBatch, ctx: EvalContext) -> Column:
-            n = len(batch)
-            correlated = bool(outer_slots)
-
-            if kind == "scalar":
-                if not correlated:
-                    value, _present = cached_result(ctx)
-                    return Column.constant(value, n, sql_type)
-                out = [None] * n
-                for i in range(n):
-                    params = {
-                        s: batch[s].value_at(i) for s in outer_slots
-                    }
-                    value, _present = result_for(ctx, params)
-                    out[i] = value
-                return Column.from_values(out, sql_type)
-
-            if kind == "exists":
-                if not correlated:
-                    exists = cached_result(ctx)
-                    value = (not exists) if negated else exists
-                    return Column.constant(value, n, BOOLEAN)
-                out = np.zeros(n, dtype=np.bool_)
-                for i in range(n):
-                    params = {
-                        s: batch[s].value_at(i) for s in outer_slots
-                    }
-                    out[i] = result_for(ctx, params)
-                if negated:
-                    out = ~out
-                return Column(out, BOOLEAN)
-
-            # kind == "in"
-            assert probe is not None
-            probe_col = probe(batch, ctx)
-            out = np.zeros(n, dtype=np.bool_)
-            validity = probe_col.validity().copy()
-            if not correlated:
-                members, has_null = cached_result(ctx)
-                empty = not members and not has_null
-                for i in range(n):
-                    if not validity[i]:
-                        # NULL IN (empty set) is FALSE, not NULL:
-                        # there is no row for the comparison to be
-                        # unknown against.
-                        if empty:
-                            validity[i] = True
-                        continue
-                    hit = probe_col.value_at(i) in members
-                    out[i] = hit
-                    if not hit and has_null:
-                        validity[i] = False  # unknown
+            if expr.outer_slots:
+                codes, results = _correlated_results(expr, batch, ctx, by_row)
             else:
-                for i in range(n):
-                    params = {
-                        s: batch[s].value_at(i) for s in outer_slots
-                    }
-                    members, has_null = result_for(ctx, params)
-                    if not validity[i]:
-                        if not members and not has_null:
-                            validity[i] = True
-                        continue
-                    hit = probe_col.value_at(i) in members
-                    out[i] = hit
-                    if not hit and has_null:
-                        validity[i] = False
-            if negated:
-                out = ~out
-            return Column(out, BOOLEAN, validity)
+                codes = np.zeros(len(batch), dtype=np.intp)
+                results = [subquery_result(expr, ctx)]
+            if kind == "exists":
+                values = np.asarray(results, dtype=np.bool_)[codes]
+                return Column(~values if negated else values, BOOLEAN)
+            if kind == "scalar":
+                if not results:
+                    return Column.from_values([], sql_type)
+                per_group = Column.concat(results)
+                values = per_group.values.astype(
+                    sql_type.numpy_dtype(), copy=False
+                )
+                return Column(values, sql_type, per_group.valid).take(codes)
+            return _in_result(probe(batch, ctx), codes, results, negated)
 
         return run
 

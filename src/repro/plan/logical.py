@@ -533,3 +533,12 @@ def loop_dependencies(
         volatile = volatile or node_volatile
     memo[id(plan)] = result = (frozenset(keys), volatile)
     return result
+
+
+def statement_constant(expr: BoundSubquery) -> bool:
+    """Whether a subquery has one result for the whole execution: it is
+    uncorrelated and not volatile (:func:`loop_dependencies` — no Python
+    UDF, table function or correlated parameter anywhere in its plan).
+    Such a subquery may be evaluated anywhere in the plan, and as early
+    as the scan that holds it opens."""
+    return not expr.outer_slots and not loop_dependencies(expr.plan, {})[1]

@@ -9,7 +9,9 @@ the bodies of ITERATE and recursive CTEs:
   UNION. Pushdown **stops at analytics operators, ITERATE, recursive
   CTEs, and aggregation over non-group columns** — an analytical
   operator's result depends on its whole input (section 5.2), so a
-  selection above it is not a selection below it.
+  selection above it is not a selection below it. A conjunct holding a
+  subquery moves like any other when the subquery is uncorrelated and
+  non-volatile; a correlated one stays where it was bound.
 * **Column pruning** — base-table scans materialise only the columns the
   plan above actually consumes.
 * **Join side selection** — for inner hash joins, the side estimated
@@ -108,7 +110,11 @@ def substitute_slots(
             operand=substitute_slots(expr.operand, mapping),
             pattern=substitute_slots(expr.pattern, mapping),
         )
-    # Literals, params, subqueries (conservatively not rewritten inside).
+    if isinstance(expr, b.BoundSubquery) and expr.probe is not None:
+        # The probe is an expression of this query's rows; the subplan
+        # is not, and is shared by every copy of the node.
+        return replace(expr, probe=substitute_slots(expr.probe, mapping))
+    # Literals, params, probe-less subqueries.
     return expr
 
 
@@ -143,8 +149,8 @@ def _try_push(
     conjunct: b.BoundExpr, child: lp.LogicalPlan
 ) -> Optional[lp.LogicalPlan]:
     """Push one conjunct below ``child``; None if it must stay above."""
-    if conjunct.contains_subquery():
-        return None  # conservative: subqueries stay where bound
+    if not _movable(conjunct):
+        return None
 
     if isinstance(child, lp.LogicalFilter):
         inner = _try_push(conjunct, child.child)
@@ -264,6 +270,23 @@ def _try_push(
     return None
 
 
+def _movable(conjunct: b.BoundExpr) -> bool:
+    """Whether a conjunct's subqueries let it move: each must have one
+    result per execution (:func:`~repro.plan.logical.
+    statement_constant`). A correlated one reads the outer row it was
+    bound next to; a Python UDF inside one runs as often as the SQL
+    says."""
+    stack = [conjunct]
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, b.BoundSubquery
+        ) and not lp.statement_constant(node):
+            return False
+        stack.extend(node.children())
+    return True
+
+
 def _as_equi_pair(
     conjunct: b.BoundExpr,
     left_slots: set[str],
@@ -319,7 +342,7 @@ def _collect_required(
             continue
         roots_seen.add(id(node))
         for expr in lp.plan_expressions(node):
-            required |= _expr_required(expr)
+            required |= expr.consumed_slots()
         # Filters/sorts/limits/joins merely forward columns — they do
         # not require them, so scans below can shed unused ones. Set
         # operations and the iterative/analytical operators map columns
@@ -340,21 +363,6 @@ def _collect_required(
         stack.extend(node.children())
     required |= set(plan.output_slots())
     return required
-
-
-def _expr_required(expr: b.BoundExpr) -> set[str]:
-    slots = expr.referenced_slots()
-    # Subquery plans may reference outer slots through params — those
-    # slots are required too; and their internal scans are pruned when
-    # the subplan itself is optimized (conservative: require everything
-    # a subquery touches from its own scope).
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, b.BoundSubquery):
-            slots |= set(node.outer_slots)
-        stack.extend(node.children())
-    return slots
 
 
 def _apply_pruning(
@@ -462,7 +470,7 @@ def reassociate_invariant_joins(
     c = plan.right
     p2_slots: set[str] = set()
     for expr in lp.plan_expressions(plan):
-        p2_slots |= _expr_required(expr)
+        p2_slots |= expr.consumed_slots()
     if not p2_slots <= set(b.output_slots()) | set(c.output_slots()):
         return plan
     invariant = lp.LogicalJoin(

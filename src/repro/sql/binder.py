@@ -686,10 +686,14 @@ class Binder:
                     return probe
                 if not probe.referenced_slots():
                     return probe
-                raise BindError(
-                    "expression must appear in GROUP BY or be used in "
-                    f"an aggregate: {self._describe_ast(expr)}"
-                )
+                if not self._ast_children(expr):
+                    # A bare column outside GROUP BY.
+                    raise BindError(
+                        "expression must appear in GROUP BY or be used "
+                        f"in an aggregate: {self._describe_ast(expr)}"
+                    )
+                # A composite over group keys (``a + 1``, ``a IN (..)``)
+                # rebuilds from its parts, like one over aggregates.
             if isinstance(expr, ast.FunctionCall) and (
                 agg_registry.is_aggregate_name(expr.name)
             ):
@@ -820,6 +824,13 @@ class Binder:
             return b.BoundLike(
                 recurse(expr.operand), recurse(expr.pattern), expr.negated
             )
+        if isinstance(expr, ast.InSubquery):
+            # The probe is rebuilt; the subquery binds as anywhere else.
+            probe = recurse(expr.operand)
+            node = self._bind_subquery_expr(expr.query, "in", scope, ctes)
+            node.probe = probe
+            node.negated = expr.negated
+            return node
         raise BindError(
             f"unsupported expression above aggregation: "
             f"{type(expr).__name__}"

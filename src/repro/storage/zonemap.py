@@ -21,7 +21,9 @@ NULL/NaN semantics (the correctness core — see docs/performance.md):
 Pruning is also gated on the *whole* predicate being side-effect-free
 (:func:`prune_safe`): skipping a morsel suppresses evaluation of every
 conjunct on it, and an expression like ``b / a > 1`` must keep raising
-division-by-zero exactly as the unpruned plan would.
+division-by-zero exactly as the unpruned plan would. An uncorrelated
+subquery qualifies because the scan runs it when it opens, whatever it
+then skips.
 """
 
 from __future__ import annotations
@@ -126,27 +128,39 @@ def build_zone_map(
 # ---------------------------------------------------------------------------
 
 
-def prune_safe(expr: b.BoundExpr) -> bool:
+def prune_safe(expr: b.BoundExpr, prebuilt: frozenset = frozenset()) -> bool:
     """Whether an entire predicate is free of data-dependent errors, so
-    skipping its evaluation on a pruned morsel is unobservable."""
+    skipping its evaluation on a pruned morsel is unobservable.
+
+    ``prebuilt`` holds the ``id`` of every subquery node whose result
+    the scan computes when it opens, before any morsel is skipped: such
+    a subquery has already raised whatever it would raise, and testing
+    rows against its result (``probe IN <key set>``, a comparison with
+    its value) cannot raise — it is as safe as its probe."""
     if isinstance(expr, (b.BoundLiteral, b.BoundColumnRef, b.BoundParam)):
         return True
     if isinstance(expr, b.BoundUnary):
-        return expr.op in _SAFE_UNARY_OPS and prune_safe(expr.operand)
+        return (
+            expr.op in _SAFE_UNARY_OPS
+            and prune_safe(expr.operand, prebuilt)
+        )
     if isinstance(expr, b.BoundBinary):
         return (
             expr.op in _SAFE_BINARY_OPS
-            and prune_safe(expr.left)
-            and prune_safe(expr.right)
+            and prune_safe(expr.left, prebuilt)
+            and prune_safe(expr.right, prebuilt)
         )
     if isinstance(expr, b.BoundIsNull):
-        return prune_safe(expr.operand)
+        return prune_safe(expr.operand, prebuilt)
     if isinstance(expr, b.BoundInList):
-        return prune_safe(expr.operand) and all(
-            prune_safe(item) for item in expr.items
+        return prune_safe(expr.operand, prebuilt) and all(
+            prune_safe(item, prebuilt) for item in expr.items
         )
-    # Functions, UDFs, CASE, CAST, LIKE, subqueries, lambdas: excluded —
-    # any of them may raise (or observe evaluation) at run time.
+    if isinstance(expr, b.BoundSubquery) and id(expr) in prebuilt:
+        return expr.probe is None or prune_safe(expr.probe, prebuilt)
+    # Functions, UDFs, CASE, CAST, LIKE, other subqueries, lambdas:
+    # excluded — any of them may raise (or observe evaluation) at run
+    # time.
     return False
 
 
@@ -286,14 +300,15 @@ class ScanPruner:
     empty under a conjunctive predicate.
 
     Built from the scan's output columns and the predicate(s) of the
-    filter(s) sitting directly on the scan. Unusable predicates (not
-    prune-safe, or without any ``col <op> const`` conjunct) yield an
-    inactive pruner — ``keep_ranges`` then returns its input."""
+    filter(s) sitting directly on the scan; ``prebuilt`` as for
+    :func:`prune_safe`. Unusable predicates (not prune-safe, or without
+    any ``col <op> const`` conjunct) yield an inactive pruner —
+    ``keep_ranges`` then returns its input."""
 
-    def __init__(self, scan_output, predicates):
+    def __init__(self, scan_output, predicates, prebuilt=frozenset()):
         slot_to_name = {col.slot: col.name for col in scan_output}
         self._conjuncts: list[_Conjunct] = []
-        if not all(prune_safe(p) for p in predicates):
+        if not all(prune_safe(p, prebuilt) for p in predicates):
             return
         for predicate in predicates:
             for conjunct in split_conjuncts(predicate):

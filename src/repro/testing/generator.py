@@ -795,21 +795,105 @@ class _ExprGen:
                 BOOLEAN,
                 left.aliases | right.aliases,
             )
-        # Uncorrelated IN-subquery over a same-typed base column.
-        operand = self.column_ref(INTEGER, VARCHAR)
-        candidates = [
-            (t, c)
-            for t in self.tables
-            for c in t.columns
-            if c.sql_type == operand.sql_type
+        return self._subquery_predicate()
+
+    def _typed_columns(self, sql_type: str) -> list:
+        return [
+            (t, c) for t in self.tables for c in t.columns
+            if c.sql_type == sql_type
         ]
-        table, col = rng.choice(candidates)
+
+    def _inner_filter(self, table: GenTable, qualifier: str) -> str:
+        """A simple predicate over one column of a subquery's table: it
+        may keep no row, and keeps NULLs unless it tests for them."""
+        rng = self.rng
+        col = rng.choice(table.columns)
+        ref = f"{qualifier}.{col.name}"
+        choice = rng.random()
+        if choice < 0.2:
+            negated = "NOT " if rng.random() < 0.5 else ""
+            return f"{ref} IS {negated}NULL"
+        if col.sql_type == INTEGER:
+            op = rng.choice(["<", ">", "<>"])
+            return f"coalesce({ref}, 0) {op} {self._int_literal()}"
+        if col.sql_type == FLOAT:
+            return f"{ref} > {self._float_literal()}"
+        if col.sql_type == VARCHAR:
+            op = rng.choice(["=", "<>", "<"])
+            return f"{ref} {op} {self._string_literal()}"
+        return ref if choice < 0.6 else f"NOT {ref}"
+
+    def _subquery_predicate(self) -> GenExpr:
+        """A predicate holding a subquery, every operand pair same-typed
+        (SQLite's affinity rules make VARCHAR-vs-number membership
+        differ; unit tests cover it). Shapes: [NOT] IN over a plain, a
+        filtered (possibly empty, possibly NULL-holding) or a derived
+        table; uncorrelated [NOT] EXISTS; a comparison with a scalar
+        aggregate; and EXISTS / a scalar aggregate correlated on an
+        equality with an outer column."""
+        rng = self.rng
+        shape = rng.random()
         negated = "NOT " if rng.random() < 0.3 else ""
+        if shape < 0.45:
+            operand = self.column_ref(INTEGER, VARCHAR)
+            table, col = rng.choice(self._typed_columns(operand.sql_type))
+            form = rng.random()
+            if form < 0.35:
+                sub = f"SELECT {col.name} FROM {table.name}"
+            elif form < 0.7:
+                sub = (
+                    f"SELECT {col.name} FROM {table.name} WHERE "
+                    f"{self._inner_filter(table, table.name)}"
+                )
+            else:
+                sub = (
+                    f"SELECT d.{col.name} FROM (SELECT * FROM "
+                    f"{table.name} WHERE "
+                    f"{self._inner_filter(table, table.name)}) d"
+                )
+            return GenExpr(
+                f"({operand.sql} {negated}IN ({sub}))",
+                BOOLEAN,
+                operand.aliases,
+            )
+        if shape < 0.6:
+            table = rng.choice(self.tables)
+            return GenExpr(
+                f"({negated}EXISTS (SELECT 1 FROM {table.name} WHERE "
+                f"{self._inner_filter(table, table.name)}))",
+                BOOLEAN,
+            )
+        op = rng.choice(["=", "<>", "<", ">="])
+        if shape < 0.75:
+            operand = self.numeric(0, force_int=True)
+            table, col = rng.choice(self._typed_columns(INTEGER))
+            agg = rng.choice(
+                [f"max({col.name})", f"min({col.name})", "count(*)"]
+            )
+            return GenExpr(
+                f"({operand.sql} {op} (SELECT {agg} FROM {table.name} "
+                f"WHERE {self._inner_filter(table, table.name)}))",
+                BOOLEAN,
+                operand.aliases,
+            )
+        # Correlated on an equality with an outer column.
+        outer = self.column_ref(INTEGER, VARCHAR)
+        table, col = rng.choice(self._typed_columns(outer.sql_type))
+        where = f"sq.{col.name} = {outer.sql}"
+        if shape < 0.88:
+            return GenExpr(
+                f"({negated}EXISTS (SELECT 1 FROM {table.name} sq "
+                f"WHERE {where}))",
+                BOOLEAN,
+                outer.aliases,
+            )
+        operand = self.numeric(0, force_int=True)
+        agg = rng.choice(["max(sq.k)", "min(sq.k)", "count(*)"])
         return GenExpr(
-            f"({operand.sql} {negated}IN "
-            f"(SELECT {col.name} FROM {table.name}))",
+            f"({operand.sql} {op} (SELECT {agg} FROM {table.name} sq "
+            f"WHERE {where}))",
             BOOLEAN,
-            operand.aliases,
+            outer.aliases | operand.aliases,
         )
 
     # -- aggregates --------------------------------------------------------

@@ -184,7 +184,7 @@ class TestOffsetTableProbe:
         right_rows = np.argsort(build, kind="stable")
         sorted_codes = build[right_rows]
         probe_rows = np.arange(len(probe), dtype=np.int64)
-        table = join_mod._offset_table(sorted_codes)
+        table = join_mod.offset_table(sorted_codes)
         searched = join_mod._probe_chunk(
             probe_rows, probe, sorted_codes, right_rows, None
         )
@@ -224,9 +224,9 @@ class TestOffsetTableProbe:
         # Factorized codes number the distinct keys of both sides, so a
         # small build's codes can be spread over build + probe values.
         codes = np.array([0, 500, 999], dtype=np.int64)
-        assert join_mod._offset_table(codes) is None
-        assert join_mod._offset_table(codes, probe_rows=987) is None
-        base, offsets = join_mod._offset_table(codes, probe_rows=988)
+        assert join_mod.offset_table(codes) is None
+        assert join_mod.offset_table(codes, probe_rows=987) is None
+        base, offsets = join_mod.offset_table(codes, probe_rows=988)
         assert base == 0 and len(offsets) == 1002
 
     def test_single_key_and_empty_builds(self):
@@ -276,7 +276,7 @@ class TestOffsetTableProbe:
         ]
         indexed = join_db()
         expected = [indexed.execute(sql).rows for sql in queries]
-        monkeypatch.setattr(join_mod, "_offset_table", lambda *_: None)
+        monkeypatch.setattr(join_mod, "offset_table", lambda *_: None)
         searched = join_db()
         for sql, rows in zip(queries, expected):
             assert searched.execute(sql).rows == rows, sql

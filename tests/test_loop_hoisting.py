@@ -138,10 +138,12 @@ def test_step_shapes_match_the_driver_loop(shape, seed):
     assert (hoisted > 0) == hoists
 
 
-@pytest.mark.parametrize("seed", range(6))
+#: Seed 23 draws ten distinct ``v``: one loop execution per outer row.
+@pytest.mark.parametrize("seed", [*range(6), 23])
 def test_iterate_inside_a_correlated_subquery(seed):
-    """One loop execution per outer row: the hoisted batch of one row's
-    loop must not leak into the next, and the subtree holding the
+    """One loop execution per distinct outer ``v`` (the correlated
+    subquery runs once per parameter value): the hoisted batch of one
+    execution must not leak into the next, and the subtree holding the
     correlated parameter is not hoisted at all."""
     db = seeded_db(seed)
     init = "SELECT {v} AS x, 0 AS it"
@@ -159,9 +161,11 @@ def test_iterate_inside_a_correlated_subquery(seed):
     loop = iterate_sql(init.format(v="t.v"), step.format(v="t.v"), STOP)
     got = db.execute(f"SELECT k, v, (SELECT max(x) FROM ({loop}) l) FROM t")
     assert sorted(got.rows) == expected
-    # ``a`` once per outer row; ``b`` (correlated) never.
+    # ``a`` once per loop execution; ``b`` (correlated) never.
+    distinct_v = {v for _k, v in outer}
     assert counter(
-        db, "exec_loop_invariant_materialized_total") == len(outer)
+        db, "exec_loop_invariant_materialized_total") == len(distinct_v)
+    assert counter(db, "exec_subquery_runs_total") >= len(distinct_v)
 
 
 def test_python_udf_in_an_invariant_subtree_runs_every_round():
