@@ -74,7 +74,6 @@ class RecursiveCTEOp(PhysicalOperator):
             current = distinct_rows(current, ctx.stats)
 
         accumulated: list[ColumnBatch] = [current]
-        seen_codes: set[int] | None = None
         total_rows = len(current)
         ctx.stats.observe_live_tuples(total_rows)
         governor = ctx.governor

@@ -25,7 +25,9 @@ accumulated) as rounds replace the relation.
 Only the part of *step*/*stop* that reads the working relation runs
 every round: the planner builds the rest under
 :class:`repro.exec.hoist.LoopInvariantOp` nodes, which this operator's
-:class:`~repro.exec.hoist.LoopScope` empties when the loop ends.
+:class:`~repro.exec.hoist.LoopScope` empties when the loop ends; and
+of a subtree that occurs twice in the body, the scope runs one copy per
+round.
 """
 
 from __future__ import annotations

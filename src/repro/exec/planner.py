@@ -11,7 +11,12 @@ from ..storage.column import ColumnBatch
 from .aggregate import DistinctOp, HashAggregateOp
 from .cte import RecursiveCTEOp
 from .filter import FilterOp
-from .hoist import LoopInvariantOp, LoopScope
+from .hoist import (
+    LoopInvariantOp,
+    LoopScope,
+    SharedReadOp,
+    SharedSubtree,
+)
 from .iterate import IterateOp
 from .join import HashJoinOp, NestedLoopJoinOp
 from .physical import (
@@ -39,7 +44,9 @@ def build_physical(
     that cannot change between rounds is built under a
     :class:`LoopInvariantOp` owned by the outermost enclosing loop it
     is invariant in, so only the working-table-dependent part of the
-    plan runs per round.
+    plan runs per round; and of a subtree that occurs more than once in
+    the innermost loop's body (:attr:`LoopScope.shared`), only the
+    first copy runs each round.
 
     With ``ctx.profile`` set, every operator is wrapped in a
     :class:`ProfiledOperator` and its :class:`OperatorStats` node is
@@ -49,11 +56,14 @@ def build_physical(
     plans built lazily during execution).
     """
     depth = _invariant_depth(plan, ctx)
-    if depth is None:
-        return _profiled(
-            ctx, lambda: _build_physical_node(plan, ctx), plan
-        )
     loops = ctx._loops
+    if depth is None:
+        shared = loops[-1].shared.get(id(plan)) if loops else None
+        if shared is None:
+            return _profiled(
+                ctx, lambda: _build_physical_node(plan, ctx), plan
+            )
+        return _build_shared(plan, shared, loops[-1], ctx)
 
     def hoisted() -> PhysicalOperator:
         # Loops from ``depth`` inward are settled for this subtree; the
@@ -63,6 +73,29 @@ def build_physical(
         return LoopInvariantOp(child, loops[depth], ctx)
 
     return _profiled(ctx, hoisted)
+
+
+def _build_shared(
+    plan: lp.LogicalPlan,
+    shared: SharedSubtree,
+    scope: LoopScope,
+    ctx: ExecutionContext,
+) -> PhysicalOperator:
+    """One copy of a subtree shared within a round of ``scope``'s loop:
+    the first copy built runs under a round-lifetime
+    :class:`LoopInvariantOp`, every later one reads its batch."""
+    source = shared.source
+    if source is not None:
+        return _profiled(ctx, lambda: SharedReadOp(source, plan.output))
+
+    def first() -> PhysicalOperator:
+        child = _profiled(
+            ctx, lambda: _build_physical_node(plan, ctx), plan
+        )
+        shared.source = LoopInvariantOp(child, scope, ctx, shared)
+        return shared.source
+
+    return _profiled(ctx, first)
 
 
 def _invariant_depth(

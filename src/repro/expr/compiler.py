@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -301,7 +301,9 @@ _KERNEL_CACHE: "OrderedDict[tuple, Compiled]" = OrderedDict()
 _KERNEL_LOCK = threading.Lock()
 
 
-def kernel_fingerprint(expr: b.BoundExpr) -> Optional[tuple]:
+def kernel_fingerprint(
+    expr: b.BoundExpr, slots: Optional[Mapping[str, object]] = None
+) -> Optional[tuple]:
     """A structural, hashable fingerprint of a bound expression tree.
 
     Two trees with equal fingerprints compile to interchangeable
@@ -311,34 +313,44 @@ def kernel_fingerprint(expr: b.BoundExpr) -> Optional[tuple]:
     trees: subqueries (their closures capture plans and key runtime
     caches on plan identity) and UDFs/lambdas (arbitrary Python whose
     identity a structural walk cannot capture).
+
+    ``slots`` replaces the column slots it maps (by their position in
+    the plan node's inputs, say): two trees that read different slots
+    the same way then share one fingerprint.
     """
     if isinstance(expr, b.BoundLiteral):
+        value = expr.value
+        if isinstance(value, float):
+            value = repr(value)  # -0.0 == 0.0, but they print apart
         return (
-            "lit", type(expr.value).__name__, expr.value,
+            "lit", type(expr.value).__name__, value,
             expr.sql_type.kind.value,
         )
     if isinstance(expr, b.BoundColumnRef):
-        return ("col", expr.slot, expr.sql_type.kind.value)
+        slot = expr.slot
+        if slots is not None:
+            slot = slots.get(slot, slot)
+        return ("col", slot, expr.sql_type.kind.value)
     if isinstance(expr, b.BoundParam):
         return ("param", expr.slot, expr.sql_type.kind.value)
     if isinstance(expr, b.BoundUnary):
-        operand = kernel_fingerprint(expr.operand)
+        operand = kernel_fingerprint(expr.operand, slots)
         if operand is None:
             return None
         return ("un", expr.op, expr.sql_type.kind.value, operand)
     if isinstance(expr, b.BoundBinary):
-        left = kernel_fingerprint(expr.left)
-        right = kernel_fingerprint(expr.right)
+        left = kernel_fingerprint(expr.left, slots)
+        right = kernel_fingerprint(expr.right, slots)
         if left is None or right is None:
             return None
         return ("bin", expr.op, expr.sql_type.kind.value, left, right)
     if isinstance(expr, b.BoundFunction):
-        args = tuple(kernel_fingerprint(a) for a in expr.args)
+        args = tuple(kernel_fingerprint(a, slots) for a in expr.args)
         if any(a is None for a in args):
             return None
         return ("fn", expr.name, expr.sql_type.kind.value) + args
     if isinstance(expr, b.BoundCast):
-        operand = kernel_fingerprint(expr.operand)
+        operand = kernel_fingerprint(expr.operand, slots)
         if operand is None:
             return None
         return (
@@ -348,33 +360,33 @@ def kernel_fingerprint(expr: b.BoundExpr) -> Optional[tuple]:
     if isinstance(expr, b.BoundCase):
         parts: list[object] = ["case", expr.sql_type.kind.value]
         for when, then in expr.whens:
-            w = kernel_fingerprint(when)
-            t = kernel_fingerprint(then)
+            w = kernel_fingerprint(when, slots)
+            t = kernel_fingerprint(then, slots)
             if w is None or t is None:
                 return None
             parts.append((w, t))
         if expr.else_result is not None:
-            e = kernel_fingerprint(expr.else_result)
+            e = kernel_fingerprint(expr.else_result, slots)
             if e is None:
                 return None
             parts.append(("else", e))
         return tuple(parts)
     if isinstance(expr, b.BoundIsNull):
-        operand = kernel_fingerprint(expr.operand)
+        operand = kernel_fingerprint(expr.operand, slots)
         if operand is None:
             return None
         return ("isnull", expr.negated, operand)
     if isinstance(expr, b.BoundInList):
-        operand = kernel_fingerprint(expr.operand)
+        operand = kernel_fingerprint(expr.operand, slots)
         if operand is None:
             return None
-        items = tuple(kernel_fingerprint(i) for i in expr.items)
+        items = tuple(kernel_fingerprint(i, slots) for i in expr.items)
         if any(i is None for i in items):
             return None
         return ("inlist", expr.negated, operand) + items
     if isinstance(expr, b.BoundLike):
-        operand = kernel_fingerprint(expr.operand)
-        pattern = kernel_fingerprint(expr.pattern)
+        operand = kernel_fingerprint(expr.operand, slots)
+        pattern = kernel_fingerprint(expr.pattern, slots)
         if operand is None or pattern is None:
             return None
         return ("like", expr.negated, pattern, operand)

@@ -78,7 +78,7 @@ class CardinalityFeedback:
     overrides on *every* execution: :meth:`overrides_for` walks all the
     fingerprint's retained records, which also forces the history's
     deferred records into being. The cache only answers repeated
-    lookups within one execution. (ROADMAP item 3 has the measurement
+    lookups within one execution. (ROADMAP item 2 (b) has the measurement
     and the fix that is still to do.)
     """
 

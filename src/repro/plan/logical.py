@@ -12,8 +12,9 @@ normally around them (section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from typing import Callable, Hashable, Iterator, Mapping, Optional
 
 from ..expr.bound import (
     BoundExpr,
@@ -26,6 +27,10 @@ from ..types import SQLType
 
 #: Default infinite-loop guard for ITERATE / WITH RECURSIVE (section 5.1).
 DEFAULT_MAX_ITERATIONS = 10_000
+
+#: ``metadata`` of a dataclass field that holds column slots (one, or a
+#: list): :func:`node_signature` keys them by position, not by name.
+SLOTS = {"slots": True}
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ class LogicalJoin(LogicalPlan):
 class AggregateSpec:
     """One aggregate computation in a LogicalAggregate."""
 
-    slot: str
+    slot: str = field(metadata=SLOTS)
     func_name: str  # registry name; "count_star" for COUNT(*)
     arg: Optional[BoundExpr]
     distinct: bool = False
@@ -193,7 +198,7 @@ class LogicalAggregate(LogicalPlan):
 
     child: LogicalPlan
     group_exprs: list[BoundExpr]
-    group_slots: list[str]
+    group_slots: list[str] = field(metadata=SLOTS)
     aggregates: list[AggregateSpec]
     output: list[PlanColumn]
 
@@ -376,7 +381,7 @@ class LogicalIterate(LogicalPlan):
 class WindowSpec:
     """One window computation: function, arguments, and its window."""
 
-    slot: str
+    slot: str = field(metadata=SLOTS)
     func_name: str
     args: list[BoundExpr]
     partition_by: list[BoundExpr]
@@ -533,6 +538,105 @@ def loop_dependencies(
         volatile = volatile or node_volatile
     memo[id(plan)] = result = (frozenset(keys), volatile)
     return result
+
+
+def at_most_one_row(plan: LogicalPlan) -> bool:
+    """Whether the plan alone proves ``plan`` yields at most one row: an
+    ungrouped aggregate, a ``LIMIT`` of at most one, or a VALUES list
+    of at most one row — seen through the operators that never add a
+    row (Filter, Project, Sort, Limit, Distinct, Window)."""
+    while True:
+        if isinstance(plan, LogicalAggregate):
+            return not plan.group_exprs
+        if isinstance(plan, LogicalValues):
+            return len(plan.rows) <= 1
+        if isinstance(plan, LogicalLimit) and plan.limit is not None \
+                and plan.limit <= 1:
+            return True
+        if not isinstance(
+            plan,
+            (
+                LogicalFilter, LogicalProject, LogicalSort, LogicalLimit,
+                LogicalDistinct, LogicalWindow,
+            ),
+        ):
+            return False
+        plan = plan.child
+
+
+def node_signature(
+    node: LogicalPlan,
+    expr_key: Callable[[BoundExpr], Hashable],
+    inputs: Mapping[str, Hashable],
+) -> tuple:
+    """What, besides its children's rows, decides the rows ``node``
+    yields, and in which output column each one lands: every dataclass
+    field of the node but its children, then its output columns.
+
+    A bound expression stands as ``expr_key(expr)``; an output column
+    as its name, type and slot. A slot — an output column's, or one in a
+    field marked :data:`SLOTS` — stands as its position:
+    ``inputs[slot]`` for a column of the node's children, ``("out", i)``
+    for the node's own i-th output column. So two nodes that read and
+    write different slots the same way — and only those — share a
+    signature: a join whose output lists its children's columns in
+    another order does not. A new field enters by itself; a new slot
+    field left unmarked keys by name, which only makes fewer signatures
+    equal."""
+    own = {col.slot: ("out", i) for i, col in enumerate(node.output)}
+
+    def position(slot: str) -> Hashable:
+        if slot in inputs:
+            return inputs[slot]
+        return own.get(slot, slot)
+
+    def canonical(value: object) -> Hashable:
+        if isinstance(value, (str, int, float, type(None), SQLType)):
+            return value
+        if isinstance(value, PlanColumn):  # the commonest record
+            return value.name, position(value.slot), value.sql_type
+        if isinstance(value, LogicalPlan):
+            return None  # a child: its rows are the caller's to key
+        if isinstance(value, BoundExpr):
+            return expr_key(value)
+        if isinstance(value, (list, tuple)):
+            return tuple(canonical(item) for item in value)
+        if isinstance(value, dict):
+            return tuple((k, canonical(v)) for k, v in value.items())
+        if is_dataclass(value) and not isinstance(value, type):
+            return record(value)
+        return value  # type: ignore[return-value]
+
+    def record(obj: object) -> tuple:
+        return (type(obj),) + tuple(
+            _slot_positions(getattr(obj, name), position)
+            if slots
+            else canonical(getattr(obj, name))
+            for name, slots in _key_fields(type(obj))
+        )
+
+    # Filter, Sort, Limit and Distinct derive their output: not a field.
+    return record(node) + (canonical(node.output),)
+
+
+@lru_cache(maxsize=None)
+def _key_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """``(name, holds slots)`` of each dataclass field of ``cls`` that
+    :func:`node_signature` keys (all but ``output``)."""
+    return tuple(
+        (f.name, bool(f.metadata.get("slots")))
+        for f in fields(cls)
+        if f.name != "output"
+    )
+
+
+def _slot_positions(
+    value: object, position: Callable[[str], Hashable]
+) -> Hashable:
+    """A slot, or a list of slots, as positions."""
+    if isinstance(value, str):
+        return position(value)
+    return tuple(position(slot) for slot in value)  # type: ignore[union-attr]
 
 
 def statement_constant(expr: BoundSubquery) -> bool:

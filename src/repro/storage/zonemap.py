@@ -41,9 +41,11 @@ ZONE_ROWS = 4096
 
 #: Binary operators that cannot raise at evaluation time (no division,
 #: no modulo, no exponentiation — those carry data-dependent errors).
+#: ``^`` computes in float64 whatever its operands: NaN or inf, never an
+#: error.
 _SAFE_BINARY_OPS = frozenset(
     {"and", "or", "=", "<>", "!=", "<", "<=", ">", ">=",
-     "+", "-", "*", "||"}
+     "+", "-", "*", "^", "||"}
 )
 
 _SAFE_UNARY_OPS = frozenset({"-", "+", "not"})

@@ -224,6 +224,10 @@ class QueryGenerator:
             )
         self.seed = seed
         self.rng = random.Random(seed)
+        #: A stream of its own for the second join key
+        #: (:meth:`_second_equi_key`), so drawing it leaves every other
+        #: choice of the seed as it was.
+        self._key_rng = random.Random(f"{seed}:join-keys")
         self.schema_profile = schema_profile
         self._alias_counter = 0
 
@@ -342,6 +346,8 @@ class QueryGenerator:
                 )
             if cond is None:
                 kind = "comma"  # no equi key: plain cross join
+            else:
+                cond = self._second_equi_key(cond, pred_scope, other, alias)
             if kind == "comma":
                 joins.append(JoinSpec("comma", other.name, alias))
                 if cond is not None:
@@ -356,6 +362,36 @@ class QueryGenerator:
                 )
             scope.extend((alias, col) for col in other.columns)
         return base.name, base_alias, joins, where, scope
+
+    def _second_equi_key(
+        self,
+        cond: GenExpr,
+        pred_scope: list,
+        other: GenTable,
+        alias: str,
+    ) -> GenExpr:
+        """Now and then, AND an equality on a same-typed FLOAT or
+        VARCHAR column pair onto a join's equi-key: a two-key hash join
+        whose second key would have to be sorted, or compared on the
+        candidates of the first."""
+        rng = self._key_rng
+        if rng.random() >= 0.3:
+            return cond
+        pairs = [
+            ((left_alias, col), right)
+            for left_alias, col in pred_scope
+            if col.sql_type in (FLOAT, VARCHAR)
+            for right in other.columns
+            if right.sql_type == col.sql_type
+        ]
+        if not pairs:
+            return cond
+        (left_alias, col), right = rng.choice(pairs)
+        return GenExpr(
+            f"{cond.sql} AND {left_alias}.{col.name} = {alias}.{right.name}",
+            BOOLEAN,
+            cond.aliases | {left_alias},
+        )
 
     def _plain_query(self, tables: list[GenTable]) -> GenQuery:
         rng = self.rng

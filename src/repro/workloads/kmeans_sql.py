@@ -49,7 +49,10 @@ def _assignment_subquery(
     Default (``use_window=False``): the classic min-join formulation —
     the distance computation is inlined twice (once for the per-point
     minimum, once for the join back), the join-heavy shape the paper
-    describes for relational iteration (section 8.4.2).
+    describes for relational iteration (section 8.4.2). The SQL keeps
+    both copies; the engine evaluates them once per round
+    (:mod:`repro.exec.hoist`), and the ``(pid, dd)`` join back probes
+    through its integer point key instead of sorting the distances.
 
     With ``use_window=True``: the leaner window formulation, one
     distance evaluation ranked by ``row_number() OVER (PARTITION BY

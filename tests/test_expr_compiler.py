@@ -60,6 +60,17 @@ class TestLeaves:
             compiled(batch, EvalContext())
 
 
+def test_negative_zero_literal_has_a_kernel_of_its_own():
+    """``-0.0 == 0.0``, but the two literals print apart: the shared
+    kernel cache (and the loop-body sharing keyed on the same
+    fingerprint) must tell them apart."""
+    import repro
+
+    db = repro.Database()
+    assert db.execute("SELECT CAST(0.0 AS VARCHAR)").rows == [("0.0",)]
+    assert db.execute("SELECT CAST(-0.0 AS VARCHAR)").rows == [("-0.0",)]
+
+
 class TestArithmetic:
     def test_null_propagation(self, compiler, batch):
         expr = b.BoundBinary(

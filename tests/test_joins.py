@@ -309,3 +309,110 @@ class TestUnpaddedGather:
             "SELECT l.k, r.v, r.w FROM l LEFT JOIN r ON l.k = r.k "
             "ORDER BY l.k"
         ).rows == [(1, 0.5, None), (2, 1.5, 2.5), (3, None, None)]
+
+
+class TestOneRowSide:
+    """A nested-loop join side the plan proves to hold at most one row
+    — an ungrouped aggregate, ``LIMIT 1``, a one-row VALUES — runs
+    first; empty, it ends the join, otherwise its row is broadcast. The
+    rows, in their order, and the errors are those the pairwise join
+    gives the same side when the plan cannot prove it has one row."""
+
+    #: name -> (provably one row, the same row unproven)
+    SIDES = {
+        "ungrouped_aggregate": (
+            "(SELECT max(w) AS m, max(s) AS s FROM u)",
+            "(SELECT w AS m, s FROM u WHERE w = 7)",
+        ),
+        "limit_one": (
+            "(SELECT w AS m, s FROM u ORDER BY w DESC LIMIT 1)",
+            "(SELECT w AS m, s FROM u WHERE w > 6)",
+        ),
+        "one_row_values": (
+            "(SELECT 7 AS m, 'b' AS s)",
+            "(SELECT 7 AS m, 'b' AS s UNION ALL "
+            "SELECT 7 AS m, 'b' AS s WHERE 1 = 0)",
+        ),
+    }
+    SHAPES = [
+        "SELECT t.k, t.v, x.m, x.s FROM t, {side} x",
+        "SELECT t.k, t.v, x.m, x.s FROM {side} x, t",
+        "SELECT t.k, x.s FROM t JOIN {side} x ON t.v < x.m",
+        "SELECT t.k, t.v, x.s FROM t JOIN {side} x ON t.k + 5 = x.m",
+    ]
+
+    @pytest.fixture
+    def db(self):
+        db = repro.Database()
+        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        db.insert_rows(
+            "t", [(i % 3, None if i == 4 else 10 - i) for i in range(8)]
+        )
+        db.execute("CREATE TABLE u (w INTEGER, s VARCHAR)")
+        db.insert_rows("u", [(5, "a"), (-2, None), (7, "b")])
+        return db
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_match_the_pairwise_join(self, db, side, shape):
+        proven, unproven = self.SIDES[side]
+        expected = db.execute(shape.format(side=unproven)).rows
+        assert expected
+        assert db.execute(shape.format(side=proven)).rows == expected
+
+    def test_cross_join_broadcasts(self, db):
+        analyzed = db.explain_analyze(
+            "SELECT t.k, x.m FROM t, (SELECT max(w) AS m FROM u) x"
+        )
+        assert analyzed.find("NestedLoopJoin(cross, broadcast)")
+        assert len(analyzed.result.rows) == 8
+
+    def test_empty_side_leaves_the_other_unrun(self, db):
+        analyzed = db.explain_analyze(
+            "SELECT t.k FROM t, "
+            "(SELECT max(w) AS m FROM u HAVING max(w) > 100) x"
+        )
+        assert analyzed.result.rows == []
+        assert analyzed.find("Scan(t)").calls == 0
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            "(SELECT CAST(s AS INTEGER) AS z FROM u) a",
+            "(SELECT 10 / (w - 5) AS z FROM u) a",
+        ],
+    )
+    def test_empty_side_still_runs_an_other_side_that_may_raise(
+        self, db, other
+    ):
+        """Leaving the other side unrun must not hide the error it
+        raises in the pairwise join."""
+        with pytest.raises(repro.ReproError) as pairwise:
+            db.execute(
+                f"SELECT a.z FROM {other}, (SELECT w FROM u WHERE w > 100) x"
+            )
+        with pytest.raises(type(pairwise.value), match=str(pairwise.value)):
+            db.execute(
+                f"SELECT a.z FROM {other}, "
+                "(SELECT max(w) AS m FROM u HAVING max(w) > 100) x"
+            )
+
+    def test_empty_side_still_runs_a_volatile_other_side(self, db):
+        calls = []
+
+        def tick(v):
+            calls.append(v)
+            return v
+
+        db.create_function("tick", tick, "INTEGER")
+        other = "(SELECT tick(v) AS z FROM t) a"
+        db.execute(
+            f"SELECT a.z FROM {other}, (SELECT w FROM u WHERE w > 100) x"
+        )
+        pairwise = len(calls)
+        del calls[:]
+        assert db.execute(
+            f"SELECT a.z FROM {other}, "
+            "(SELECT max(w) AS m FROM u HAVING max(w) > 100) x"
+        ).rows == []
+        assert len(calls) == pairwise > 0

@@ -22,7 +22,12 @@ from repro.errors import (
     QueryTimeout,
 )
 from repro.types import TypeKind
-from repro.workloads import pagerank_iterate_sql, pagerank_recursive_sql
+from repro.workloads import (
+    kmeans_iterate_sql,
+    pagerank_iterate_sql,
+    pagerank_recursive_sql,
+)
+from repro.workloads.kmeans_sql import _assignment_subquery
 
 #: Fires on an emptied relation too, so no shape can loop forever.
 STOP = "SELECT count(*) = 0 OR max(it) >= 3 FROM iterate"
@@ -76,13 +81,35 @@ def seeded_db(seed: int) -> repro.Database:
 
 INIT = "SELECT k, v AS x, 0 AS it FROM t"
 
-#: name -> (step, hoists): ``hoists`` says whether the step holds a
-#: subtree the planner must materialise once.
+#: The k-Means assignment (``asg``) over ``u``'s points and the working
+#: relation's centres: ``dist`` inlined twice, integer coordinates, so
+#: points sit at equal distance from several centres and the join-back's
+#: ``min(cid)`` breaks the ties.
+KMEANS_ASSIGNMENT = _assignment_subquery(
+    "u", "iterate", "k", "k", ["w"], ["x"]
+)
+
+#: A grouped derived table over the working relation (one row per key).
+PER_KEY = (
+    "(SELECT k, sum({x}) AS s, max(it) AS it FROM iterate {where}GROUP BY k)"
+)
+
+#: The working relation ranked within each key.
+RANKED = (
+    "(SELECT k, x, it, row_number() OVER (PARTITION BY k ORDER BY x) AS rn "
+    "FROM iterate)"
+)
+
+#: name -> (step, hoists, shares): ``hoists`` says whether the step
+#: holds a subtree the planner must materialise once per loop,
+#: ``shares`` whether it holds copies of one subtree over the working
+#: relation that run once per round for all of them.
 SHAPES = {
     "join_with_invariant_filtered_table": (
         "SELECT i.k, i.x + f.w AS x, i.it + 1 AS it FROM iterate i "
         "JOIN (SELECT k, w FROM u WHERE w > -2) f ON i.k = f.k",
         True,
+        False,
     ),
     "invariant_union_cte_referenced_twice": (
         "WITH c AS (SELECT k FROM t UNION SELECT k + 1 FROM u), "
@@ -90,6 +117,7 @@ SHAPES = {
         "SELECT i.k, i.x + a.n - b.lo AS x, i.it + 1 AS it "
         "FROM iterate i, a, (SELECT min(k) AS lo FROM c) b",
         True,
+        False,
     ),
     "scalar_in_exists_subqueries_over_iterate": (
         "SELECT k, x + (SELECT max(x) FROM iterate) AS x, it + 1 AS it "
@@ -97,11 +125,13 @@ SHAPES = {
         "(SELECT min(x) FROM iterate) + 1) "
         "AND EXISTS (SELECT 1 FROM iterate WHERE it < 9)",
         False,
+        False,
     ),
     "invariant_subquery_next_to_variant_one": (
         "SELECT k, x + (SELECT sum(w) FROM u) "
         "- (SELECT count(*) FROM iterate WHERE x > 0) AS x, it + 1 AS it "
         "FROM iterate",
+        False,
         False,
     ),
     # ``e`` and ``d`` meet only through the working table in the FROM
@@ -110,6 +140,7 @@ SHAPES = {
         "SELECT i.k, i.x + e.v + d.w AS x, i.it + 1 AS it "
         "FROM iterate i, t e, u d WHERE i.k = e.k AND e.k = d.k",
         True,
+        False,
     ),
     # ``o`` reads the *outer* working table: invariant for the inner
     # loop only. ``m`` is invariant for both and belongs to the outer.
@@ -121,21 +152,121 @@ SHAPES = {
         "(SELECT count(*) AS c FROM t WHERE v > 0) m), "
         "(SELECT 1 FROM iterate WHERE j >= 2))) n",
         True,
+        False,
+    ),
+    # -- shared within a round ----------------------------------------------
+    "derived_table_over_iterate_under_two_aliases": (
+        f"WITH d AS {PER_KEY.format(x='x', where='')} "
+        "SELECT a.k, a.s + b.s AS x, a.it + 1 AS it "
+        "FROM d a JOIN d b ON a.k = b.k",
+        False,
+        True,
+    ),
+    "kmeans_min_join_with_equidistant_ties": (
+        "SELECT i.k, i.x + coalesce(n.c, 0) AS x, i.it + 1 AS it "
+        "FROM iterate i LEFT JOIN (SELECT cid, count(*) AS c "
+        f"FROM ({KMEANS_ASSIGNMENT}) asg GROUP BY cid) n ON i.k = n.cid",
+        False,
+        True,
+    ),
+    # One join written in both orders over all-INTEGER columns; the
+    # optimizer builds both with ``g`` (larger than the working table's
+    # estimate) on the left. The aggregates above read its columns in
+    # opposite roles, so a copy renamed by the wrong positions would
+    # negate ``r.s``.
+    "mirrored_joins_of_equal_column_types": (
+        "WITH g AS (SELECT t1.k, t1.v FROM t t1, t t2, t t3, u) "
+        "SELECT i.k, i.x + coalesce(l.s, 0) - coalesce(r.s, 0) AS x, "
+        "i.it + 1 AS it FROM iterate i "
+        "LEFT JOIN (SELECT a.k, sum(a.x - b.v) AS s FROM iterate a "
+        "JOIN g b ON a.k = b.k GROUP BY a.k) l ON i.k = l.k "
+        "LEFT JOIN (SELECT a.k, sum(b.v - a.x) AS s FROM g b "
+        "JOIN iterate a ON a.k = b.k GROUP BY a.k) r ON i.k = r.k",
+        True,
+        True,
+    ),
+    "window_over_iterate_under_two_aliases": (
+        f"WITH w AS {RANKED} "
+        "SELECT a.k, a.x + b.rn AS x, a.it + 1 AS it "
+        "FROM w a JOIN w b ON a.k = b.k AND a.rn = b.rn",
+        False,
+        True,
+    ),
+    # -- copies that are not shared -----------------------------------------
+    "copies_differing_in_a_literal": (
+        "SELECT a.k, a.s + b.s AS x, a.it + 1 AS it "
+        f"FROM {PER_KEY.format(x='x', where='WHERE x > 0 ')} a "
+        f"JOIN {PER_KEY.format(x='x', where='WHERE x > 1 ')} b "
+        "ON a.k = b.k",
+        False,
+        False,
+    ),
+    # ``o`` reads the outer working table, ``q`` the inner one.
+    "copies_over_the_outer_and_the_inner_working_table": (
+        "WITH o AS (SELECT sum(x) AS s FROM iterate) "
+        "SELECT w.k, w.x + n.x AS x, w.it + 1 AS it FROM iterate w, "
+        "(SELECT x FROM ITERATE((SELECT 0 AS k, 1 AS x, 0 AS it), "
+        "(SELECT i.k, i.x + o.s + q.s AS x, i.it + 1 AS it "
+        "FROM iterate i, o, (SELECT sum(x) AS s FROM iterate) q), "
+        "(SELECT 1 FROM iterate WHERE it >= 2))) n",
+        True,
+        False,
+    ),
+    "copies_holding_a_python_udf": (
+        "SELECT a.k, a.s + b.s AS x, a.it + 1 AS it "
+        f"FROM {PER_KEY.format(x='twice(x)', where='')} a "
+        f"JOIN {PER_KEY.format(x='twice(x)', where='')} b ON a.k = b.k",
+        False,
+        False,
+    ),
+    "copy_under_a_correlated_subquery": (
+        "SELECT i.k, i.x + m.n + (SELECT count(*) FROM "
+        "(SELECT k FROM iterate WHERE x > 0) c WHERE c.k = i.k) AS x, "
+        "i.it + 1 AS it FROM iterate i, "
+        "(SELECT count(*) AS n FROM (SELECT k FROM iterate WHERE x > 0) c) m",
+        False,
+        False,
     ),
 }
+
+
+def twice(value):
+    return None if value is None else 2 * value
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_step_shapes_match_the_driver_loop(shape, seed):
-    step, hoists = SHAPES[shape]
+    step, hoists, shares = SHAPES[shape]
     db = seeded_db(seed)
+    db.create_function("twice", twice, "INTEGER")
     expected = drive_iterate(db, INIT, step, STOP)
     before = counter(db, "exec_loop_invariant_materialized_total")
+    before_shared = counter(db, "exec_loop_shared_reused_total")
     got = sorted(db.execute(iterate_sql(INIT, step, STOP)).rows)
     assert got == expected
     hoisted = counter(db, "exec_loop_invariant_materialized_total") - before
     assert (hoisted > 0) == hoists
+    shared = counter(db, "exec_loop_shared_reused_total") - before_shared
+    assert (shared > 0) == shares
+
+
+def test_copies_holding_a_python_udf_call_it_every_time():
+    db = seeded_db(2)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return twice(value)
+
+    db.create_function("twice", counted, "INTEGER")
+    step = SHAPES["copies_holding_a_python_udf"][0]
+    expected = drive_iterate(db, INIT, step, STOP)
+    driver_calls = len(calls)
+    assert driver_calls > 0
+    del calls[:]
+    assert sorted(db.execute(iterate_sql(INIT, step, STOP)).rows) == expected
+    assert len(calls) == driver_calls
 
 
 #: Seed 23 draws ten distinct ``v``: one loop execution per outer row.
@@ -233,6 +364,78 @@ def test_pagerank_invariants_run_once(sql_of, working):
     assert analyzed.counters["exec_loop_invariant_materialized_total"] == 2
     assert analyzed.counters["exec_loop_invariant_reused_total"] > 0
     assert "exec_loop_invariant_reused_total" in analyzed.format()
+
+
+def test_subtree_key_follows_output_positions():
+    """A join whose output lists its children's columns in another
+    order (``choose_join_sides`` swaps the children, not the output) is
+    not a copy, even when names and types line up position by
+    position; a copy under fresh slots is."""
+    from repro.exec.hoist import SubtreeKeys
+    from repro.expr.bound import BoundColumnRef
+    from repro.plan import logical as lp
+    from repro.types import INTEGER
+
+    def join(tag: str, mirrored: bool) -> lp.LogicalJoin:
+        left, right = (
+            lp.LogicalScan(table, [
+                lp.PlanColumn(name, f"{tag}{table}.{name}", INTEGER)
+                for name in ("k", "v")
+            ])
+            for table in ("t", "u")
+        )
+        keys = [(
+            BoundColumnRef(left.output[0].slot, INTEGER),
+            BoundColumnRef(right.output[0].slot, INTEGER),
+        )]
+        output = right.output + left.output if mirrored \
+            else left.output + right.output
+        return lp.LogicalJoin("inner", left, right, keys, None, output)
+
+    keys = SubtreeKeys()
+    first = keys.of(join("a", False))
+    assert first is not None
+    assert keys.of(join("b", False)) == first
+    assert keys.of(join("c", True)) != first
+
+
+def kmeans_db(points: int = 200, **kwargs) -> repro.Database:
+    """Integer-valued points, so many sit equidistant from two
+    centres."""
+    rng = random.Random(3)
+    db = repro.Database(**kwargs)
+    db.execute("CREATE TABLE pts (id INTEGER, x DOUBLE, y DOUBLE)")
+    db.insert_rows("pts", [
+        (i, float(rng.randrange(-6, 7)), float(rng.randrange(-6, 7)))
+        for i in range(points)
+    ])
+    db.execute("CREATE TABLE ctr (cid INTEGER, x DOUBLE, y DOUBLE)")
+    db.insert_rows("ctr", [(0, -3.0, 0.0), (1, 3.0, 0.0), (2, 0.0, 3.0)])
+    return db
+
+
+def test_kmeans_round_computes_dist_once():
+    """The step inlines ``dist`` twice; each round runs one cross join
+    of the points with the centres, and the second copy reads the
+    first one's batch."""
+    rounds = 3
+    analyzed = kmeans_db().explain_analyze(
+        kmeans_iterate_sql("pts", "ctr", ["x", "y"], rounds)
+    )
+    nodes = list(analyzed.operators())
+    (cross,) = [
+        n for n in nodes
+        if n.label == "NestedLoopJoin(cross)"
+        and "Scan(pts)" in {c.label for c in n.children}
+    ]
+    assert cross.calls == rounds
+    (first,) = [n for n in nodes if n.label.endswith(", round #1)")]
+    (reader,) = [n for n in nodes if n.label.endswith(", round #1, reused)")]
+    assert first.label.startswith("LoopInvariant(")
+    assert first.calls == reader.calls == rounds
+    assert first.children and not reader.children
+    assert analyzed.counters["exec_loop_shared_reused_total"] == rounds
+    assert "exec_loop_shared_reused_total" in analyzed.format()
 
 
 def joined_to_working_table(analyzed) -> list:
@@ -384,16 +587,18 @@ def test_joins_outside_a_loop_body_keep_their_order():
 
 
 def test_operator_tree_is_freed_without_the_cycle_collector():
-    """Scope and hoisted operators must not reference each other: a
-    cycle would park every loop statement's whole operator tree (and
-    execution context) until the next full collection."""
+    """Scope and hoisted or shared operators must not reference each
+    other: a cycle would park every loop statement's whole operator
+    tree (and execution context) until the next full collection."""
     from repro.exec.hoist import LoopInvariantOp
 
     db = graph_db()
+    shared = kmeans_db()
     gc.collect()
     gc.disable()
     try:
         db.execute(pagerank_iterate_sql("edges", 0.85, 3))
+        shared.execute(kmeans_iterate_sql("pts", "ctr", ["x", "y"], 2))
         alive = [
             obj for obj in gc.get_objects()
             if isinstance(obj, LoopInvariantOp)
@@ -447,6 +652,28 @@ def big_db(**kwargs):
 
 
 class TestGovernor:
+    def test_shared_batch_counts_against_the_budget(self):
+        """2,000 points x 3 centres: the shared ``dist`` batch alone
+        outgrows the budget, before the join reading it reserves."""
+        db = kmeans_db(points=2000)
+        with pytest.raises(MemoryBudgetExceeded, match="loop_shared"):
+            db.execute(
+                kmeans_iterate_sql("pts", "ctr", ["x", "y"], 3),
+                memory_budget_mb=0.06,
+            )
+        assert db.last_governor["verdict"] == "oom"
+
+    @pytest.mark.parametrize("max_iterations", [2, 10_000])
+    def test_shared_batch_released(self, max_iterations):
+        db = kmeans_db(max_iterations=max_iterations)
+        sql = kmeans_iterate_sql("pts", "ctr", ["x", "y"], 3)
+        if max_iterations < 3:
+            with pytest.raises(IterationLimitError):
+                db.execute(sql)
+        else:
+            db.execute(sql)
+        assert db.last_governor["live_bytes"] == 0
+
     def test_hoisted_batch_counts_against_the_budget(self):
         db = big_db()
         with pytest.raises(MemoryBudgetExceeded, match="loop_invariant"):

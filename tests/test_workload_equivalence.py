@@ -97,6 +97,37 @@ class TestKMeansEquivalence:
         assert np.allclose(np.sort(out, 0), np.sort(reference, 0))
 
 
+def test_kmeans_equidistant_points_go_to_the_smaller_centre_id():
+    """Round one puts every point of the ``x = 0`` column at equal
+    distance from centres 0 and 1; the operator's first-centre argmin
+    and the SQL join-back's ``min(cid)`` must send it to centre 0 alike
+    (centre 1 would end elsewhere)."""
+    db = repro.Database()
+    db.execute("CREATE TABLE tie_pts (id INTEGER, x DOUBLE, y DOUBLE)")
+    points = [(x, y) for x in (-3, -2, 0, 2, 3) for y in (-2, -1, 0, 1, 2)]
+    points += [(-1, 8), (0, 8), (1, 8)]
+    db.insert_rows("tie_pts", [
+        (i, float(x), float(y)) for i, (x, y) in enumerate(points)
+    ])
+    db.execute("CREATE TABLE tie_ctr (cid INTEGER, x DOUBLE, y DOUBLE)")
+    db.insert_rows(
+        "tie_ctr", [(0, -1.0, 0.0), (1, 1.0, 0.0), (2, 0.0, 8.0)]
+    )
+    operator = np.asarray(db.execute(
+        "SELECT cluster, x, y FROM KMEANS((SELECT x, y FROM tie_pts), "
+        "(SELECT x, y FROM tie_ctr), 2) ORDER BY cluster"
+    ).rows)
+    # Ties to centre 0: x = -5/3 and 5/2; to centre 1: -5/2 and 5/3.
+    assert operator[:2, 1].tolist() == pytest.approx([-5 / 3, 5 / 2])
+    for sql_of in (kmeans_iterate_sql, kmeans_recursive_sql):
+        rows = db.execute(
+            sql_of("tie_pts", "tie_ctr", ["x", "y"], 2, center_id="cid")
+        ).rows
+        got = np.asarray(rows)
+        assert got.shape == operator.shape
+        assert np.allclose(got, operator, rtol=0.0, atol=1e-9), sql_of
+
+
 @pytest.fixture(scope="module")
 def pagerank_world():
     db = repro.Database()

@@ -142,6 +142,20 @@ def test_unsafe_predicate_disables_pruning():
     assert pruned(hot) == before
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_power_keeps_pruning():
+    """``^`` computes in float64 — a negative base or an overflow gives
+    NaN or inf, never an error — so it leaves the predicate prunable."""
+    hot, cold = make_pair(2 * ZONE_ROWS)
+    before = pruned(hot)
+    check(
+        hot, cold,
+        "SELECT count(*) FROM t WHERE id = 3 AND (v - 9.5) ^ 0.5 "
+        "+ (id - 1000) ^ 400 IS NOT NULL",
+    )
+    assert pruned(hot) > before
+
+
 # ---------------------------------------------------------------------------
 # NULL / NaN semantics
 # ---------------------------------------------------------------------------
