@@ -54,6 +54,8 @@ HOT_PATH_COUNTERS = (
     "exec_loop_invariant_materialized_total",
     "exec_loop_invariant_reused_total",
     "exec_loop_shared_reused_total",
+    "exec_loop_pairs_reused_total",
+    "exec_loop_group_codes_reused_total",
     "exec_subquery_runs_total",
     *(f'exec_group_keys_total{{path="{p}"}}' for p in GROUP_KEY_PATHS),
     "analytics_csr_cache_hits_total",

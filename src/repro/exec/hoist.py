@@ -59,15 +59,18 @@ class SubtreeKeys:
     fingerprint (a subquery, a UDF, a lambda), a nested loop or a table
     function has no key (None). Keys are small integers, interned per
     instance, so a node's key costs a hash of the node alone, not of
-    its whole subtree."""
+    its whole subtree. Each keyed node is held beside its key: a freed
+    node's ``id()`` could otherwise come back on a new node and hand it
+    the old node's key."""
 
     def __init__(self) -> None:
-        self._by_node: dict[int, Optional[int]] = {}
+        self._by_node: dict[int, tuple[LogicalPlan, Optional[int]]] = {}
         self._interned: dict[tuple, int] = {}
 
     def of(self, node: LogicalPlan) -> Optional[int]:
-        if id(node) in self._by_node:
-            return self._by_node[id(node)]
+        known = self._by_node.get(id(node))
+        if known is not None:
+            return known[1]
         key = None
         if not isinstance(node, _OPAQUE):
             children = node.children()
@@ -93,7 +96,7 @@ class SubtreeKeys:
                     key = self._interned.setdefault(
                         (signature, child_keys), len(self._interned)
                     )
-        self._by_node[id(node)] = key
+        self._by_node[id(node)] = (node, key)
         return key
 
 
@@ -160,11 +163,16 @@ def _body_nodes(body: list[LogicalPlan]) -> Iterator[LogicalPlan]:
 class LoopScope:
     """What one loop operator must reset: per round, the cached results
     of subqueries over its working table and the batches of its shared
-    subtrees; per execution, the batches its hoisted subtrees hold."""
+    subtrees; per execution, the batches its hoisted subtrees hold and
+    what its round-stable joins and aggregates remember of last round."""
 
     def __init__(self, key: str, body: list[LogicalPlan]):
         self.key = key
         self.hoisted: list[LoopInvariantOp] = []
+        #: Operators of this loop's body that keep last round's work
+        #: (``HashJoinOp`` / ``HashAggregateOp``), each with a
+        #: ``drop_memo()``.
+        self.round_stable: list = []
         #: The round-lifetime :class:`LoopInvariantOp` of every shared
         #: subtree built so far.
         self.round_shared: list[LoopInvariantOp] = []
@@ -199,9 +207,12 @@ class LoopScope:
 
     def release(self) -> None:
         """The loop operator is done (or died): drop every hoisted or
-        shared batch and return its bytes to the governor."""
+        shared batch and every round memo, and return their bytes to
+        the governor."""
         for op in self.hoisted + self.round_shared:
             op.release()
+        for op in self.round_stable:
+            op.drop_memo()
 
 
 class LoopInvariantOp(PhysicalOperator):
@@ -213,7 +224,11 @@ class LoopInvariantOp(PhysicalOperator):
     re-entered loop (nested ITERATE, ITERATE inside a correlated
     subquery) starts empty. Shared within a round, it lives for one
     round at most: it is released after the last of the subtree's
-    copies has read it, or when the next round begins."""
+    copies has read it, or when the next round begins.
+
+    ``generation`` counts the batches materialised so far: a reader
+    that remembers work done on one batch tells by it whether the batch
+    it reads now is the same materialisation."""
 
     def __init__(
         self,
@@ -233,10 +248,17 @@ class LoopInvariantOp(PhysicalOperator):
         self._shared = None if shared is None else shared.number
         self._readers = 0 if shared is None else shared.readers
         self._reads = 0
+        self.generation = 0
         if shared is None:
             scope.hoisted.append(self)
         else:
             scope.round_shared.append(self)
+
+    @property
+    def hoisted(self) -> bool:
+        """Whether the batch lives for a whole execution of the loop
+        (not for one round)."""
+        return self._shared is None
 
     def describe(self) -> str:
         if self._shared is None:
@@ -249,10 +271,11 @@ class LoopInvariantOp(PhysicalOperator):
     def read(self, eval_ctx: EvalContext) -> ColumnBatch:
         """The batch, materialised by the first read since it was last
         released."""
-        hoisted = self._shared is None
+        hoisted = self.hoisted
         batch = self._batch
         if batch is None:
             batch = self._batch = self._child.execute_materialized(eval_ctx)
+            self.generation += 1
             self._reserved = self._ctx.governor.reserve(
                 batch.nbytes, "loop_invariant" if hoisted else "loop_shared"
             )

@@ -9,6 +9,13 @@ probes through one dense integer key instead and compares the others
 on the candidates (:func:`_lead_key_pairs`). SQL semantics: NULL keys
 never match; LEFT joins NULL-extend unmatched left rows.
 
+In a loop body, a hash join one side of which is a hoisted loop
+invariant is *round-stable*: while the invariant batch is the same
+materialisation and the other side's keys are bit-identical to last
+round's, the pairs cannot have changed, so it replays last round's
+pairs — and, without a residual, the invariant side's columns gathered
+at them — instead of factorizing and probing again.
+
 In a nested-loop join, a side of an inner or cross join that the plan
 proves to hold at most one row runs first: empty, it ends the join
 (the other side runs only if running it could be observed); otherwise
@@ -250,18 +257,16 @@ def _null_extended(
     return out
 
 
-def _one_row_side(node: LogicalJoin) -> tuple[Optional[str], bool]:
-    """``(side, skip)``: which input of an inner or cross join provably
-    holds at most one row (:func:`at_most_one_row`; the right one when
-    both do), or None; and whether, when that side comes back empty,
-    the other may go unrun — running it could neither raise nor call
-    user code (:func:`_unobservable`)."""
+def _one_row_side(node: LogicalJoin) -> Optional[str]:
+    """Which input of an inner or cross join provably holds at most one
+    row (:func:`at_most_one_row`; the right one when both do), or
+    None."""
     if node.kind not in ("inner", "cross"):
-        return None, False
-    for side, other in (("right", node.left), ("left", node.right)):
+        return None
+    for side in ("right", "left"):
         if at_most_one_row(getattr(node, side)):
-            return side, _unobservable(other)
-    return None, False
+            return side
+    return None
 
 
 #: Plan nodes that raise nothing of their own; what running them can
@@ -286,9 +291,51 @@ def _unobservable(plan: LogicalPlan) -> bool:
     )
 
 
+def _bit_equal(a: Column, b: Column) -> bool:
+    """Whether two columns hold the same NULLs and the same values bit
+    for bit — fillers under NULLs, ``-0.0`` and NaN payloads included,
+    so equal columns factorize and match alike."""
+    if a is b:
+        return True
+    if len(a) != len(b) or a.sql_type != b.sql_type:
+        return False
+    if (a.valid is None) != (b.valid is None) or (
+        a.valid is not None and not np.array_equal(a.valid, b.valid)
+    ):
+        return False
+    av, bv = np.asarray(a.values), np.asarray(b.values)
+    if av.dtype != bv.dtype:
+        return False
+    if av.dtype.kind == "f":
+        av = av.view(f"u{av.dtype.itemsize}")
+        bv = bv.view(av.dtype)
+    return bool(np.array_equal(av, bv))
+
+
+class _PairMemo:
+    """What a round-stable :class:`HashJoinOp` keeps of its last run:
+    the invariant batch's ``generation``, the other side's key columns
+    (held, compared by value), the candidate pairs before any residual
+    or padding, and — without a residual — the invariant side's output
+    columns gathered at the final pairs (None until gathered)."""
+
+    __slots__ = ("generation", "keys", "pairs", "columns", "reserved")
+
+    def __init__(self, generation, keys, pairs, reserved):
+        self.generation = generation
+        self.keys = keys
+        self.pairs = pairs
+        self.columns: Optional[dict[str, Column]] = None
+        self.reserved = reserved
+
+
 class HashJoinOp(PhysicalOperator):
     """Equi-join via key factorization; supports inner and left joins
-    plus a residual predicate on matched pairs."""
+    plus a residual predicate on matched pairs.
+
+    Made round-stable (:meth:`round_stable`), it remembers its last
+    run's pairs in a :class:`_PairMemo`, reserved against the
+    statement's memory budget until the loop's scope drops it."""
 
     def __init__(
         self,
@@ -323,12 +370,42 @@ class HashJoinOp(PhysicalOperator):
             for pair in node.equi_keys
             for k in pair
         )
+        #: The side that reads a hoisted loop invariant, and its
+        #: ``LoopInvariantOp``; None unless :meth:`round_stable`.
+        self._stable_side: Optional[str] = None
+        self._invariant = None
+        self._memo: Optional[_PairMemo] = None
 
     def describe(self) -> str:
+        stable = ", round-stable" if self._stable_side else ""
         return (
             f"HashJoin({self._node.kind}, "
-            f"keys={len(self._node.equi_keys)})"
+            f"keys={len(self._node.equi_keys)}{stable})"
         )
+
+    def round_stable(self, side: str, invariant) -> None:
+        """Replay last round's pairs while ``invariant`` — the hoisted
+        ``LoopInvariantOp`` this join's ``side`` reads, whose key
+        expressions are bare columns — holds the same batch and the
+        other side's keys are bit-identical to last round's."""
+        self._stable_side = side
+        self._invariant = invariant
+
+    @property
+    def replayed_slots(self) -> frozenset[str]:
+        """The output slots whose columns a replayed round hands out
+        as the very objects of the round before: the invariant side's,
+        unless a residual re-filters the pairs every round."""
+        if self._stable_side is None or self._residual is not None:
+            return frozenset()
+        side = getattr(self._node, self._stable_side)
+        return frozenset(col.slot for col in side.output)
+
+    def drop_memo(self) -> None:
+        memo = self._memo
+        if memo is not None:
+            self._ctx.governor.release(memo.reserved)
+            self._memo = None
 
     def execute(self, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
         governor = self._ctx.governor
@@ -389,28 +466,22 @@ class HashJoinOp(PhysicalOperator):
             right_key_cols = [
                 fn(right_batch, eval_ctx) for fn in self._right_keys
             ]
-        # NULL keys never match.
-        left_null = np.zeros(n_left, dtype=np.bool_)
-        for col in left_key_cols:
-            left_null |= ~col.validity()
-        right_null = np.zeros(n_right, dtype=np.bool_)
-        for col in right_key_cols:
-            right_null |= ~col.validity()
-        probe_rows = np.flatnonzero(~left_null)
-        usable_right = ~right_null
-
-        pairs = None
-        if len(left_key_cols) > 1:
-            pairs = _lead_key_pairs(
-                left_key_cols, right_key_cols, probe_rows,
-                np.flatnonzero(usable_right),
+        # Of a round-stable join, the side that is not the invariant:
+        # its keys decide whether last round's pairs still hold.
+        keys = right_key_cols if self._stable_side == "left" else left_key_cols
+        memo = self._replay(keys)
+        if memo is not None:
+            if self._ctx.metrics is not None:
+                self._ctx.metrics.counter(
+                    "exec_loop_pairs_reused_total"
+                ).inc()
+            pair_left, pair_right = memo.pairs
+        else:
+            pair_left, pair_right = self._pairs(
+                left_key_cols, right_key_cols, parallel
             )
-        if pairs is None:
-            pairs = self._factorized_pairs(
-                left_key_cols, right_key_cols, probe_rows, usable_right,
-                parallel,
-            )
-        pair_left, pair_right = pairs
+            if self._stable_side is not None:
+                memo = self._remember(keys, pair_left, pair_right)
 
         if self._residual is not None and len(pair_left) > 0:
             pair_batch = self._pair_batch(
@@ -432,18 +503,94 @@ class HashJoinOp(PhysicalOperator):
         if len(pair_left) == 0:
             yield self.empty_batch()
             return
-        valid_right = pair_right >= 0
         columns = {}
-        taken_left = left_batch.take(pair_left)
-        for col in self._node.left.output:
-            columns[col.slot] = taken_left[col.slot]
-        columns.update(
-            _null_extended(
-                right_batch, pair_right, valid_right,
-                self._node.right.output,
-            )
-        )
+        for side, batch, rows in (
+            ("left", left_batch, pair_left),
+            ("right", right_batch, pair_right),
+        ):
+            if side != self._stable_side or self._residual is not None:
+                columns.update(self._gather(side, batch, rows))
+                continue
+            if memo.columns is None:
+                # The pairs, hence these columns, are those of every
+                # round that replays this memo.
+                memo.columns = self._gather(side, batch, rows)
+                memo.reserved += self._ctx.governor.reserve(
+                    sum(col.nbytes for col in memo.columns.values()),
+                    "round_stable_join",
+                )
+            columns.update(memo.columns)
         yield ColumnBatch(columns)
+
+    def _gather(
+        self, side: str, batch: ColumnBatch, rows: np.ndarray
+    ) -> dict[str, Column]:
+        """One side's output columns at its half of the pairs; -1 rows
+        of the right side are LEFT-join padding."""
+        if side == "left":
+            taken = batch.take(rows)
+            return {
+                col.slot: taken[col.slot] for col in self._node.left.output
+            }
+        return _null_extended(
+            batch, rows, rows >= 0, self._node.right.output
+        )
+
+    def _replay(self, keys: list[Column]) -> Optional[_PairMemo]:
+        """The memo, when last round's pairs are this round's: same
+        invariant batch, bit-identical keys on the other side."""
+        memo = self._memo
+        if memo is None or memo.generation != self._invariant.generation:
+            return None
+        if all(map(_bit_equal, keys, memo.keys)):
+            return memo
+        return None
+
+    def _remember(
+        self, keys: list[Column], pair_left: np.ndarray, pair_right: np.ndarray
+    ) -> _PairMemo:
+        self.drop_memo()
+        nbytes = int(pair_left.nbytes + pair_right.nbytes) + sum(
+            col.nbytes for col in keys
+        )
+        reserved = self._ctx.governor.reserve(nbytes, "round_stable_join")
+        self._memo = _PairMemo(
+            self._invariant.generation, keys, (pair_left, pair_right),
+            reserved,
+        )
+        return self._memo
+
+    def _pairs(
+        self,
+        left_key_cols: list[Column],
+        right_key_cols: list[Column],
+        parallel: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every (left row, right row) whose keys match, in left-row
+        order: NULL keys never match."""
+        n_left = len(left_key_cols[0])
+        n_right = len(right_key_cols[0])
+        left_null = np.zeros(n_left, dtype=np.bool_)
+        for col in left_key_cols:
+            left_null |= ~col.validity()
+        right_null = np.zeros(n_right, dtype=np.bool_)
+        for col in right_key_cols:
+            right_null |= ~col.validity()
+        probe_rows = np.flatnonzero(~left_null)
+        usable_right = ~right_null
+
+        pairs = None
+        if len(left_key_cols) > 1:
+            pairs = _lead_key_pairs(
+                left_key_cols, right_key_cols, probe_rows,
+                np.flatnonzero(usable_right),
+            )
+        if pairs is None:
+            pairs = self._factorized_pairs(
+                left_key_cols, right_key_cols, probe_rows, usable_right,
+                parallel,
+            )
+        return pairs
 
     def _factorized_pairs(
         self,
@@ -554,7 +701,22 @@ class NestedLoopJoinOp(PhysicalOperator):
             if predicate is not None
             else None
         )
-        self._one_row, self._skip_other = _one_row_side(node)
+        self._one_row = _one_row_side(node)
+        # When the one-row side comes back empty, the other may go
+        # unrun only if running it could neither raise nor call user
+        # code.
+        self._skip_other = self._one_row is not None and _unobservable(
+            node.left if self._one_row == "right" else node.right
+        )
+
+    @property
+    def broadcast_other(self) -> Optional[PhysicalOperator]:
+        """The input whose batches (and their columns) pass through
+        unchanged — the one opposite a one-row side, with no predicate
+        to filter them — or None."""
+        if self._one_row is None or self._predicate is not None:
+            return None
+        return self._left if self._one_row == "right" else self._right
 
     def describe(self) -> str:
         if self._one_row is not None:

@@ -8,6 +8,7 @@ from typing import Callable, Iterator, Optional
 from ..errors import ExecutionError
 from ..expr.compiler import EvalContext, ExpressionCompiler
 from ..governor import QueryContext
+from ..plan.feedback import FeedbackKeys
 from ..plan.logical import LogicalPlan, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..storage.table import DEFAULT_MORSEL_ROWS, TableData
@@ -268,6 +269,9 @@ class ExecutionContext:
         #: by base key — deterministic for a given plan shape, so the
         #: keys recorded by one execution match the next build.
         self._node_key_counts: dict[str, int] = {}
+        #: The base keys :meth:`next_node_key` disambiguates, one per
+        #: plan node built.
+        self.feedback_keys = FeedbackKeys()
 
     def next_node_key(self, base: str) -> str:
         """Allocate the next occurrence-disambiguated feedback key for

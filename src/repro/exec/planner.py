@@ -6,9 +6,10 @@ from contextlib import contextmanager
 from typing import Callable, Optional
 
 from ..errors import PlanError
+from ..expr.bound import BoundColumnRef
 from ..plan import logical as lp
 from ..storage.column import ColumnBatch
-from .aggregate import DistinctOp, HashAggregateOp
+from .aggregate import DistinctOp, HashAggregateOp, broadcast_extremes
 from .cte import RecursiveCTEOp
 from .filter import FilterOp
 from .hoist import (
@@ -26,7 +27,6 @@ from .physical import (
     ProfiledOperator,
     materialize,
 )
-from ..plan.feedback import feedback_key_base
 from .project import ProjectOp
 from .scan import ScanOp, ValuesOp, WorkingTableOp
 from .setops import SetOpOp
@@ -156,7 +156,7 @@ def _profiled(
         ctx._profile_stack.pop()
     stats = OperatorStats(op.describe(), children)
     if plan is not None:
-        stats.node_key = ctx.next_node_key(feedback_key_base(plan))
+        stats.node_key = ctx.next_node_key(ctx.feedback_keys.base(plan))
         if ctx.estimator is not None:
             try:
                 (
@@ -201,10 +201,26 @@ def _build_physical_node(
         left = build_physical(plan.left, ctx)
         right = build_physical(plan.right, ctx)
         if plan.equi_keys and plan.kind in ("inner", "left"):
-            return HashJoinOp(plan, left, right, ctx)
+            join = HashJoinOp(plan, left, right, ctx)
+            if ctx._loops:
+                _make_round_stable(join, plan, left, right, ctx._loops[-1])
+            return join
         return NestedLoopJoinOp(plan, left, right, ctx)
     if isinstance(plan, lp.LogicalAggregate):
-        return HashAggregateOp(plan, build_physical(plan.child, ctx), ctx)
+        child = build_physical(plan.child, ctx)
+        if not ctx._loops:
+            return HashAggregateOp(plan, child, ctx)
+        replayed = _replayed_slots(child)
+        stable = bool(plan.group_exprs) and all(
+            isinstance(expr, BoundColumnRef) and expr.slot in replayed
+            for expr in plan.group_exprs
+        )
+        aggregate = HashAggregateOp(
+            plan, child, ctx, broadcast_extremes(plan), stable
+        )
+        if stable:
+            ctx._loops[-1].round_stable.append(aggregate)
+        return aggregate
     if isinstance(plan, lp.LogicalSort):
         return SortOp(plan, build_physical(plan.child, ctx), ctx)
     if isinstance(plan, lp.LogicalLimit):
@@ -253,6 +269,53 @@ def _build_physical_node(
     raise PlanError(
         f"no physical implementation for {type(plan).__name__}"
     )
+
+
+def _make_round_stable(
+    join: HashJoinOp,
+    plan: lp.LogicalJoin,
+    left: PhysicalOperator,
+    right: PhysicalOperator,
+    scope: LoopScope,
+) -> None:
+    """Make ``join`` round-stable (:meth:`HashJoinOp.round_stable`) when
+    one input is a hoisted :class:`LoopInvariantOp` — not a copy shared
+    within a round — joined on bare columns, so its keys are the batch's
+    own; ``scope`` drops the join's memo when its loop ends."""
+    for side, op, keys in (
+        ("left", left, [lk for lk, _rk in plan.equi_keys]),
+        ("right", right, [rk for _lk, rk in plan.equi_keys]),
+    ):
+        op = _unprofiled(op)
+        if (
+            isinstance(op, LoopInvariantOp)
+            and op.hoisted
+            and all(isinstance(key, BoundColumnRef) for key in keys)
+        ):
+            join.round_stable(side, op)
+            scope.round_stable.append(join)
+            return
+
+
+def _replayed_slots(op: PhysicalOperator) -> frozenset[str]:
+    """The slots ``op`` passes on, row for row and column object for
+    column object, from a round-stable join's replayed columns: the
+    join's own, or through broadcast nested-loop joins without a
+    predicate."""
+    op = _unprofiled(op)
+    if isinstance(op, HashJoinOp):
+        return op.replayed_slots
+    if isinstance(op, NestedLoopJoinOp):
+        other = op.broadcast_other
+        if other is not None:
+            return _replayed_slots(other)
+    return frozenset()
+
+
+def _unprofiled(op: PhysicalOperator) -> PhysicalOperator:
+    while isinstance(op, ProfiledOperator):
+        op = op.inner
+    return op
 
 
 def execute_plan(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from ..expr import bound as b
 from . import logical as lp
-from .feedback import feedback_key_base
+from .feedback import FeedbackKeys
 from .stats import ColumnStats, TableStatistics
 
 #: Default selectivities per predicate shape.
@@ -69,6 +69,7 @@ class CardinalityEstimator:
         self._analytics = analytics
         self._stats = stats
         self._feedback = feedback or {}
+        self._feedback_keys = FeedbackKeys()
         self._metrics = metrics
         self._source_frames: list[set[str]] = []
 
@@ -78,7 +79,7 @@ class CardinalityEstimator:
 
     def estimate(self, plan: lp.LogicalPlan) -> float:
         if self._feedback:
-            override = self._feedback.get(feedback_key_base(plan))
+            override = self._feedback.get(self._feedback_keys.base(plan))
             if override is not None:
                 self._mark("feedback")
                 return max(float(override), 0.0)

@@ -39,24 +39,39 @@ from . import logical as lp
 FEEDBACK_CAPACITY = 256
 
 
-def collect_base_tables(plan: lp.LogicalPlan) -> list[str]:
-    """Sorted base-table names scanned anywhere beneath ``plan``."""
-    tables: set[str] = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, lp.LogicalScan):
-            tables.add(node.table_name)
-        stack.extend(node.children())
-    return sorted(tables)
+class FeedbackKeys:
+    """The swap-invariant part of a node's feedback key — its class and
+    the sorted base tables scanned beneath it — for every node of the
+    plans of one statement.
 
+    A node's tables are its children's, united once, bottom-up, so
+    keying every node of a plan costs one pass over it rather than a
+    walk of each node's whole subtree. Each node is held beside its key:
+    a freed node's ``id()`` could otherwise come back on a new node and
+    hand it the old node's key."""
 
-def feedback_key_base(plan: lp.LogicalPlan) -> str:
-    """The swap-invariant part of a node's feedback key."""
-    name = type(plan).__name__
-    if name.startswith("Logical"):
-        name = name[len("Logical"):]
-    return f"{name}[{','.join(collect_base_tables(plan))}]"
+    def __init__(self) -> None:
+        self._known: dict[int, tuple[lp.LogicalPlan, set[str], str]] = {}
+
+    def base(self, plan: lp.LogicalPlan) -> str:
+        """``Join[lineitem,orders]`` for a join over those two tables."""
+        return self._entry(plan)[2]
+
+    def _entry(
+        self, node: lp.LogicalPlan
+    ) -> tuple[lp.LogicalPlan, set[str], str]:
+        entry = self._known.get(id(node))
+        if entry is None:
+            tables: set[str] = set()
+            for child in node.children():
+                tables.update(self._entry(child)[1])
+            if isinstance(node, lp.LogicalScan):
+                tables.add(node.table_name)
+            name = type(node).__name__.removeprefix("Logical")
+            entry = self._known[id(node)] = (
+                node, tables, f"{name}[{','.join(sorted(tables))}]"
+            )
+        return entry
 
 
 def split_node_key(key: str) -> tuple[str, int]:

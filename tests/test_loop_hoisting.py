@@ -154,6 +154,25 @@ SHAPES = {
         True,
         False,
     ),
+    # A round-stable join (its pairs replay once the GROUP BY has fixed
+    # the key order) under an aggregate that folds min / max of the
+    # one-row ``m``; the residual variant re-filters replayed pairs.
+    "round_stable_join_grouped_with_broadcast_min": (
+        "SELECT f.k, sum(i.x + f.w) + max(m.lo) - min(m.lo) AS x, "
+        "min(m.nit) AS it FROM iterate i "
+        "JOIN (SELECT k, w FROM u WHERE w > -2) f ON i.k = f.k, "
+        "(SELECT max(it) + 1 AS nit, min(x) AS lo FROM iterate) m "
+        "GROUP BY f.k",
+        True,
+        False,
+    ),
+    "round_stable_join_with_residual": (
+        "SELECT i.k, i.x + coalesce(f.w, 1) AS x, i.it + 1 AS it "
+        "FROM iterate i LEFT JOIN (SELECT k, w FROM u WHERE w > -2) f "
+        "ON i.k = f.k AND f.w < i.x",
+        True,
+        False,
+    ),
     # -- shared within a round ----------------------------------------------
     "derived_table_over_iterate_under_two_aliases": (
         f"WITH d AS {PER_KEY.format(x='x', where='')} "
@@ -366,37 +385,55 @@ def test_pagerank_invariants_run_once(sql_of, working):
     assert "exec_loop_invariant_reused_total" in analyzed.format()
 
 
+def join_node(tag: str, mirrored: bool):
+    """``t JOIN u ON t.k = u.k`` under slots prefixed ``tag``; mirrored,
+    its output lists ``u``'s columns first."""
+    from repro.expr.bound import BoundColumnRef
+    from repro.plan import logical as lp
+    from repro.types import INTEGER
+
+    left, right = (
+        lp.LogicalScan(table, [
+            lp.PlanColumn(name, f"{tag}{table}.{name}", INTEGER)
+            for name in ("k", "v")
+        ])
+        for table in ("t", "u")
+    )
+    keys = [(
+        BoundColumnRef(left.output[0].slot, INTEGER),
+        BoundColumnRef(right.output[0].slot, INTEGER),
+    )]
+    output = right.output + left.output if mirrored \
+        else left.output + right.output
+    return lp.LogicalJoin("inner", left, right, keys, None, output)
+
+
 def test_subtree_key_follows_output_positions():
     """A join whose output lists its children's columns in another
     order (``choose_join_sides`` swaps the children, not the output) is
     not a copy, even when names and types line up position by
     position; a copy under fresh slots is."""
     from repro.exec.hoist import SubtreeKeys
-    from repro.expr.bound import BoundColumnRef
-    from repro.plan import logical as lp
-    from repro.types import INTEGER
-
-    def join(tag: str, mirrored: bool) -> lp.LogicalJoin:
-        left, right = (
-            lp.LogicalScan(table, [
-                lp.PlanColumn(name, f"{tag}{table}.{name}", INTEGER)
-                for name in ("k", "v")
-            ])
-            for table in ("t", "u")
-        )
-        keys = [(
-            BoundColumnRef(left.output[0].slot, INTEGER),
-            BoundColumnRef(right.output[0].slot, INTEGER),
-        )]
-        output = right.output + left.output if mirrored \
-            else left.output + right.output
-        return lp.LogicalJoin("inner", left, right, keys, None, output)
 
     keys = SubtreeKeys()
-    first = keys.of(join("a", False))
+    first = keys.of(join_node("a", False))
     assert first is not None
-    assert keys.of(join("b", False)) == first
-    assert keys.of(join("c", True)) != first
+    assert keys.of(join_node("b", False)) == first
+    assert keys.of(join_node("c", True)) != first
+
+
+def test_subtree_keys_survive_freed_nodes():
+    """Keys are found by ``id(node)``: a node freed after keying must not
+    hand its key to a later node that reuses its address."""
+    from repro.exec.hoist import SubtreeKeys
+
+    keys = SubtreeKeys()
+    straight = keys.of(join_node("s", False))
+    for i in range(2000):
+        mirrored = i % 2 == 1
+        node = join_node(f"n{i}", mirrored)
+        assert (keys.of(node) == straight) != mirrored, i
+        del node
 
 
 def kmeans_db(points: int = 200, **kwargs) -> repro.Database:
