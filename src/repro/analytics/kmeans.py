@@ -30,6 +30,7 @@ from ..expr.bound import (
     BoundColumnRef,
     BoundLambda,
 )
+from ..expr.effects import effects
 from ..plan.logical import LogicalTableFunction, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..types import BIGINT, DOUBLE, INTEGER
@@ -172,11 +173,9 @@ class KMeansDescriptor(OperatorDescriptor):
 
         pool = getattr(ctx, "pool", None)
         if pool is not None and not fused_default:
-            from ..exec.parallel import _parallel_safe
-
             # User lambdas evaluate through the shared EvalContext;
             # only subquery-/UDF-free bodies may run on workers.
-            if not _parallel_safe(distance.body):
+            if not effects(distance.body).parallel_safe:
                 pool = None
         governor = getattr(ctx, "governor", None)
         reserved = 0

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import AnalyticsError, BindError
 from ..expr import bound as b
+from ..expr.effects import effects
 from ..plan import logical as lp
 from ..plan.logical import LogicalTableFunction, PlanColumn
 from ..storage.column import Column, ColumnBatch
@@ -141,12 +142,8 @@ class PageRankDescriptor(OperatorDescriptor):
                 return None
             # Cached weights are *values*, so a body reading outer
             # parameters would pin stale numbers into the graph.
-            stack = [weight_lambda.body]
-            while stack:
-                sub = stack.pop()
-                if isinstance(sub, b.BoundParam):
-                    return None
-                stack.extend(sub.children())
+            if effects(weight_lambda.body).params:
+                return None
             weight_key = (tuple(weight_lambda.params), body_fp)
         try:
             data = ctx.read_table(table_name)

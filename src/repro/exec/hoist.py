@@ -4,7 +4,8 @@ recursive CTEs.
 The step (and stop) plan of a loop runs once per round, but only the
 part that reads the working table can produce a different result. The
 planner wraps every maximal subtree that cannot change between rounds
-(:func:`repro.plan.logical.loop_dependencies`) in a
+(:func:`repro.expr.effects.plan_effects`: the working tables it reads,
+and whether it is volatile) in a
 :class:`LoopInvariantOp` — Postgres' ``Material`` node, scoped to one
 execution of the loop operator — and hands the loop operator the
 :class:`LoopScope` that owns them. The same invariance test bounds the
@@ -24,15 +25,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Optional
 
-from ..expr.bound import BoundExpr, BoundSubquery
+from ..expr.bound import BoundExpr
 from ..expr.compiler import EvalContext, kernel_fingerprint
+from ..expr.effects import effects, plan_effects
 from ..plan import logical as lp
 from ..plan.logical import (
     LogicalPlan,
     PlanColumn,
-    loop_dependencies,
     node_signature,
-    walk_expressions,
+    plan_expressions,
     walk_plan,
 )
 from ..storage.column import ColumnBatch
@@ -113,9 +114,7 @@ class SharedSubtree:
 
 
 def _shared_subtrees(
-    key: str,
-    body: list[LogicalPlan],
-    dependencies: dict[int, tuple[frozenset[str], bool]],
+    key: str, body: list[LogicalPlan]
 ) -> dict[int, SharedSubtree]:
     """``id(node)`` -> its :class:`SharedSubtree`, for every copy of the
     maximal subtrees of ``body`` that occur at least twice, read the
@@ -128,12 +127,12 @@ def _shared_subtrees(
     while stack:
         node = stack.pop()
         node_key = keys.of(node)
-        reads, volatile = dependencies[id(node)]
+        found = plan_effects(node)
         if (
             node_key is not None
             and counts[node_key] > 1
-            and key in reads
-            and not volatile
+            and key in found.working_tables
+            and not found.volatile
             and node.output
             and not isinstance(node, lp.LogicalWorkingTableRef)
         ):
@@ -176,24 +175,19 @@ class LoopScope:
         #: The round-lifetime :class:`LoopInvariantOp` of every shared
         #: subtree built so far.
         self.round_shared: list[LoopInvariantOp] = []
-        #: ``id(node)`` -> :func:`loop_dependencies` of every plan node
-        #: in ``body`` (the planner asks about each one it builds).
-        self.dependencies: dict[int, tuple[frozenset[str], bool]] = {}
-        for plan in body:
-            loop_dependencies(plan, self.dependencies)
         #: ``id(node)`` -> :class:`SharedSubtree` of each copy of a
         #: subtree evaluated once per round for all its copies.
-        self.shared = _shared_subtrees(key, body, self.dependencies)
+        self.shared = _shared_subtrees(key, body)
         #: ``EvalContext.subquery_cache`` keys of the uncorrelated
         #: subqueries in ``body`` whose plan reads this working table.
         self.round_subqueries = [
-            id(expr.plan)
+            id(subquery.plan)
             for plan in body
             for node in walk_plan(plan)
-            for expr in walk_expressions(node)
-            if isinstance(expr, BoundSubquery)
-            and not expr.outer_slots
-            and key in self.dependencies[id(expr.plan)][0]
+            for expr in plan_expressions(node)
+            for subquery in effects(expr).subqueries
+            if not subquery.outer_slots
+            and key in plan_effects(subquery.plan).working_tables
         ]
 
     def begin_round(self, eval_ctx: EvalContext) -> None:

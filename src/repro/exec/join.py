@@ -32,29 +32,12 @@ import numpy as np
 from ..errors import ExecutionError
 from ..expr.bound import BoundExpr
 from ..expr.compiler import EvalContext
-from ..plan.logical import (
-    LogicalAggregate,
-    LogicalDistinct,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalLimit,
-    LogicalPlan,
-    LogicalProject,
-    LogicalScan,
-    LogicalSetOp,
-    LogicalSort,
-    LogicalValues,
-    LogicalWorkingTableRef,
-    PlanColumn,
-    at_most_one_row,
-    plan_expressions,
-    walk_plan,
-)
+from ..expr.effects import effects, plan_effects
+from ..plan.logical import LogicalJoin, PlanColumn, at_most_one_row
 from ..storage.column import Column, ColumnBatch
-from ..storage.zonemap import prune_safe
 from ..types import TypeKind
 from .common import DENSE_SPAN_FACTOR, factorize, key_ranges, offset_table
-from .parallel import _parallel_safe, morsel_ranges
+from .parallel import morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
 #: Build (right) sides at or below this row count take the raw
@@ -269,28 +252,6 @@ def _one_row_side(node: LogicalJoin) -> Optional[str]:
     return None
 
 
-#: Plan nodes that raise nothing of their own; what running them can
-#: raise comes from their expressions.
-_QUIET_NODES = (
-    LogicalScan, LogicalWorkingTableRef, LogicalValues, LogicalFilter,
-    LogicalProject, LogicalJoin, LogicalAggregate, LogicalSort,
-    LogicalLimit, LogicalDistinct, LogicalSetOp,
-)
-
-
-def _unobservable(plan: LogicalPlan) -> bool:
-    """Whether leaving ``plan`` unrun cannot be told from its result:
-    it holds only :data:`_QUIET_NODES` and every expression in it is
-    free of data-dependent errors and user code
-    (:func:`~repro.storage.zonemap.prune_safe` — no CAST, division,
-    function, UDF or subquery), the rule zone-map pruning follows."""
-    return all(
-        isinstance(node, _QUIET_NODES)
-        and all(prune_safe(expr) for expr in plan_expressions(node))
-        for node in walk_plan(plan)
-    )
-
-
 def _bit_equal(a: Column, b: Column) -> bool:
     """Whether two columns hold the same NULLs and the same values bit
     for bit — fillers under NULLs, ``-0.0`` and NaN payloads included,
@@ -366,7 +327,7 @@ class HashJoinOp(PhysicalOperator):
         # expression carries a subquery or UDF (shared plan cache /
         # arbitrary Python are not thread-safe).
         self._keys_parallel_safe = all(
-            _parallel_safe(k)
+            effects(k).parallel_safe
             for pair in node.equi_keys
             for k in pair
         )
@@ -705,9 +666,9 @@ class NestedLoopJoinOp(PhysicalOperator):
         # When the one-row side comes back empty, the other may go
         # unrun only if running it could neither raise nor call user
         # code.
-        self._skip_other = self._one_row is not None and _unobservable(
+        self._skip_other = self._one_row is not None and plan_effects(
             node.left if self._one_row == "right" else node.right
-        )
+        ).quiet
 
     @property
     def broadcast_other(self) -> Optional[PhysicalOperator]:

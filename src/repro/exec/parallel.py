@@ -34,7 +34,6 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from ..expr import bound as b
 from ..expr.aggregates import _segmented_reduce, group_counts, group_sums
 from ..storage.column import Column
 from ..types import BIGINT, BOOLEAN, DOUBLE, TypeKind
@@ -219,20 +218,6 @@ class WorkerPool:
                 self._atexit_registered = False
         if executor is not None:
             executor.shutdown(wait=True)
-
-
-def _parallel_safe(expr: b.BoundExpr) -> bool:
-    """Whether an expression may be evaluated concurrently: subqueries
-    (shared physical-plan cache, working tables) and user UDFs
-    (arbitrary Python, unknown thread safety) pin a pipeline to the
-    serial path."""
-    stack: list[b.BoundExpr] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (b.BoundSubquery, b.BoundUDF)):
-            return False
-        stack.extend(node.children())
-    return True
 
 
 # ---------------------------------------------------------------------------

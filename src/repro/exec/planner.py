@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 from ..errors import PlanError
 from ..expr.bound import BoundColumnRef
+from ..expr.effects import plan_effects
 from ..plan import logical as lp
 from ..storage.column import ColumnBatch
 from .aggregate import DistinctOp, HashAggregateOp, broadcast_extremes
@@ -117,11 +118,11 @@ def _invariant_depth(
         or isinstance(plan, lp.LogicalScan)
     ):
         return None
-    keys, volatile = lp.loop_dependencies(plan, loops[-1].dependencies)
-    if volatile:
+    found = plan_effects(plan)
+    if found.volatile:
         return None
     depth = len(loops)
-    while depth > 0 and loops[depth - 1].key not in keys:
+    while depth > 0 and loops[depth - 1].key not in found.working_tables:
         depth -= 1
     return depth if depth < len(loops) else None
 

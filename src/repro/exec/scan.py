@@ -33,16 +33,13 @@ import numpy as np
 
 from ..expr.bound import BoundSubquery
 from ..expr.compiler import EvalContext, subquery_result
+from ..expr.effects import effects, statement_constant
 from ..plan import logical as lp
-from ..plan.logical import (
-    LogicalValues,
-    LogicalWorkingTableRef,
-    statement_constant,
-)
+from ..plan.logical import LogicalValues, LogicalWorkingTableRef
 from ..storage.column import Column, ColumnBatch
 from ..storage.zonemap import ScanPruner
 from ..types import INTEGER
-from .parallel import _parallel_safe, morsel_ranges
+from .parallel import morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
 
@@ -73,7 +70,7 @@ def build_pipeline_program(
         needed_after[i] = list(needed)
         refs = list(needed) if isinstance(stage, lp.LogicalFilter) else []
         for expr in _stage_exprs(stage):
-            for slot in sorted(expr.consumed_slots()):
+            for slot in sorted(effects(expr).consumed):
                 if slot not in refs:
                     refs.append(slot)
         needed = refs
@@ -145,14 +142,12 @@ def opening_subqueries(predicates: list) -> list[BoundSubquery]:
     """The subqueries of ``predicates`` the scan runs when it opens:
     those with one result per execution. Their results are ready before
     zone maps skip a morsel, so skipping cannot skip a subplan error."""
-    found = []
-    stack = list(predicates)
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, BoundSubquery) and statement_constant(expr):
-            found.append(expr)
-        stack.extend(expr.children())
-    return found
+    return [
+        subquery
+        for expr in predicates
+        for subquery in effects(expr).subqueries
+        if statement_constant(subquery)
+    ]
 
 
 class ScanOp(PhysicalOperator):
@@ -194,7 +189,7 @@ class ScanOp(PhysicalOperator):
             self._pruner = pruner if pruner.active else None
         # Subqueries and user UDFs pin the pipeline to the caller thread.
         self._parallel_safe = all(
-            _parallel_safe(expr)
+            effects(expr).parallel_safe
             for stage in stages
             for expr in _stage_exprs(stage)
         )

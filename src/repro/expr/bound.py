@@ -22,46 +22,12 @@ class BoundExpr:
     """Base class; every subclass has a ``sql_type`` attribute."""
 
     sql_type: SQLType
+    #: :func:`repro.expr.effects.effects`, once asked (not a field).
+    _effects = None
 
     def children(self) -> list["BoundExpr"]:
         """Direct sub-expressions (for tree walks)."""
         return []
-
-    def referenced_slots(self) -> set[str]:
-        """All column slots this expression reads (transitively)."""
-        slots: set[str] = set()
-        stack: list[BoundExpr] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, BoundColumnRef):
-                slots.add(node.slot)
-            stack.extend(node.children())
-        return slots
-
-    def consumed_slots(self) -> set[str]:
-        """The slots evaluating this expression reads from its batch:
-        :meth:`referenced_slots` plus the outer slots its correlated
-        subqueries take their parameter values from."""
-        slots: set[str] = set()
-        stack: list[BoundExpr] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, BoundColumnRef):
-                slots.add(node.slot)
-            elif isinstance(node, BoundSubquery):
-                slots.update(node.outer_slots)
-            stack.extend(node.children())
-        return slots
-
-    def contains_subquery(self) -> bool:
-        """Whether any node is a subquery (blocks some rewrites)."""
-        stack: list[BoundExpr] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, BoundSubquery):
-                return True
-            stack.extend(node.children())
-        return False
 
 
 @dataclass

@@ -191,23 +191,6 @@ def subquery_result(expr: b.BoundSubquery, ctx: EvalContext):
     return cache[key]
 
 
-def _runs_user_code(plan) -> bool:
-    """Whether a subplan holds a Python UDF or a table function: such a
-    plan runs once per outer row, as the SQL says, never once per
-    distinct outer value."""
-    from ..plan.logical import (
-        LogicalTableFunction,
-        walk_expressions,
-        walk_plan,
-    )
-
-    return any(
-        isinstance(node, LogicalTableFunction)
-        or any(isinstance(e, b.BoundUDF) for e in walk_expressions(node))
-        for node in walk_plan(plan)
-    )
-
-
 def _python_values(col: Column, rows: np.ndarray) -> list:
     """The Python values (None for NULL) of ``col`` at ``rows`` — the
     values a correlated parameter takes."""
@@ -1038,7 +1021,13 @@ class ExpressionCompiler:
         kind = expr.kind
         negated = expr.negated
         sql_type = expr.sql_type
-        by_row = bool(expr.outer_slots) and _runs_user_code(expr.plan)
+        # Imported here: effects needs the plan package, and that
+        # package loads this module before it is complete.
+        from .effects import plan_effects
+
+        # A subplan holding user code runs once per outer row, as the
+        # SQL says, never once per distinct outer value.
+        by_row = bool(expr.outer_slots) and plan_effects(expr.plan).user_code
 
         def run(batch: ColumnBatch, ctx: EvalContext) -> Column:
             if expr.outer_slots:

@@ -19,9 +19,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Optional
 from ..expr.bound import (
     BoundExpr,
     BoundLambda,
-    BoundParam,
     BoundSubquery,
-    BoundUDF,
 )
 from ..types import SQLType
 
@@ -46,6 +44,8 @@ class LogicalPlan:
     """Base class for logical operators."""
 
     output: list[PlanColumn]
+    #: :func:`repro.expr.effects.plan_effects`, once asked (not a field).
+    _effects = None
 
     def children(self) -> list["LogicalPlan"]:
         return []
@@ -477,17 +477,6 @@ def plan_expressions(node: LogicalPlan) -> list[BoundExpr]:
     return out
 
 
-def walk_expressions(node: LogicalPlan) -> Iterator[BoundExpr]:
-    """Every expression node (roots and sub-expressions) held by one
-    plan node. Subquery *plans* are not entered — :func:`walk_plan`
-    does that."""
-    stack = plan_expressions(node)
-    while stack:
-        expr = stack.pop()
-        yield expr
-        stack.extend(expr.children())
-
-
 def walk_plan(plan: LogicalPlan) -> Iterator[LogicalPlan]:
     """Every plan node reachable from ``plan``: through ``children()``
     and through the plans of subqueries inside expressions."""
@@ -496,48 +485,12 @@ def walk_plan(plan: LogicalPlan) -> Iterator[LogicalPlan]:
         node = stack.pop()
         yield node
         stack.extend(node.children())
-        stack.extend(
-            expr.plan
-            for expr in walk_expressions(node)
-            if isinstance(expr, BoundSubquery)
-        )
-
-
-def loop_dependencies(
-    plan: LogicalPlan, memo: dict[int, tuple[frozenset[str], bool]]
-) -> tuple[frozenset[str], bool]:
-    """What decides whether ``plan``'s result can differ between two
-    rounds of an enclosing ITERATE / recursive CTE: the keys of every
-    working table read anywhere beneath it (through ``children()`` and
-    through subquery plans inside expressions), and whether it is
-    *volatile* — holds a Python UDF (scalar or table function: the
-    engine cannot see inside, it may count calls or read a clock) or a
-    correlated parameter (its value belongs to an outer row, not to the
-    plan). Statement parameters (``?N``) are constants of the
-    execution. ``memo`` (``id(node)`` -> result) is filled for every
-    node visited, so one call on a loop body answers for each of its
-    subtrees."""
-    known = memo.get(id(plan))
-    if known is not None:
-        return known
-    keys: set[str] = set()
-    volatile = isinstance(plan, LogicalTableFunction)
-    if isinstance(plan, LogicalWorkingTableRef):
-        keys.add(plan.key)
-    below = list(plan.children())
-    for expr in walk_expressions(plan):
-        if isinstance(expr, BoundSubquery):
-            below.append(expr.plan)
-        elif isinstance(expr, BoundUDF) or (
-            isinstance(expr, BoundParam) and not expr.slot.startswith("?")
-        ):
-            volatile = True
-    for node in below:
-        node_keys, node_volatile = loop_dependencies(node, memo)
-        keys |= node_keys
-        volatile = volatile or node_volatile
-    memo[id(plan)] = result = (frozenset(keys), volatile)
-    return result
+        exprs = plan_expressions(node)
+        while exprs:
+            expr = exprs.pop()
+            if isinstance(expr, BoundSubquery):
+                stack.append(expr.plan)
+            exprs.extend(expr.children())
 
 
 def at_most_one_row(plan: LogicalPlan) -> bool:
@@ -637,12 +590,3 @@ def _slot_positions(
     if isinstance(value, str):
         return position(value)
     return tuple(position(slot) for slot in value)  # type: ignore[union-attr]
-
-
-def statement_constant(expr: BoundSubquery) -> bool:
-    """Whether a subquery has one result for the whole execution: it is
-    uncorrelated and not volatile (:func:`loop_dependencies` — no Python
-    UDF, table function or correlated parameter anywhere in its plan).
-    Such a subquery may be evaluated anywhere in the plan, and as early
-    as the scan that holds it opens."""
-    return not expr.outer_slots and not loop_dependencies(expr.plan, {})[1]

@@ -28,6 +28,7 @@ from typing import Optional
 
 from ..errors import PlanError
 from ..expr import bound as b
+from ..expr.effects import effects, plan_effects, statement_constant
 from ..types import BOOLEAN
 from . import logical as lp
 from .cardinality import CardinalityEstimator
@@ -149,7 +150,12 @@ def _try_push(
     conjunct: b.BoundExpr, child: lp.LogicalPlan
 ) -> Optional[lp.LogicalPlan]:
     """Push one conjunct below ``child``; None if it must stay above."""
-    if not _movable(conjunct):
+    # Each subquery must have one result per execution to move: a
+    # correlated one reads the outer row it was bound next to, and a
+    # Python UDF inside one runs as often as the SQL says.
+    if not all(
+        statement_constant(s) for s in effects(conjunct).subqueries
+    ):
         return None
 
     if isinstance(child, lp.LogicalFilter):
@@ -166,7 +172,7 @@ def _try_push(
             col.slot: expr
             for col, expr in zip(child.output, child.exprs)
         }
-        refs = conjunct.referenced_slots()
+        refs = effects(conjunct).reads
         if not refs <= set(mapping):
             return None
         # Don't duplicate expensive work: only substitute through cheap
@@ -181,7 +187,7 @@ def _try_push(
         return lp.LogicalProject(inner, child.exprs, child.output)
 
     if isinstance(child, lp.LogicalJoin):
-        refs = conjunct.referenced_slots()
+        refs = effects(conjunct).reads
         left_slots = set(child.left.output_slots())
         right_slots = set(child.right.output_slots())
         if refs and refs <= left_slots:
@@ -232,7 +238,7 @@ def _try_push(
         # Only conjuncts over group-key slots may move below (they are
         # functions of single input rows); aggregates depend on the
         # whole input — same argument as for analytics operators.
-        refs = conjunct.referenced_slots()
+        refs = effects(conjunct).reads
         group_mapping = {
             slot: expr
             for slot, expr in zip(child.group_slots, child.group_exprs)
@@ -270,23 +276,6 @@ def _try_push(
     return None
 
 
-def _movable(conjunct: b.BoundExpr) -> bool:
-    """Whether a conjunct's subqueries let it move: each must have one
-    result per execution (:func:`~repro.plan.logical.
-    statement_constant`). A correlated one reads the outer row it was
-    bound next to; a Python UDF inside one runs as often as the SQL
-    says."""
-    stack = [conjunct]
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, b.BoundSubquery
-        ) and not lp.statement_constant(node):
-            return False
-        stack.extend(node.children())
-    return True
-
-
 def _as_equi_pair(
     conjunct: b.BoundExpr,
     left_slots: set[str],
@@ -298,8 +287,8 @@ def _as_equi_pair(
         isinstance(conjunct, b.BoundBinary) and conjunct.op == "="
     ):
         return None
-    lrefs = conjunct.left.referenced_slots()
-    rrefs = conjunct.right.referenced_slots()
+    lrefs = effects(conjunct.left).reads
+    rrefs = effects(conjunct.right).reads
     if not lrefs or not rrefs:
         return None
     if lrefs <= left_slots and rrefs <= right_slots:
@@ -342,7 +331,7 @@ def _collect_required(
             continue
         roots_seen.add(id(node))
         for expr in lp.plan_expressions(node):
-            required |= expr.consumed_slots()
+            required |= effects(expr).consumed
         # Filters/sorts/limits/joins merely forward columns — they do
         # not require them, so scans below can shed unused ones. Set
         # operations and the iterative/analytical operators map columns
@@ -457,11 +446,8 @@ def reassociate_invariant_joins(
         and plan.equi_keys
     ):
         return plan
-    # One memo for this node's questions: the nodes it is keyed by all
-    # stay alive until the answers have been used.
-    memo: dict = {}
     reads_loop = [
-        loop_key in lp.loop_dependencies(side, memo)[0]
+        loop_key in plan_effects(side).working_tables
         for side in inner.children()
     ]
     if reads_loop[0] == reads_loop[1]:
@@ -470,17 +456,17 @@ def reassociate_invariant_joins(
     c = plan.right
     p2_slots: set[str] = set()
     for expr in lp.plan_expressions(plan):
-        p2_slots |= expr.consumed_slots()
+        p2_slots |= effects(expr).consumed
     if not p2_slots <= set(b.output_slots()) | set(c.output_slots()):
         return plan
     invariant = lp.LogicalJoin(
         "inner", b, c, plan.equi_keys, plan.residual,
         list(b.output) + list(c.output),
     )
-    keys, volatile = lp.loop_dependencies(invariant, memo)
+    found = plan_effects(invariant)
     if (
-        loop_key in keys
-        or volatile
+        loop_key in found.working_tables
+        or found.volatile
         or estimator.estimate(invariant) > estimator.estimate(inner)
     ):
         return plan

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Protocol
 
 from ..errors import BindError
 from ..expr import bound as b
+from ..expr.effects import effects, plan_effects
 from ..plan import logical as lp
 from ..storage.schema import TableSchema
 from ..types import (
@@ -684,7 +685,7 @@ class Binder:
                     return b.BoundColumnRef(slot, sql_type)
                 if isinstance(probe, b.BoundLiteral):
                     return probe
-                if not probe.referenced_slots():
+                if not effects(probe).reads:
                     return probe
                 if not self._ast_children(expr):
                     # A bare column outside GROUP BY.
@@ -827,10 +828,9 @@ class Binder:
         if isinstance(expr, ast.InSubquery):
             # The probe is rebuilt; the subquery binds as anywhere else.
             probe = recurse(expr.operand)
-            node = self._bind_subquery_expr(expr.query, "in", scope, ctes)
-            node.probe = probe
-            node.negated = expr.negated
-            return node
+            return self._bind_subquery_expr(
+                expr.query, "in", scope, ctes, probe, expr.negated
+            )
         raise BindError(
             f"unsupported expression above aggregation: "
             f"{type(expr).__name__}"
@@ -1137,14 +1137,12 @@ class Binder:
         join's own operands (PostgreSQL semantics; SQLite would accept
         them). Without this check the reference resolves at bind time
         but its slot is absent from the join's batches at execution."""
-        used = set(condition.referenced_slots())
+        used = effects(condition).consumed
         display: dict[str, str] = {}
         stack = [condition]
         while stack:
             node = stack.pop()
-            if isinstance(node, b.BoundSubquery):
-                used.update(node.outer_slots)
-            elif isinstance(node, b.BoundColumnRef) and node.display:
+            if isinstance(node, b.BoundColumnRef) and node.display:
                 display[node.slot] = node.display
             stack.extend(node.children())
         available = {c.slot for c in output}
@@ -1197,10 +1195,10 @@ class Binder:
             if (
                 isinstance(conj, b.BoundBinary)
                 and conj.op == "="
-                and not conj.contains_subquery()
+                and not effects(conj).subqueries
             ):
-                lrefs = conj.left.referenced_slots()
-                rrefs = conj.right.referenced_slots()
+                lrefs = effects(conj.left).reads
+                rrefs = effects(conj.right).reads
                 if lrefs and rrefs:
                     if lrefs <= left_slots and rrefs <= right_slots:
                         equi.append((conj.left, conj.right))
@@ -1416,17 +1414,14 @@ class Binder:
         if isinstance(expr, ast.ScalarSubquery):
             return self._bind_subquery_expr(expr.query, "scalar", scope, ctes)
         if isinstance(expr, ast.Exists):
-            node = self._bind_subquery_expr(
-                expr.query, "exists", scope, ctes
+            return self._bind_subquery_expr(
+                expr.query, "exists", scope, ctes, negated=expr.negated
             )
-            node.negated = expr.negated
-            return node
         if isinstance(expr, ast.InSubquery):
             probe = self._bind_scalar(expr.operand, scope, ctes)
-            node = self._bind_subquery_expr(expr.query, "in", scope, ctes)
-            node.probe = probe
-            node.negated = expr.negated
-            return node
+            return self._bind_subquery_expr(
+                expr.query, "in", scope, ctes, probe, expr.negated
+            )
         if isinstance(expr, ast.WindowFunction):
             raise BindError(
                 "window functions are only allowed in the SELECT list"
@@ -1446,6 +1441,8 @@ class Binder:
         kind: str,
         scope: Scope,
         ctes: dict[str, CTEDef],
+        probe: Optional[b.BoundExpr] = None,
+        negated: bool = False,
     ) -> b.BoundSubquery:
         inner_scope_parent = scope
         # Bind with the current scope as parent so the subquery can
@@ -1456,7 +1453,7 @@ class Binder:
         # correlation parameters whose values come from *this* query's
         # rows. Refs that resolve even further out stay as params of the
         # enclosing query and are forwarded transparently.
-        used = self._collect_params(plan)
+        used = plan_effects(plan).params
         own = {s for s in used if s in {c.slot for c in scope.all_columns()}}
         scope.outer_refs = before | (used - own)
         if kind == "scalar":
@@ -1470,19 +1467,9 @@ class Binder:
         else:
             sql_type = BOOLEAN
         return b.BoundSubquery(
-            plan=plan, kind=kind, sql_type=sql_type,
-            outer_slots=tuple(sorted(own)),
+            plan=plan, kind=kind, sql_type=sql_type, probe=probe,
+            negated=negated, outer_slots=tuple(sorted(own)),
         )
-
-    @staticmethod
-    def _collect_params(plan: lp.LogicalPlan) -> set[str]:
-        """All BoundParam slots appearing anywhere in a plan."""
-        return {
-            expr.slot
-            for node in lp.walk_plan(plan)
-            for expr in lp.walk_expressions(node)
-            if isinstance(expr, b.BoundParam)
-        }
 
     # -- expression constructors with type rules --------------------------------------
 

@@ -19,11 +19,11 @@ NULL/NaN semantics (the correctness core — see docs/performance.md):
   only zones that contain no NaN at all.
 
 Pruning is also gated on the *whole* predicate being side-effect-free
-(:func:`prune_safe`): skipping a morsel suppresses evaluation of every
-conjunct on it, and an expression like ``b / a > 1`` must keep raising
-division-by-zero exactly as the unpruned plan would. An uncorrelated
-subquery qualifies because the scan runs it when it opens, whatever it
-then skips.
+(:func:`repro.expr.effects.prune_safe`): skipping a morsel suppresses
+evaluation of every conjunct on it, and an expression like ``b / a > 1``
+must keep raising division-by-zero exactly as the unpruned plan would.
+An uncorrelated subquery qualifies because the scan runs it when it
+opens, whatever it then skips.
 """
 
 from __future__ import annotations
@@ -33,22 +33,12 @@ from typing import Optional
 import numpy as np
 
 from ..expr import bound as b
+from ..expr.effects import prune_safe
 from ..types import TypeKind
 
 #: Rows per zone. Smaller than a morsel so every morsel boundary is
 #: covered by whole zones plus at most two partial overlaps.
 ZONE_ROWS = 4096
-
-#: Binary operators that cannot raise at evaluation time (no division,
-#: no modulo, no exponentiation — those carry data-dependent errors).
-#: ``^`` computes in float64 whatever its operands: NaN or inf, never an
-#: error.
-_SAFE_BINARY_OPS = frozenset(
-    {"and", "or", "=", "<>", "!=", "<", "<=", ">", ">=",
-     "+", "-", "*", "^", "||"}
-)
-
-_SAFE_UNARY_OPS = frozenset({"-", "+", "not"})
 
 _COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
@@ -128,42 +118,6 @@ def build_zone_map(
 # ---------------------------------------------------------------------------
 # Predicate analysis
 # ---------------------------------------------------------------------------
-
-
-def prune_safe(expr: b.BoundExpr, prebuilt: frozenset = frozenset()) -> bool:
-    """Whether an entire predicate is free of data-dependent errors, so
-    skipping its evaluation on a pruned morsel is unobservable.
-
-    ``prebuilt`` holds the ``id`` of every subquery node whose result
-    the scan computes when it opens, before any morsel is skipped: such
-    a subquery has already raised whatever it would raise, and testing
-    rows against its result (``probe IN <key set>``, a comparison with
-    its value) cannot raise — it is as safe as its probe."""
-    if isinstance(expr, (b.BoundLiteral, b.BoundColumnRef, b.BoundParam)):
-        return True
-    if isinstance(expr, b.BoundUnary):
-        return (
-            expr.op in _SAFE_UNARY_OPS
-            and prune_safe(expr.operand, prebuilt)
-        )
-    if isinstance(expr, b.BoundBinary):
-        return (
-            expr.op in _SAFE_BINARY_OPS
-            and prune_safe(expr.left, prebuilt)
-            and prune_safe(expr.right, prebuilt)
-        )
-    if isinstance(expr, b.BoundIsNull):
-        return prune_safe(expr.operand, prebuilt)
-    if isinstance(expr, b.BoundInList):
-        return prune_safe(expr.operand, prebuilt) and all(
-            prune_safe(item, prebuilt) for item in expr.items
-        )
-    if isinstance(expr, b.BoundSubquery) and id(expr) in prebuilt:
-        return expr.probe is None or prune_safe(expr.probe, prebuilt)
-    # Functions, UDFs, CASE, CAST, LIKE, other subqueries, lambdas:
-    # excluded — any of them may raise (or observe evaluation) at run
-    # time.
-    return False
 
 
 def split_conjuncts(expr: b.BoundExpr) -> list[b.BoundExpr]:
@@ -303,9 +257,9 @@ class ScanPruner:
 
     Built from the scan's output columns and the predicate(s) of the
     filter(s) sitting directly on the scan; ``prebuilt`` as for
-    :func:`prune_safe`. Unusable predicates (not prune-safe, or without
-    any ``col <op> const`` conjunct) yield an inactive pruner —
-    ``keep_ranges`` then returns its input."""
+    :func:`~repro.expr.effects.prune_safe`. Unusable predicates (not
+    prune-safe, or without any ``col <op> const`` conjunct) yield an
+    inactive pruner — ``keep_ranges`` then returns its input."""
 
     def __init__(self, scan_output, predicates, prebuilt=frozenset()):
         slot_to_name = {col.slot: col.name for col in scan_output}

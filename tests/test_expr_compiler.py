@@ -12,6 +12,7 @@ from repro.expr.compiler import (
     _like_regex,
     _scalar_constant,
 )
+from repro.expr.effects import effects
 from repro.storage.column import Column, ColumnBatch
 from repro.types import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 
@@ -151,7 +152,7 @@ class TestHelpers:
             ),
             DOUBLE,
         )
-        assert expr.referenced_slots() == {"a", "b"}
+        assert effects(expr).reads == {"a", "b"}
 
 
 class TestCaseEvaluation:

@@ -375,27 +375,52 @@ class TestOneRowSide:
         assert analyzed.result.rows == []
         assert analyzed.find("Scan(t)").calls == 0
 
-    @pytest.mark.parametrize(
-        "other",
-        [
-            "(SELECT CAST(s AS INTEGER) AS z FROM u) a",
-            "(SELECT 10 / (w - 5) AS z FROM u) a",
-        ],
-    )
+    #: One other side per kind of node that may raise or run user code
+    #: (``repro.expr.effects.PlanEffects.quiet``): the error it raises
+    #: on ``u``, or None where the node cannot raise on this data.
+    MAY_RAISE = {
+        "cast": ("CAST(s AS INTEGER)", "cannot coerce"),
+        "case": ("CASE WHEN w > 0 THEN w ELSE 0 END", None),
+        "division": ("10 / (w - 5)", "division by zero"),
+        "function": ("sqrt(w - 6)", "math domain error"),
+        "like": ("s LIKE 'a%'", None),
+        "modulo": ("10 % (w - 5)", "division by zero"),
+        "udf": ("boom(w)", "boom"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAY_RAISE))
     def test_empty_side_still_runs_an_other_side_that_may_raise(
-        self, db, other
+        self, db, kind
     ):
         """Leaving the other side unrun must not hide the error it
-        raises in the pairwise join."""
-        with pytest.raises(repro.ReproError) as pairwise:
-            db.execute(
-                f"SELECT a.z FROM {other}, (SELECT w FROM u WHERE w > 100) x"
-            )
-        with pytest.raises(type(pairwise.value), match=str(pairwise.value)):
-            db.execute(
-                f"SELECT a.z FROM {other}, "
-                "(SELECT max(w) AS m FROM u HAVING max(w) > 100) x"
-            )
+        raises in the pairwise join; one that raises nothing here still
+        runs."""
+        def boom(w):
+            if w == 5:
+                raise ValueError("boom")
+            return w
+
+        db.create_function("boom", boom, "INTEGER")
+        expr, error = self.MAY_RAISE[kind]
+        other = f"(SELECT {expr} AS z FROM u) a"
+        pairwise = (
+            f"SELECT a.z FROM {other}, (SELECT k FROM t WHERE k > 100) x"
+        )
+        broadcast = (
+            f"SELECT a.z FROM {other}, "
+            "(SELECT max(v) AS m FROM t HAVING max(v) > 100) x"
+        )
+        if error is None:
+            assert db.execute(pairwise).rows == []
+            analyzed = db.explain_analyze(broadcast)
+            assert analyzed.find("NestedLoopJoin(cross, broadcast)")
+            assert analyzed.result.rows == []
+            assert analyzed.find("Scan(u)").calls == 1
+            return
+        with pytest.raises(repro.ReproError, match=error) as raised:
+            db.execute(pairwise)
+        with pytest.raises(type(raised.value), match=str(raised.value)):
+            db.execute(broadcast)
 
     def test_empty_side_still_runs_a_volatile_other_side(self, db):
         calls = []

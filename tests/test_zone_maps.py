@@ -14,7 +14,7 @@ import pytest
 
 from repro.api.database import Database
 from repro.analytics.csr import csr_cache_clear
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.storage.zonemap import ZONE_ROWS, ScanPruner, build_zone_map
 
 
@@ -130,16 +130,56 @@ def test_negated_literal_and_or_do_not_misprune():
     assert pruned(hot) > before
 
 
-def test_unsafe_predicate_disables_pruning():
+#: One conjunct per kind of node that may raise (or run user code) on
+#: data a pruned morsel would never evaluate: each makes the whole
+#: predicate refuse zone pruning (``repro.expr.effects.prune_safe``).
+UNSAFE_CONJUNCTS = {
+    "division": "10 / (id + 1) > 0",
+    "cast": "CAST(v AS INTEGER) >= 0",
+    "case": "CASE WHEN v > 1 THEN 1 ELSE 0 END >= 0",
+    "function": "abs(v) >= 0",
+    "like": "name LIKE 'n%'",
+    "modulo": "id % 7 >= 0",
+    "udf": "same(id) >= 0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNSAFE_CONJUNCTS))
+def test_unsafe_predicate_disables_pruning(kind):
     hot, cold = make_pair(2 * ZONE_ROWS)
+    for db in (hot, cold):
+        db.create_function("same", lambda x: x, "INTEGER")
     before = pruned(hot)
-    # Division can raise on data the pruned morsels would never
-    # evaluate, so the whole predicate refuses zone pruning.
-    check(
+    assert check(
         hot, cold,
-        "SELECT count(*) FROM t WHERE id = 3 AND 10 / (id + 1) > 0",
-    )
+        f"SELECT count(*) FROM t WHERE id = 3 AND {UNSAFE_CONJUNCTS[kind]}",
+    ) == [(1,)]
     assert pruned(hot) == before
+
+
+def test_cast_failing_only_in_a_prunable_morsel_still_raises():
+    """``id = 3`` alone would prune the morsel holding the one value the
+    CAST cannot convert; the statement must raise as if unpruned."""
+    rows = 3 * ZONE_ROWS
+    dbs = []
+    for plan_cache in (True, False):
+        db = Database(
+            morsel_rows=ZONE_ROWS, profile_operators=False,
+            plan_cache=plan_cache,
+        )
+        db.execute("CREATE TABLE c (id INTEGER, s VARCHAR)")
+        db.insert_rows("c", [
+            (i, "x" if i == rows - 7 else str(i)) for i in range(rows)
+        ])
+        dbs.append(db)
+    hot, cold = dbs
+    sql = "SELECT count(*) FROM c WHERE id = 3 AND CAST(s AS INTEGER) >= 0"
+    with pytest.raises(ReproError) as unpruned:
+        cold.execute(sql)
+    with pytest.raises(type(unpruned.value), match=str(unpruned.value)):
+        hot.execute(sql)
+    assert hot.execute("SELECT count(*) FROM c WHERE id = 3").rows == [(1,)]
+    assert pruned(hot) > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
