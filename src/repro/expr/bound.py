@@ -79,6 +79,27 @@ class BoundBinary(BoundExpr):
         return [self.left, self.right]
 
 
+def split_conjuncts(expr: BoundExpr, op: str = "and") -> list[BoundExpr]:
+    """The operands of a tree of ``op`` (AND, or ``"or"`` for the arms of
+    a disjunction), left to right."""
+    if isinstance(expr, BoundBinary) and expr.op == op:
+        return split_conjuncts(expr.left, op) + split_conjuncts(
+            expr.right, op
+        )
+    return [expr]
+
+
+def conjoin(terms: list[BoundExpr], op: str = "and") -> Optional[BoundExpr]:
+    """``terms`` folded left into one tree of ``op``; None if empty."""
+    result: Optional[BoundExpr] = None
+    for term in terms:
+        result = (
+            term if result is None
+            else BoundBinary(op, result, term, BOOLEAN)
+        )
+    return result
+
+
 @dataclass
 class BoundFunction(BoundExpr):
     """A built-in scalar function call (resolved against the registry)."""

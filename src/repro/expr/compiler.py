@@ -98,6 +98,29 @@ def _and_validity(
     return left & right
 
 
+#: The numpy ufunc of each comparison operator.
+_COMPARISONS = {
+    "=": np.equal, "<>": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+
+
+def _compare_live(compare, lval, rval, validity) -> np.ndarray:
+    """``compare`` over the rows ``validity`` keeps, False elsewhere.
+    Over object arrays (strings) the ufunc makes the Python rich
+    comparison once per row, in C, and is not asked on a NULL; an
+    operand that is not an array is a scalar."""
+    if validity is None:
+        return compare(lval, rval)
+    live = np.flatnonzero(validity)
+    out = np.zeros(len(validity), dtype=np.bool_)
+    out[live] = compare(
+        lval[live] if isinstance(lval, np.ndarray) else lval,
+        rval[live] if isinstance(rval, np.ndarray) else rval,
+    )
+    return out
+
+
 def _scalar_constant(expr: b.BoundExpr):
     """The Python scalar a numeric expression folds to, or None.
 
@@ -707,28 +730,38 @@ class ExpressionCompiler:
         else:
             fast_str = None
 
+        compare = _COMPARISONS[op]
+
         def run(batch: ColumnBatch, ctx: EvalContext) -> Column:
             if fast_str is not None:
                 col_on_left, eff_op, src = fast_str
                 ccol = (left if col_on_left else right)(batch, ctx)
-                if isinstance(ccol, DictionaryColumn):
-                    const = _resolve_string_const(src, ctx)
-                    if isinstance(const, str):
+                # An unbound parameter is left to raise below.
+                bound = src[0] == "lit" or src[1] in ctx.params
+                const = _resolve_string_const(src, ctx)
+                if bound and const is None:
+                    # Bound-but-NULL parameter: the comparison is
+                    # unknown everywhere, without reading the column.
+                    n = len(batch)
+                    return Column(
+                        np.zeros(n, dtype=np.bool_), BOOLEAN,
+                        np.zeros(n, dtype=np.bool_),
+                    )
+                if isinstance(const, str):
+                    if isinstance(ccol, DictionaryColumn):
                         out = ccol.compare_const(eff_op, const)
                         _decode_skipped(len(ccol))
                         return Column(out, BOOLEAN, ccol.valid)
-                    # Bound-but-NULL parameter: the comparison is
-                    # unknown everywhere, still without decoding.
-                    if (
-                        const is None
-                        and src[0] == "param"
-                        and src[1] in ctx.params
-                    ):
-                        n = len(batch)
-                        return Column(
-                            np.zeros(n, dtype=np.bool_), BOOLEAN,
-                            np.zeros(n, dtype=np.bool_),
-                        )
+                    # The constant stays one Python string, not a
+                    # column of them.
+                    operands = (
+                        (ccol.values, const) if col_on_left
+                        else (const, ccol.values)
+                    )
+                    return Column(
+                        _compare_live(compare, *operands, ccol.valid),
+                        BOOLEAN, ccol.valid,
+                    )
             if left_const is not None:
                 lval, lvalid = left_const, None
                 if right_const is None:
@@ -760,48 +793,11 @@ class ExpressionCompiler:
                     rval, rvalid = rcol.values, rcol.valid
             validity = _and_validity(lvalid, rvalid)
             if is_string:
-                # Object-dtype comparisons go through Python operators but
-                # remain a single numpy elementwise pass.
-                n = len(batch)
-                out = np.zeros(n, dtype=np.bool_)
-                live = (
-                    validity
-                    if validity is not None
-                    else np.ones(n, dtype=np.bool_)
+                return Column(
+                    _compare_live(compare, lval, rval, validity),
+                    BOOLEAN, validity,
                 )
-                idx = np.flatnonzero(live)
-                lv, rv = lval, rval
-                if op == "=":
-                    for i in idx:
-                        out[i] = lv[i] == rv[i]
-                elif op == "<>":
-                    for i in idx:
-                        out[i] = lv[i] != rv[i]
-                elif op == "<":
-                    for i in idx:
-                        out[i] = lv[i] < rv[i]
-                elif op == "<=":
-                    for i in idx:
-                        out[i] = lv[i] <= rv[i]
-                elif op == ">":
-                    for i in idx:
-                        out[i] = lv[i] > rv[i]
-                else:
-                    for i in idx:
-                        out[i] = lv[i] >= rv[i]
-                return Column(out, BOOLEAN, validity)
-            if op == "=":
-                values = lval == rval
-            elif op == "<>":
-                values = lval != rval
-            elif op == "<":
-                values = lval < rval
-            elif op == "<=":
-                values = lval <= rval
-            elif op == ">":
-                values = lval > rval
-            else:
-                values = lval >= rval
+            values = compare(lval, rval)
             if np.isscalar(values) or (
                 hasattr(values, "ndim") and values.ndim == 0
             ):

@@ -12,6 +12,9 @@ the bodies of ITERATE and recursive CTEs:
   selection above it is not a selection below it. A conjunct holding a
   subquery moves like any other when the subquery is uncorrelated and
   non-volatile; a correlated one stays where it was bound.
+* **Implied filters** — a disjunction over a join that would stay as
+  its residual first pushes, into each side, the OR of what each arm
+  asks of that side alone (see :func:`_push_implied`).
 * **Column pruning** — base-table scans materialise only the columns the
   plan above actually consumes.
 * **Join side selection** — for inner hash joins, the side estimated
@@ -28,6 +31,7 @@ from typing import Optional
 
 from ..errors import PlanError
 from ..expr import bound as b
+from ..expr.bound import conjoin, split_conjuncts
 from ..expr.effects import effects, plan_effects, statement_constant
 from ..types import BOOLEAN
 from . import logical as lp
@@ -37,23 +41,6 @@ from .cardinality import CardinalityEstimator
 # ---------------------------------------------------------------------------
 # expression helpers
 # ---------------------------------------------------------------------------
-
-
-def split_conjuncts(expr: b.BoundExpr) -> list[b.BoundExpr]:
-    if isinstance(expr, b.BoundBinary) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
-def conjoin(conjuncts: list[b.BoundExpr]) -> Optional[b.BoundExpr]:
-    result: Optional[b.BoundExpr] = None
-    for conjunct in conjuncts:
-        result = (
-            conjunct
-            if result is None
-            else b.BoundBinary("and", result, conjunct, BOOLEAN)
-        )
-    return result
 
 
 def substitute_slots(
@@ -163,8 +150,7 @@ def _try_push(
         if inner is not None:
             return lp.LogicalFilter(inner, child.predicate)
         return lp.LogicalFilter(
-            child.child,
-            b.BoundBinary("and", child.predicate, conjunct, BOOLEAN),
+            child.child, _and(child.predicate, conjunct)
         )
 
     if isinstance(child, lp.LogicalProject):
@@ -206,7 +192,7 @@ def _try_push(
         # this is what turns the comma-join SQL formulations of the
         # paper's workloads into hash joins.
         if child.kind in ("cross", "inner") and refs:
-            equi = _as_equi_pair(conjunct, left_slots, right_slots)
+            equi = as_equi_pair(conjunct, left_slots, right_slots)
             if equi is not None:
                 return lp.LogicalJoin(
                     "inner", child.left, child.right,
@@ -214,17 +200,19 @@ def _try_push(
                     child.output,
                 )
             if refs <= (left_slots | right_slots):
-                residual = (
-                    conjunct
-                    if child.residual is None
-                    else b.BoundBinary(
-                        "and", child.residual, conjunct, BOOLEAN
-                    )
+                child = _push_implied(
+                    conjunct, child, left_slots, right_slots
                 )
                 return lp.LogicalJoin(
                     "inner", child.left, child.right, child.equi_keys,
-                    residual, child.output,
+                    _and(child.residual, conjunct), child.output,
                 )
+        if child.kind == "left" and refs:
+            implied = _push_implied(
+                conjunct, child, left_slots, right_slots
+            )
+            if implied is not child:
+                return lp.LogicalFilter(implied, conjunct)
         return None
 
     if isinstance(child, (lp.LogicalSort, lp.LogicalDistinct)):
@@ -276,7 +264,79 @@ def _try_push(
     return None
 
 
-def _as_equi_pair(
+def _push_implied(
+    conjunct: b.BoundExpr,
+    join: lp.LogicalJoin,
+    left_slots: set[str],
+    right_slots: set[str],
+) -> lp.LogicalJoin:
+    """``join`` with the filters a disjunction over it implies pushed
+    into its sides; ``join`` itself when it implies none.
+
+    No joined row satisfies ``(a1 AND b1) OR (a2 AND b2)`` — the ``a``
+    reading only the left side, the ``b`` only the right — unless its
+    left row satisfies ``a1 OR a2`` and its right row ``b1 OR b2``. So
+    each side may drop the rows that fail its part before the join
+    (PostgreSQL's ``optimizer/util/orclauses.c``); the disjunction stays
+    above. A side gets nothing when some arm has no conjunct local to
+    it. A conjunct that may raise or holds a subquery is left out: the
+    side would run it on rows the join drops. The null-supplying side of
+    a LEFT join keeps every row: its rows decide which left rows come
+    out padded."""
+    if not (isinstance(conjunct, b.BoundBinary) and conjunct.op == "or"):
+        return join
+    arms = [split_conjuncts(arm) for arm in split_conjuncts(conjunct, "or")]
+    sides = [join.left, join.right]
+    for i, slots in enumerate(
+        (left_slots,) if join.kind == "left" else (left_slots, right_slots)
+    ):
+        terms = []
+        for arm in arms:
+            local = [c for c in arm if _filters_side(c, slots)]
+            if not local:
+                break
+            terms.append(conjoin(local))
+        else:
+            implied = conjoin(terms, "or")
+            pushed = _try_push(implied, sides[i])
+            sides[i] = (
+                pushed if pushed is not None
+                else lp.LogicalFilter(sides[i], implied)
+            )
+    if sides[0] is join.left and sides[1] is join.right:
+        return join
+    return join.replace_children(sides)
+
+
+def _filters_side(conjunct: b.BoundExpr, slots: set[str]) -> bool:
+    """Whether an arm's ``conjunct`` may filter the side with ``slots``
+    before a join."""
+    found = effects(conjunct)
+    return bool(
+        found.reads and found.reads <= slots
+        and not found.may_raise and not found.subqueries
+    )
+
+
+def _and(
+    existing: Optional[b.BoundExpr], conjunct: b.BoundExpr
+) -> b.BoundExpr:
+    """``existing AND conjunct``, or ``existing`` when it already holds
+    ``conjunct`` as an implied filter: a loop body is optimized twice,
+    and a LEFT join's disjunction, kept above the join, implies again."""
+    if existing is None:
+        return conjunct
+    if (
+        isinstance(conjunct, b.BoundBinary)
+        and conjunct.op == "or"
+        and not effects(conjunct).may_raise
+        and conjunct in split_conjuncts(existing)
+    ):
+        return existing
+    return b.BoundBinary("and", existing, conjunct, BOOLEAN)
+
+
+def as_equi_pair(
     conjunct: b.BoundExpr,
     left_slots: set[str],
     right_slots: set[str],

@@ -25,6 +25,7 @@ from ..errors import BindError
 from ..expr import bound as b
 from ..expr.effects import effects, plan_effects
 from ..plan import logical as lp
+from ..plan.rules import as_equi_pair
 from ..storage.schema import TableSchema
 from ..types import (
     BOOLEAN,
@@ -1179,42 +1180,18 @@ class Binder:
         """Split an AND-tree into hashable equi-key pairs + a residual."""
         left_slots = set(left.output_slots())
         right_slots = set(right.output_slots())
-        conjuncts: list[b.BoundExpr] = []
-
-        def collect(e: b.BoundExpr) -> None:
-            if isinstance(e, b.BoundBinary) and e.op == "and":
-                collect(e.left)
-                collect(e.right)
-            else:
-                conjuncts.append(e)
-
-        collect(condition)
         equi: list[tuple[b.BoundExpr, b.BoundExpr]] = []
         residual: list[b.BoundExpr] = []
-        for conj in conjuncts:
-            if (
-                isinstance(conj, b.BoundBinary)
-                and conj.op == "="
-                and not effects(conj).subqueries
-            ):
-                lrefs = effects(conj.left).reads
-                rrefs = effects(conj.right).reads
-                if lrefs and rrefs:
-                    if lrefs <= left_slots and rrefs <= right_slots:
-                        equi.append((conj.left, conj.right))
-                        continue
-                    if lrefs <= right_slots and rrefs <= left_slots:
-                        equi.append((conj.right, conj.left))
-                        continue
-            residual.append(conj)
-        residual_expr: Optional[b.BoundExpr] = None
-        for conj in residual:
-            residual_expr = (
-                conj
-                if residual_expr is None
-                else b.BoundBinary("and", residual_expr, conj, BOOLEAN)
+        for conj in b.split_conjuncts(condition):
+            pair = (
+                None if effects(conj).subqueries
+                else as_equi_pair(conj, left_slots, right_slots)
             )
-        return equi, residual_expr
+            if pair is None:
+                residual.append(conj)
+            else:
+                equi.append(pair)
+        return equi, b.conjoin(residual)
 
     # -- ITERATE (section 5.1) ---------------------------------------------------------
 

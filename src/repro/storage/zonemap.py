@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..expr import bound as b
+from ..expr.bound import split_conjuncts
 from ..expr.effects import prune_safe
 from ..types import TypeKind
 
@@ -118,13 +119,6 @@ def build_zone_map(
 # ---------------------------------------------------------------------------
 # Predicate analysis
 # ---------------------------------------------------------------------------
-
-
-def split_conjuncts(expr: b.BoundExpr) -> list[b.BoundExpr]:
-    """Flatten a tree of AND into its conjuncts."""
-    if isinstance(expr, b.BoundBinary) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
 
 
 def _const_source(expr: b.BoundExpr):

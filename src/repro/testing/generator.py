@@ -228,6 +228,9 @@ class QueryGenerator:
         #: (:meth:`_second_equi_key`), so drawing it leaves every other
         #: choice of the seed as it was.
         self._key_rng = random.Random(f"{seed}:join-keys")
+        #: Likewise for the cross-table disjunction
+        #: (:meth:`_ExprGen.disjunction`).
+        self._or_rng = random.Random(f"{seed}:disjunction")
         self.schema_profile = schema_profile
         self._alias_counter = 0
 
@@ -361,6 +364,9 @@ class QueryGenerator:
                     (alias, col) for col in other.columns
                 )
             scope.extend((alias, col) for col in other.columns)
+        disjunction = _ExprGen(self._or_rng, scope, tables).disjunction()
+        if disjunction is not None:
+            where.append(disjunction)
         return base.name, base_alias, joins, where, scope
 
     def _second_equi_key(
@@ -832,6 +838,58 @@ class _ExprGen:
                 left.aliases | right.aliases,
             )
         return self._subquery_predicate()
+
+    def disjunction(self) -> Optional[GenExpr]:
+        """Now and then, over two FROM aliases ``a`` and ``b``,
+        ``(a.x op c1 AND b.y op c2) OR (a.x op c3 AND b.y op c4)``: the
+        shape a join keeps as its residual and whose arms imply a filter
+        on each side. A term may instead be ``IS NULL`` (the padding of
+        a LEFT join), and an arm may carry a CAST or a division — which
+        the optimizer must not run before the join."""
+        rng = self.rng
+        aliases = list(dict.fromkeys(alias for alias, _ in self.scope))
+        if len(aliases) < 2 or rng.random() >= 0.3:
+            return None
+        picked = [
+            (alias, rng.choice([
+                col for a, col in self.scope
+                if a == alias and col.sql_type != BOOLEAN
+            ]))
+            for alias in rng.sample(aliases, 2)
+        ]
+        arms = []
+        for _ in range(2):
+            terms = [self._term(alias, col) for alias, col in picked]
+            if rng.random() < 0.25:
+                terms.append(self._may_raise(*rng.choice(picked)))
+            arms.append("(" + " AND ".join(terms) + ")")
+        return GenExpr(
+            "(" + " OR ".join(arms) + ")",
+            BOOLEAN,
+            frozenset(alias for alias, _ in picked),
+        )
+
+    def _term(self, alias: str, col: GenColumn) -> str:
+        """``alias.col op literal``, or now and then ``alias.col IS
+        NULL``."""
+        if self.rng.random() < 0.15:
+            return f"{alias}.{col.name} IS NULL"
+        op = self.rng.choice(["=", "<>", "<", "<=", ">", ">="])
+        literal = {
+            INTEGER: self._int_literal, FLOAT: self._float_literal,
+        }.get(col.sql_type, self._string_literal)()
+        return f"{alias}.{col.name} {op} {literal}"
+
+    def _may_raise(self, alias: str, col: GenColumn) -> str:
+        """A term the optimizer counts as able to raise, on data where
+        it does not (so both engines agree): a CAST, or a division by a
+        non-zero literal."""
+        ref = f"{alias}.{col.name}"
+        if col.sql_type == VARCHAR:
+            return f"CAST({ref} AS VARCHAR) <> {self._string_literal()}"
+        if col.sql_type == INTEGER and self.rng.random() < 0.5:
+            return f"{ref} / {self.rng.randint(2, 5)} < {self._int_literal()}"
+        return f"CAST({ref} AS FLOAT) > {self._float_literal()}"
 
     def _typed_columns(self, sql_type: str) -> list:
         return [

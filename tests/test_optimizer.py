@@ -1,10 +1,21 @@
 """Optimizer rules: plan shapes and optimized/unoptimized equivalence."""
 
+import gc
+import pathlib
+import types
+
 import pytest
 
 import repro
+from repro.expr import bound as b
 from repro.plan import logical as lp
+from repro.plan import rules
 from repro.sql.parser import parse_statement
+from repro.testing import tpch
+from repro.testing.oracle import build_repro_db
+from repro.types import BOOLEAN
+
+BATTERY = pathlib.Path(__file__).parent / "sql_battery"
 
 
 def plan_of(db, sql):
@@ -174,6 +185,159 @@ class TestJoinSides:
         assert left_scans[0].table_name == "small"
 
 
+def filtered_scans(plan) -> list[str]:
+    """The tables of the scans right under a Filter, sorted."""
+    return sorted(
+        node.child.table_name
+        for node in find_nodes(plan, lp.LogicalFilter)
+        if isinstance(node.child, lp.LogicalScan)
+    )
+
+
+@pytest.fixture(scope="module")
+def tpch_tables():
+    return tpch.generate(scale=1.0, seed=7)
+
+
+@pytest.fixture(scope="module")
+def tpch_db(tpch_tables):
+    db = build_repro_db(tpch_tables)
+    yield db
+    db.close()
+
+
+class TestImpliedFilters:
+    """A WHERE disjunction that stays as a join residual pushes, into
+    each side, the OR of what its arms ask of that side alone."""
+
+    def test_q07_filters_both_nation_scans(self, tpch_db):
+        plan = plan_of(
+            tpch_db, (BATTERY / "q07_volume_shipping.sql").read_text()
+        )
+        assert filtered_scans(plan) == ["nation", "nation"]
+        top = find_nodes(plan, lp.LogicalJoin)[0]
+        assert top.residual is not None  # the OR itself stays
+
+    def test_q19_filters_lineitem_and_part(self, tpch_db):
+        plan = plan_of(
+            tpch_db,
+            (BATTERY / "q19_discounted_revenue.sql").read_text(),
+        )
+        assert filtered_scans(plan) == ["lineitem", "part"]
+
+    def test_an_arm_with_nothing_local_derives_nothing(self, schema_db):
+        plan = plan_of(
+            schema_db,
+            "SELECT * FROM big JOIN small ON big.k = small.k "
+            "WHERE (big.a > 10 AND small.c = 1) OR big.a < 4",
+        )
+        assert filtered_scans(plan) == ["big"]
+
+    def test_left_join_filters_its_left_side_only(self, schema_db):
+        sql = (
+            "SELECT big.k, small.c FROM big LEFT JOIN small "
+            "ON big.k = small.k WHERE (big.a > 10 AND small.c IS NULL) "
+            "OR (big.a < 4 AND small.c = 1) ORDER BY big.k"
+        )
+        plan = plan_of(schema_db, sql)
+        assert filtered_scans(plan) == ["big"]
+        (join,) = find_nodes(plan, lp.LogicalJoin)
+        assert not find_nodes(join.right, lp.LogicalFilter)
+        rows = schema_db.execute(sql).rows
+        assert rows[:2] == [(1, 1), (6, None)] and len(rows) == 95
+
+    def test_a_loop_body_implies_once(self, db):
+        """A loop body is optimized twice, and a LEFT join's OR stays
+        above the join to imply again on the second pass."""
+        db.execute("CREATE TABLE t (k INTEGER, c INTEGER)")
+        db.insert_rows("t", [(i, i % 3) for i in range(10)])
+        sql = (
+            "WITH RECURSIVE w(x) AS (SELECT 1 UNION ALL SELECT w.x + 1 "
+            "FROM w LEFT JOIN t ON w.x = t.k "
+            "WHERE (w.x < 3 AND t.c = 1) OR (w.x < 8 AND t.c = 2)) "
+            "SELECT x FROM w ORDER BY x"
+        )
+        assert db.execute(sql).rows == [(1,), (2,), (3,)]
+        (implied,) = [
+            node.predicate for node in find_nodes(
+                plan_of(db, sql), lp.LogicalFilter
+            )
+            if isinstance(node.child, lp.LogicalWorkingTableRef)
+        ]
+        assert len(b.split_conjuncts(implied)) == 1
+
+    def test_a_conjunct_that_may_raise_is_left_out(self, db):
+        db.execute("CREATE TABLE a (k INTEGER, s VARCHAR)")
+        db.execute("CREATE TABLE b (k INTEGER, y INTEGER)")
+        db.insert_rows("a", [(1, "5"), (2, "7"), (3, "x")])
+        db.insert_rows("b", [(1, 1), (2, 2)])
+        # 'x' fails the CAST, but its row has no partner in b.
+        sql = (
+            "SELECT a.k, b.y FROM a JOIN b ON a.k = b.k "
+            "WHERE (CAST(a.s AS INTEGER) > 0 AND b.y = 1) "
+            "OR (a.k = 2 AND b.y = 2) ORDER BY a.k"
+        )
+        assert db.execute(sql).rows == [(1, 1), (2, 2)]
+        assert filtered_scans(plan_of(db, sql)) == ["b"]
+
+    def test_the_join_comes_back_when_nothing_is_implied(self, schema_db):
+        plan = plan_of(
+            schema_db, "SELECT * FROM big JOIN small ON big.k = small.k"
+        )
+        (join,) = find_nodes(plan, lp.LogicalJoin)
+        big_a, small_c = (
+            b.BoundColumnRef(col.slot, col.sql_type, col.name)
+            for col in (join.left.output[1], join.right.output[1])
+        )
+        left, right = set(join.left.output_slots()), set(
+            join.right.output_slots()
+        )
+        spanning = b.BoundBinary("<", big_a, small_c, BOOLEAN)
+        no_local_arm = b.BoundBinary(
+            "or", spanning, b.BoundBinary(">", big_a, small_c, BOOLEAN),
+            BOOLEAN,
+        )
+        for conjunct in (spanning, no_local_arm):
+            assert rules._push_implied(conjunct, join, left, right) is join
+
+
+    def test_binding_and_the_rule_leave_no_function_in_a_cycle(
+        self, tpch_tables
+    ):
+        """A recursive closure reaches itself through its own cell, so
+        every bind that made one left a cycle for the collector."""
+        db = build_repro_db(tpch_tables, plan_cache=False)
+        texts = [
+            (BATTERY / name).read_text()
+            for name in (
+                "q07_volume_shipping.sql", "q19_discounted_revenue.sql"
+            )
+        ]
+        for sql in texts:
+            db.execute(sql)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for sql in texts:
+                db.execute(sql)
+            gc.collect()
+            leaked = [
+                obj.__qualname__ for obj in gc.garbage
+                if isinstance(obj, types.FunctionType)
+                and (
+                    "_split_equi_keys" in obj.__qualname__
+                    or obj.__module__ == rules.__name__
+                )
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+            db.close()
+        assert leaked == []
+
+
 class TestEquivalence:
     """The optimizer must never change results."""
 
@@ -188,6 +352,16 @@ class TestEquivalence:
         "SELECT a FROM big WHERE a IN (SELECT c * 2 FROM small) "
         "ORDER BY a",
         "SELECT b FROM big WHERE k IN (1, 2, 3) OR a > 190 ORDER BY b",
+        "SELECT big.k, c FROM big JOIN small ON big.k = small.k "
+        "WHERE (a > 2 AND c = 1) OR (b = 's3' AND c > 2) ORDER BY big.k",
+        "SELECT big.k, c FROM big, small WHERE big.k < small.k "
+        "AND ((a < 4 AND c = 4) OR (a = 6 AND c > 3)) ORDER BY 1, 2",
+        "SELECT big.k, c FROM big LEFT JOIN small ON big.k = small.k "
+        "WHERE (a > 150 AND c IS NULL) OR (a < 9 AND c < 3) "
+        "ORDER BY big.k",
+        # Filtering small first would pad k = 0, 2, 3, 4 with NULLs.
+        "SELECT big.k, c FROM big LEFT JOIN small ON big.k = small.k "
+        "WHERE (a < 9 AND c IS NULL) OR (a < 9 AND c = 1) ORDER BY big.k",
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)
