@@ -30,6 +30,7 @@ from ..obs.flight import FlightRecorder
 from ..obs.history import QueryHistory, QueryRecord
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.trace import Span, Tracer
+from ..storage.allocator import pin_malloc_policy
 from ..storage.catalog import Catalog
 from ..storage.column import Column
 from ..storage.encoding import column_encoding_of, column_raw_nbytes
@@ -108,6 +109,7 @@ class Database:
         recovery: Optional[str] = None,
     ):
         arguments = {k: v for k, v in locals().items() if k != "self"}
+        pin_malloc_policy()
         #: The resolved, frozen engine settings.
         self.config = config = EngineConfig.resolve(**arguments)
         if chaos is None and config.chaos is not None:

@@ -145,6 +145,9 @@ class AnalyzedQuery:
     ``governor`` is the statement's final resource-governor report:
     verdict, checkpoints passed, elapsed time, peak accounted operator
     bytes, and the limits in force (docs/robustness.md).
+    ``minor_faults`` is the process's minor page faults while the
+    statement ran — every thread's, the statement's own among them —
+    or None where the host cannot count them (docs/observability.md).
     """
 
     def __init__(
@@ -155,6 +158,7 @@ class AnalyzedQuery:
         total_s: float,
         counters: Optional[dict] = None,
         governor: Optional[dict] = None,
+        minor_faults: Optional[int] = None,
     ):
         self.result = result
         self.root = root
@@ -162,6 +166,7 @@ class AnalyzedQuery:
         self.total_s = total_s
         self.counters: dict = counters or {}
         self.governor: dict = governor or {}
+        self.minor_faults = minor_faults
 
     def operators(self) -> Iterator[OperatorStats]:
         """Every stats node of the main plan and all subplans."""
@@ -214,6 +219,10 @@ class AnalyzedQuery:
                 f"governor: verdict={gov.get('verdict', 'ok')}, "
                 f"checkpoints={gov.get('checkpoints', 0)}, "
                 f"peak_bytes={gov.get('peak_bytes', 0)}{trailer}"
+            )
+        if self.minor_faults is not None:
+            parts.append(
+                f"faults: minor={self.minor_faults} (process-wide)"
             )
         return "\n".join(parts)
 

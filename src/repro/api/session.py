@@ -33,6 +33,7 @@ from ..governor import QueryContext
 from ..plan.cache import sql_fingerprint
 from ..sql import ast
 from ..sql.parser import parse_sql
+from ..storage.allocator import minor_faults
 from ..txn.manager import Transaction
 from . import dml
 from .pipeline import RunningStatement
@@ -396,7 +397,10 @@ class Session:
 
         def body(running: RunningStatement) -> AnalyzedQuery:
             running.analyze = True
+            faults = minor_faults()
             result = self._run_sql(sql, params, running)
+            if faults is not None:
+                faults = minor_faults() - faults
             after = pipeline.hot_path_counters()
             roots = running.profile_roots
             return AnalyzedQuery(
@@ -408,6 +412,7 @@ class Session:
                     if after[name] != before[name]
                 },
                 governor=running.governor.report(),
+                minor_faults=faults,
             )
 
         return self._statement(sql, body, timeout_ms, memory_budget_mb)

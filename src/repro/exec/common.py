@@ -27,6 +27,12 @@ from ..types import TypeKind
 DENSE_SPAN_FACTOR = 4
 
 
+def dense_span(span: int, n_keys: int, probe_rows: int = 0) -> bool:
+    """:func:`offset_table`'s rule: whether ``n_keys`` keys spanning
+    ``span`` values, probed by ``probe_rows`` rows, get a table."""
+    return span <= DENSE_SPAN_FACTOR * n_keys + probe_rows
+
+
 def offset_table(
     sorted_keys: np.ndarray, probe_rows: int = 0
 ) -> Optional[tuple[int, np.ndarray]]:
@@ -48,7 +54,7 @@ def offset_table(
     base = int(sorted_keys[0])
     # Python ints: the span of two int64 keys can exceed int64.
     span = int(sorted_keys[-1]) - base + 1
-    if span > DENSE_SPAN_FACTOR * len(sorted_keys) + probe_rows:
+    if not dense_span(span, len(sorted_keys), probe_rows):
         return None
     offsets = np.zeros(span + 2, dtype=np.int64)
     np.cumsum(

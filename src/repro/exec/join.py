@@ -4,10 +4,14 @@ The hash join materialises both sides, factorizes the key columns into
 dense codes (the vectorised equivalent of building and probing a hash
 table), and matches code ranges through an offset table over the build
 keys (``searchsorted`` when they are sparse) — no per-tuple Python in
-the hot path. A multi-key join whose joint codes would need a sort
-probes through one dense integer key instead and compares the others
-on the candidates (:func:`_lead_key_pairs`). SQL semantics: NULL keys
-never match; LEFT joins NULL-extend unmatched left rows.
+the hot path. A single integer key skips the factorization and probes
+its raw values when the build side is small or its keys are dense
+(:func:`_raw_int_keys`); a build side with unique keys — a
+key/foreign-key join — turns the ranges into pairs with one gather. A
+multi-key join whose joint codes would need a sort probes through one
+dense integer key instead and compares the others on the candidates
+(:func:`_lead_key_pairs`). SQL semantics: NULL keys never match; LEFT
+joins NULL-extend unmatched left rows.
 
 In a loop body, a hash join one side of which is a hoisted loop
 invariant is *round-stable*: while the invariant batch is the same
@@ -36,36 +40,41 @@ from ..expr.effects import effects, plan_effects
 from ..plan.logical import LogicalJoin, PlanColumn, at_most_one_row
 from ..storage.column import Column, ColumnBatch
 from ..types import TypeKind
-from .common import DENSE_SPAN_FACTOR, factorize, key_ranges, offset_table
+from .common import (
+    DENSE_SPAN_FACTOR, dense_span, factorize, key_ranges, offset_table,
+)
 from .parallel import morsel_ranges
 from .physical import ExecutionContext, PhysicalOperator
 
 #: Build (right) sides at or below this row count take the raw
-#: integer-key path: binary-searching a few thousand sorted raw keys
-#: is far cheaper than jointly factorizing both sides, whose
-#: ``np.unique`` sort of the large probe side dominates the join.
+#: integer-key path even when their keys are sparse: binary-searching a
+#: few thousand sorted raw keys is far cheaper than jointly factorizing
+#: both sides, whose ``np.unique`` sort of the large probe side
+#: dominates the join. Larger builds take it when their keys are dense.
 SMALL_BUILD_ROWS = 4096
 
 _INT_KEY_KINDS = (TypeKind.INTEGER, TypeKind.BIGINT)
 
 
-def _raw_small_build_keys(
+def _raw_int_keys(
     left_key_cols: list[Column],
     right_key_cols: list[Column],
-    n_right: int,
+    usable_right: np.ndarray,
+    n_probe: int,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Raw int64 key arrays for the small-build fast path, or None.
+    """Raw int64 key arrays that stand for the join's codes, or None.
 
     Applies to single-column integer equi-keys when the build (right)
-    side is small. Bit-identical to the factorized path: ``np.unique``
-    assigns codes in value order, so sorting and range-matching raw
-    values produces exactly the same pairs in exactly the same order —
-    while skipping the joint factorization whose sort of the large
-    probe side dominates small-build joins. NULL slots are excluded by
-    the caller's validity masks, so sentinel backing values at invalid
-    positions are never compared.
+    side is small or its usable keys pass :func:`offset_table`'s
+    density rule, so they are probed through a table. Bit-identical to
+    the factorized path: ``np.unique`` assigns codes in value order, so
+    sorting and range-matching raw values produces exactly the same
+    pairs in exactly the same order — while skipping the concatenation
+    and joint factorization of every probe and build key. NULL slots
+    are excluded by the caller's validity masks, so sentinel backing
+    values at invalid positions are never compared.
     """
-    if len(left_key_cols) != 1 or n_right > SMALL_BUILD_ROWS:
+    if len(left_key_cols) != 1:
         return None
     lcol, rcol = left_key_cols[0], right_key_cols[0]
     if (
@@ -80,6 +89,13 @@ def _raw_small_build_keys(
         and np.issubdtype(rvals.dtype, np.integer)
     ):
         return None
+    n_build = int(np.count_nonzero(usable_right))
+    if n_build > SMALL_BUILD_ROWS:
+        build = rvals[usable_right]
+        # Python ints: the span of two int64 keys can exceed int64.
+        span = int(build.max()) - int(build.min()) + 1
+        if not dense_span(span, n_build, n_probe):
+            return None
     return (
         lvals.astype(np.int64, copy=False),
         rvals.astype(np.int64, copy=False),
@@ -92,12 +108,18 @@ def _probe_chunk(
     sorted_codes: np.ndarray,
     right_rows: np.ndarray,
     table: Optional[tuple[int, np.ndarray]],
+    unique: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe one chunk of left rows against the sorted build side and
     expand the matching ``[lo, hi)`` ranges into explicit pair lists.
     ``table`` is the build side's :func:`~repro.exec.common.offset_table`;
-    the pairs and their order do not depend on whether it is set."""
+    the pairs and their order do not depend on whether it is set. With
+    ``unique`` build keys every range holds at most one row, so the
+    pairs are one gather of the hits."""
     lo, hi = key_ranges(sorted_codes, left_codes[probe_rows], table)
+    if unique:
+        hit = hi > lo
+        return probe_rows[hit], right_rows[lo[hit]]
     return _expand_ranges(probe_rows, lo, hi, right_rows)
 
 
@@ -562,11 +584,11 @@ class HashJoinOp(PhysicalOperator):
         parallel: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Match the probe rows against the usable build rows through
-        codes shared by both sides: raw small-build integers, or the
-        joint factorization of every key."""
+        codes shared by both sides: raw integers (:func:`_raw_int_keys`),
+        or the joint factorization of every key."""
         n_left = len(left_key_cols[0])
-        raw_keys = _raw_small_build_keys(
-            left_key_cols, right_key_cols, len(usable_right)
+        raw_keys = _raw_int_keys(
+            left_key_cols, right_key_cols, usable_right, len(probe_rows)
         )
         if raw_keys is not None:
             left_codes, right_codes = raw_keys
@@ -583,6 +605,9 @@ class HashJoinOp(PhysicalOperator):
         right_rows = np.flatnonzero(usable_right)[order]
         sorted_codes = right_codes[right_rows]
         table = offset_table(sorted_codes, len(probe_rows))
+        # Decided once for every chunk: a key/foreign-key join's build
+        # keys are unique, and each probe row then meets one row or none.
+        unique = not (sorted_codes[1:] == sorted_codes[:-1]).any()
         if parallel and 0 < len(probe_rows) \
                 and len(probe_rows) >= self._ctx.parallel_threshold:
             # Probe in parallel over fixed probe-row chunks. Each
@@ -595,7 +620,7 @@ class HashJoinOp(PhysicalOperator):
             chunks = self._ctx.pool.map_ordered(
                 lambda rng: _probe_chunk(
                     probe_rows[rng[0]:rng[1]],
-                    left_codes, sorted_codes, right_rows, table,
+                    left_codes, sorted_codes, right_rows, table, unique,
                 ),
                 ranges,
             )
@@ -604,7 +629,7 @@ class HashJoinOp(PhysicalOperator):
                 np.concatenate([c[1] for c in chunks]),
             )
         return _probe_chunk(
-            probe_rows, left_codes, sorted_codes, right_rows, table
+            probe_rows, left_codes, sorted_codes, right_rows, table, unique
         )
 
     def _pair_batch(

@@ -120,7 +120,9 @@ class Optimizer:
         """Optimize the nested plans of iterative and analytical
         operators independently: relational optimization applies *around*
         and *inside* the analytical algorithm, but not across it
-        (section 5.2)."""
+        (section 5.2). The rules' own walks stop at these operators
+        (:data:`~repro.plan.rules.NESTED_PLANS`), so each nested plan is
+        optimized here, once."""
         if isinstance(plan, lp.LogicalIterate):
             return lp.LogicalIterate(
                 key=plan.key,

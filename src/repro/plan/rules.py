@@ -38,6 +38,21 @@ from . import logical as lp
 from .cardinality import CardinalityEstimator
 
 
+#: The nodes whose nested plans :class:`~repro.plan.optimizer.Optimizer`
+#: optimizes on their own, once each: every rule's walk stops at them.
+NESTED_PLANS = (
+    lp.LogicalIterate, lp.LogicalRecursiveCTE, lp.LogicalTableFunction,
+)
+
+
+def _with_children(plan: lp.LogicalPlan, rule) -> lp.LogicalPlan:
+    """``plan`` with ``rule`` applied to each child; the nested plans of
+    :data:`NESTED_PLANS` are left as they are."""
+    if isinstance(plan, NESTED_PLANS):
+        return plan
+    return plan.replace_children([rule(c) for c in plan.children()])
+
+
 # ---------------------------------------------------------------------------
 # expression helpers
 # ---------------------------------------------------------------------------
@@ -113,9 +128,7 @@ def substitute_slots(
 
 def push_down_predicates(plan: lp.LogicalPlan) -> lp.LogicalPlan:
     """Recursively push filter conjuncts as deep as legal."""
-    plan = plan.replace_children(
-        [push_down_predicates(c) for c in plan.children()]
-    )
+    plan = _with_children(plan, push_down_predicates)
     if not isinstance(plan, lp.LogicalFilter):
         return plan
     conjuncts = split_conjuncts(plan.predicate)
@@ -321,18 +334,9 @@ def _filters_side(conjunct: b.BoundExpr, slots: set[str]) -> bool:
 def _and(
     existing: Optional[b.BoundExpr], conjunct: b.BoundExpr
 ) -> b.BoundExpr:
-    """``existing AND conjunct``, or ``existing`` when it already holds
-    ``conjunct`` as an implied filter: a loop body is optimized twice,
-    and a LEFT join's disjunction, kept above the join, implies again."""
+    """``existing AND conjunct`` (``conjunct`` when there is none)."""
     if existing is None:
         return conjunct
-    if (
-        isinstance(conjunct, b.BoundBinary)
-        and conjunct.op == "or"
-        and not effects(conjunct).may_raise
-        and conjunct in split_conjuncts(existing)
-    ):
-        return existing
     return b.BoundBinary("and", existing, conjunct, BOOLEAN)
 
 
@@ -409,7 +413,10 @@ def _collect_required(
         ):
             for child in node.children():
                 required |= set(child.output_slots())
-        stack.extend(node.children())
+        # A nested plan's own pruning sees what it consumes: slots are
+        # unique per statement, so nothing outside it reads its scans.
+        if not isinstance(node, NESTED_PLANS):
+            stack.extend(node.children())
     required |= set(plan.output_slots())
     return required
 
@@ -417,10 +424,9 @@ def _collect_required(
 def _apply_pruning(
     plan: lp.LogicalPlan, required: set[str]
 ) -> lp.LogicalPlan:
-    new_children = [
-        _apply_pruning(child, required) for child in plan.children()
-    ]
-    plan = plan.replace_children(new_children)
+    plan = _with_children(
+        plan, lambda child: _apply_pruning(child, required)
+    )
     if isinstance(plan, lp.LogicalScan):
         kept = [c for c in plan.output if c.slot in required]
         if not kept:
@@ -430,13 +436,20 @@ def _apply_pruning(
     if isinstance(plan, lp.LogicalJoin):
         # The join's static output list must track its (possibly
         # pruned) children.
-        output = list(plan.left.output) + list(plan.right.output)
-        if [c.slot for c in output] != [c.slot for c in plan.output]:
-            return lp.LogicalJoin(
-                plan.kind, plan.left, plan.right, plan.equi_keys,
-                plan.residual, output,
-            )
+        return _in_child_order(plan)
     return plan
+
+
+def _in_child_order(join: lp.LogicalJoin) -> lp.LogicalJoin:
+    """``join`` listing its left input's columns, then its right
+    input's — the order the join operators emit them in."""
+    output = list(join.left.output) + list(join.right.output)
+    if [c.slot for c in output] == [c.slot for c in join.output]:
+        return join
+    return lp.LogicalJoin(
+        join.kind, join.left, join.right, join.equi_keys, join.residual,
+        output,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +461,24 @@ def choose_join_sides(
     plan: lp.LogicalPlan, estimator: CardinalityEstimator
 ) -> lp.LogicalPlan:
     """For inner equi-joins, make the smaller input the build (right)
-    side. LEFT joins are pinned: the probe side must stay left."""
-    plan = plan.replace_children(
-        [choose_join_sides(c, estimator) for c in plan.children()]
+    side. LEFT joins are pinned: the probe side must stay left. Every
+    join then lists its columns in child order (:func:`_in_child_order`);
+    its consumers read them by slot."""
+    plan = _with_children(
+        plan, lambda child: choose_join_sides(child, estimator)
     )
-    if (
-        isinstance(plan, lp.LogicalJoin)
-        and plan.kind == "inner"
-        and plan.equi_keys
-    ):
+    if not isinstance(plan, lp.LogicalJoin):
+        return plan
+    if plan.kind == "inner" and plan.equi_keys:
         left_rows = estimator.estimate(plan.left)
         right_rows = estimator.estimate(plan.right)
         if left_rows < right_rows:
             swapped_keys = [(rk, lk) for lk, rk in plan.equi_keys]
-            return lp.LogicalJoin(
-                "inner",
-                plan.right,
-                plan.left,
-                swapped_keys,
-                plan.residual,
-                plan.output,
+            plan = lp.LogicalJoin(
+                "inner", plan.right, plan.left, swapped_keys,
+                plan.residual, plan.output,
             )
-    return plan
+    return _in_child_order(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +568,8 @@ def push_down_limits(plan: lp.LogicalPlan, on_push=None) -> lp.LogicalPlan:
     operations are not row-preserving, so the limit stops above them.
     ``on_push`` is called once per applied rewrite (metrics hook).
     """
-    plan = plan.replace_children(
-        [push_down_limits(c, on_push) for c in plan.children()]
+    plan = _with_children(
+        plan, lambda child: push_down_limits(child, on_push)
     )
     if not isinstance(plan, lp.LogicalLimit) or plan.limit is None:
         return plan
@@ -642,9 +651,7 @@ def _has_limit_cap(plan: lp.LogicalPlan, cap: int) -> bool:
 
 def fold_constants(plan: lp.LogicalPlan) -> lp.LogicalPlan:
     """Evaluate literal-only arithmetic/comparison subtrees at plan time."""
-    plan = plan.replace_children(
-        [fold_constants(c) for c in plan.children()]
-    )
+    plan = _with_children(plan, fold_constants)
     if isinstance(plan, lp.LogicalFilter):
         return lp.LogicalFilter(plan.child, _fold(plan.predicate))
     if isinstance(plan, lp.LogicalProject):

@@ -170,8 +170,17 @@ class Column:
         return raw
 
     def to_pylist(self) -> list[object]:
-        """All values as a Python list with None for NULLs."""
-        return [self.value_at(i) for i in range(len(self))]
+        """All values as a Python list with None for NULLs: the values
+        :meth:`value_at` gives, converted by one ``tolist`` when they
+        are stored in their type's own dtype."""
+        values = self.values
+        if values.dtype != self.sql_type.numpy_dtype():
+            return [self.value_at(i) for i in range(len(self))]
+        out = values.tolist()
+        if self.valid is not None:
+            for i in np.flatnonzero(~self.valid).tolist():
+                out[i] = None
+        return out
 
     # -- vectorised manipulation -------------------------------------------
 
@@ -330,15 +339,8 @@ class ColumnBatch:
         )
 
     def rows(self) -> Iterator[tuple[object, ...]]:
-        """Iterate rows as Python tuples (slow path: results, tests)."""
-        # Plain views: an encoded column decodes once here, not behind
-        # a property call per cell.
-        cols = [
-            Column(c.values, c.sql_type, c.valid)
-            for c in self.columns.values()
-        ]
-        for i in range(self._length):
-            yield tuple(c.value_at(i) for c in cols)
+        """Iterate rows as Python tuples (results, the wire, tests)."""
+        yield from zip(*(c.to_pylist() for c in self.columns.values()))
 
     @classmethod
     def concat(cls, parts: Sequence["ColumnBatch"]) -> "ColumnBatch":

@@ -201,6 +201,9 @@ ENVIRON_ALLOWED = {
     "txn/wal.py",
     # Builds that child's environment (copy + the two hooks above).
     "testing/crash.py",
+    # glibc's own malloc variables: set by the user, the engine leaves
+    # the allocator policy to them — a glibc setting, not the engine's.
+    "storage/allocator.py",
 }
 
 

@@ -121,6 +121,24 @@ def test_format_is_readable(people_db):
     assert str(analyzed) == text
 
 
+def test_format_counts_the_statements_page_faults(people_db, monkeypatch):
+    """The statement's delta of the process's minor faults, labelled
+    process-wide; no line where the host cannot count them."""
+    import repro.api.session as session_mod
+
+    counts = iter([100, 142])
+    monkeypatch.setattr(session_mod, "minor_faults", lambda: next(counts))
+    analyzed = people_db.explain_analyze("SELECT count(*) FROM people")
+    assert analyzed.minor_faults == 42
+    assert analyzed.format().splitlines()[-1] == (
+        "faults: minor=42 (process-wide)"
+    )
+    monkeypatch.setattr(session_mod, "minor_faults", lambda: None)
+    analyzed = people_db.explain_analyze("SELECT count(*) FROM people")
+    assert analyzed.minor_faults is None
+    assert "faults:" not in analyzed.format()
+
+
 def test_result_matches_plain_execute(people_db):
     sql = (
         "SELECT city, avg(age) FROM people GROUP BY city "

@@ -282,6 +282,138 @@ class TestOffsetTableProbe:
             assert searched.execute(sql).rows == rows, sql
 
 
+    # A build side whose keys are unique — a key/foreign-key join —
+    # probes with one gather of the hits instead of expanding match
+    # ranges; the pairs and their order must be those of the expansion.
+    # A dense integer build of any size probes its raw keys; its pairs
+    # must be those of the joint factorization.
+
+    JOINS = [
+        "SELECT f.id, d.w FROM fact f JOIN dim d ON f.k = d.k",
+        "SELECT f.id, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k",
+        "SELECT d.w, count(*) FROM fact f JOIN dim d ON f.k = d.k "
+        "GROUP BY d.w ORDER BY d.w",
+    ]
+
+    @staticmethod
+    def _db(build_keys, probe_keys, **kwargs):
+        db = repro.Database(**kwargs)
+        db.execute("CREATE TABLE dim (k BIGINT, w DOUBLE)")
+        db.insert_rows(
+            "dim", [(k, i / 4) for i, k in enumerate(build_keys)]
+        )
+        db.execute("CREATE TABLE fact (id INTEGER, k INTEGER)")
+        db.insert_rows("fact", list(enumerate(probe_keys)))
+        return db
+
+    @staticmethod
+    def _spy(monkeypatch, forced_unique=None):
+        """Record each probe's ``unique`` flag; with ``forced_unique``,
+        probe as if the flag were that instead."""
+        seen = []
+        real = join_mod._probe_chunk
+
+        def probe(probe_rows, codes, sorted_codes, right_rows, table,
+                  unique=False):
+            seen.append(unique)
+            if forced_unique is not None:
+                unique = forced_unique
+            return real(
+                probe_rows, codes, sorted_codes, right_rows, table, unique
+            )
+
+        monkeypatch.setattr(join_mod, "_probe_chunk", probe)
+        return seen
+
+    def _rows_both_ways(self, monkeypatch, build_keys, probe_keys,
+                        **kwargs):
+        """Each join's rows, and whether its build was found unique —
+        checked against the same join probed by expansion."""
+        db = self._db(build_keys, probe_keys, **kwargs)
+        seen = self._spy(monkeypatch)
+        rows = [db.execute(sql).rows for sql in self.JOINS]
+        flags = set(seen)
+        monkeypatch.undo()
+        self._spy(monkeypatch, forced_unique=False)
+        assert [db.execute(sql).rows for sql in self.JOINS] == rows
+        monkeypatch.undo()
+        assert len(flags) == 1
+        return rows, flags.pop()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unique_keys_gather_the_hits(self, seed):
+        rng = np.random.default_rng(seed)
+        build = rng.permutation(60)[:40]
+        probe = rng.integers(-5, 65, size=200)
+        right_rows = np.argsort(build, kind="stable")
+        sorted_codes = build[right_rows]
+        probe_rows = np.arange(len(probe), dtype=np.int64)
+        for table in (None, join_mod.offset_table(sorted_codes)):
+            expanded = join_mod._probe_chunk(
+                probe_rows, probe, sorted_codes, right_rows, table
+            )
+            gathered = join_mod._probe_chunk(
+                probe_rows, probe, sorted_codes, right_rows, table, True
+            )
+            assert np.array_equal(gathered[0], expanded[0])
+            assert np.array_equal(gathered[1], expanded[1])
+
+    def test_a_key_foreign_key_join_takes_the_gather(self, monkeypatch):
+        rows, unique = self._rows_both_ways(
+            monkeypatch, range(50), [(i * 7) % 60 for i in range(300)]
+        )
+        assert unique and len(rows[0]) == 250 and len(rows[1]) == 300
+
+    def test_one_duplicate_key_expands(self, monkeypatch):
+        rows, unique = self._rows_both_ways(
+            monkeypatch, list(range(50)) + [17],
+            [(i * 7) % 60 for i in range(300)],
+        )
+        assert not unique
+        assert sum(1 for _id, w in rows[1] if w is None) == 50
+
+    def test_null_keys_meet_nothing(self, monkeypatch):
+        build = [None if k % 10 == 3 else k for k in range(50)] + [None]
+        probe = [None if i % 11 == 0 else i % 55 for i in range(300)]
+        rows, unique = self._rows_both_ways(monkeypatch, build, probe)
+        assert unique
+        ids = {i for i, _w in rows[0]}
+        assert all(probe[i] is not None and probe[i] % 10 != 3 for i in ids)
+
+    def test_left_join_pads_the_misses(self, monkeypatch):
+        rows, unique = self._rows_both_ways(
+            monkeypatch, range(0, 100, 2), [i % 120 for i in range(300)]
+        )
+        assert unique
+        padded = [i for i, w in rows[1] if w is None]
+        misses = [k % 2 or k >= 100 for k in (i % 120 for i in range(300))]
+        assert padded == [i for i, miss in enumerate(misses) if miss]
+
+    def test_parallel_morsels_match_serial(self, monkeypatch):
+        args = (range(40), [(i * 13) % 47 for i in range(500)])
+        serial, unique = self._rows_both_ways(monkeypatch, *args)
+        parallel, _ = self._rows_both_ways(
+            monkeypatch, *args, workers=4, parallel_threshold=0,
+            morsel_rows=7,
+        )
+        assert unique and parallel == serial
+
+    def test_a_large_dense_build_probes_raw_keys(self, monkeypatch):
+        build = [k * 3 for k in range(join_mod.SMALL_BUILD_ROWS + 500)]
+        probe = [(i * 37) % (3 * len(build) + 20) for i in range(6000)]
+        db = self._db(build, probe)
+        calls = []
+        real = join_mod.factorize
+        monkeypatch.setattr(
+            join_mod, "factorize",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        raw = [db.execute(sql).rows for sql in self.JOINS]
+        assert calls == []
+        monkeypatch.setattr(join_mod, "_raw_int_keys", lambda *_: None)
+        assert [db.execute(sql).rows for sql in self.JOINS] == raw
+        assert calls
+
 class TestUnpaddedGather:
     """Inner and cross joins skip the padding masks of
     ``_null_extended``; NULLs the right side already has must survive

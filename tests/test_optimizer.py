@@ -14,6 +14,12 @@ from repro.sql.parser import parse_statement
 from repro.testing import tpch
 from repro.testing.oracle import build_repro_db
 from repro.types import BOOLEAN
+from repro.workloads import (
+    kmeans_iterate_sql,
+    kmeans_recursive_sql,
+    pagerank_iterate_sql,
+    pagerank_recursive_sql,
+)
 
 BATTERY = pathlib.Path(__file__).parent / "sql_battery"
 
@@ -247,8 +253,8 @@ class TestImpliedFilters:
         assert rows[:2] == [(1, 1), (6, None)] and len(rows) == 95
 
     def test_a_loop_body_implies_once(self, db):
-        """A loop body is optimized twice, and a LEFT join's OR stays
-        above the join to imply again on the second pass."""
+        """A LEFT join's OR stays above the join: were the loop body
+        optimized twice, it would imply again on the second pass."""
         db.execute("CREATE TABLE t (k INTEGER, c INTEGER)")
         db.insert_rows("t", [(i, i % 3) for i in range(10)])
         sql = (
@@ -410,3 +416,123 @@ class TestCardinality:
             assert optimizer.estimate(plan) <= 5
         finally:
             txn.rollback()
+
+
+FEATURES = ["f0", "f1", "f2"]
+
+#: The six statements of the ``ladder`` workload — k-Means and PageRank
+#: as operator, ITERATE and recursive CTE — on small tables.
+LOOP_STATEMENTS = [
+    "SELECT cluster, f0, f1, f2 FROM KMEANS((SELECT f0, f1, f2 FROM pts), "
+    "(SELECT f0, f1, f2 FROM ctr), 3) ORDER BY cluster",
+    kmeans_iterate_sql("pts", "ctr", FEATURES, 3),
+    kmeans_recursive_sql("pts", "ctr", FEATURES, 3),
+    "SELECT vertex, rank FROM PAGERANK((SELECT src, dest FROM edges), "
+    "0.85, 0.0, 45) ORDER BY vertex",
+    pagerank_iterate_sql("edges", 0.85, 45),
+    pagerank_recursive_sql("edges", 0.85, 45),
+]
+
+
+@pytest.fixture(scope="module")
+def loop_db():
+    db = repro.Database()
+    db.execute(
+        "CREATE TABLE pts (id INTEGER, f0 DOUBLE, f1 DOUBLE, f2 DOUBLE)"
+    )
+    db.insert_rows(
+        "pts", [(i, i % 7 / 3, i % 5 / 2, i % 11 / 4) for i in range(400)]
+    )
+    db.execute(
+        "CREATE TABLE ctr (cid INTEGER, f0 DOUBLE, f1 DOUBLE, f2 DOUBLE)"
+    )
+    db.insert_rows("ctr", [(i, i, i / 2, i / 3) for i in range(4)])
+    db.execute("CREATE TABLE edges (src INTEGER, dest INTEGER)")
+    db.insert_rows(
+        "edges", [(i % 30, (i * 7 + 3) % 30) for i in range(600)]
+    )
+    return db
+
+
+def plan_signature(plan: lp.LogicalPlan) -> tuple:
+    """The plan's nodes' :func:`~repro.plan.logical.node_signature`,
+    tree-shaped."""
+    return (
+        lp.node_signature(plan, repr, {}),
+        tuple(plan_signature(child) for child in plan.children()),
+    )
+
+
+class TestNestedPlansOptimizedOnce:
+    """The rules' walks stop at ITERATE, recursive-CTE and table-function
+    nodes; the optimizer optimizes each of their nested plans once."""
+
+    RULES = (
+        "fold_constants", "push_down_predicates", "push_down_limits",
+        "_apply_pruning", "choose_join_sides",
+    )
+
+    def _visits(self, monkeypatch, db, sql, leaf):
+        """How often each rule visits a node ``leaf`` accepts, and the
+        optimized plan."""
+        visits = dict.fromkeys(self.RULES, 0)
+        for name in self.RULES:
+            real = getattr(rules, name)
+
+            def counting(plan, *args, _real=real, _name=name):
+                visits[_name] += bool(leaf(plan))
+                return _real(plan, *args)
+
+            monkeypatch.setattr(rules, name, counting)
+        plan = plan_of(db, sql)
+        monkeypatch.undo()
+        return visits, plan
+
+    @pytest.mark.parametrize("sql", LOOP_STATEMENTS[1:3] + LOOP_STATEMENTS[4:])
+    def test_each_rule_visits_a_loop_body_once(
+        self, monkeypatch, loop_db, sql
+    ):
+        visits, plan = self._visits(
+            monkeypatch, loop_db, sql,
+            lambda node: isinstance(node, lp.LogicalWorkingTableRef),
+        )
+        refs = len(find_nodes(plan, lp.LogicalWorkingTableRef))
+        assert refs and visits == dict.fromkeys(self.RULES, refs)
+
+    def test_each_rule_visits_a_table_function_input_once(
+        self, monkeypatch, loop_db
+    ):
+        visits, _plan = self._visits(
+            monkeypatch, loop_db, LOOP_STATEMENTS[3],
+            lambda node: isinstance(node, lp.LogicalScan),
+        )
+        assert visits == dict.fromkeys(self.RULES, 1)
+
+    def _both_ways(self, monkeypatch, db, sql):
+        once = plan_signature(plan_of(db, sql))
+        # The walks into nested plans: each is optimized twice.
+        monkeypatch.setattr(rules, "NESTED_PLANS", ())
+        twice = plan_signature(plan_of(db, sql))
+        monkeypatch.undo()
+        return once, twice
+
+    @pytest.mark.parametrize("sql", LOOP_STATEMENTS)
+    def test_ladder_plans_are_unchanged(self, monkeypatch, loop_db, sql):
+        once, twice = self._both_ways(monkeypatch, loop_db, sql)
+        assert once == twice
+
+    @pytest.mark.parametrize(
+        "path", sorted(BATTERY.glob("*.sql")), ids=lambda p: p.stem
+    )
+    def test_battery_plans_are_unchanged(self, monkeypatch, tpch_db, path):
+        once, twice = self._both_ways(
+            monkeypatch, tpch_db, path.read_text()
+        )
+        assert once == twice
+
+    @pytest.mark.parametrize("sql", TestEquivalence.QUERIES)
+    def test_equivalence_plans_are_unchanged(
+        self, monkeypatch, schema_db, sql
+    ):
+        once, twice = self._both_ways(monkeypatch, schema_db, sql)
+        assert once == twice

@@ -13,7 +13,18 @@ from repro.storage import (
     TableData,
     TableSchema,
 )
-from repro.types import BOOLEAN, DOUBLE, INTEGER, VARCHAR
+from repro.storage.encoding import dictionary_encode, for_encode, rle_encode
+from repro.types import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    INTEGER,
+    NULLTYPE,
+    VARCHAR,
+    SQLType,
+    TypeKind,
+)
 
 
 class TestColumn:
@@ -144,6 +155,84 @@ class TestColumnBatch:
         one = ColumnBatch({"a": Column.from_values([1], INTEGER)})
         two = ColumnBatch({"a": Column.from_values([2], INTEGER)})
         assert list(ColumnBatch.concat([one, two]).rows()) == [(1,), (2,)]
+
+
+class TestRowsFastPath:
+    """``to_pylist`` and ``rows`` convert a column stored in its type's
+    own dtype with one ``tolist``; every value, and its Python type,
+    must be the one ``value_at`` gives."""
+
+    VALUES = {
+        TypeKind.BOOLEAN: [True, None, False, True],
+        TypeKind.INTEGER: [1, None, -3, 2**31 - 1],
+        TypeKind.BIGINT: [2**40, None, 0, -(2**63)],
+        TypeKind.DOUBLE: [1.5, None, -0.0, float("nan")],
+        TypeKind.VARCHAR: ["a", None, "", "b"],
+        TypeKind.DATE: [19000, None, 0, -1],
+        TypeKind.NULL: [None, None, None, None],
+    }
+
+    @staticmethod
+    def _expect_same(col):
+        expected = [col.value_at(i) for i in range(len(col))]
+        got = col.to_pylist()
+        assert list(map(repr, got)) == list(map(repr, expected))
+        assert list(map(type, got)) == list(map(type, expected))
+        rows = [row for (row,) in ColumnBatch({"c": col}).rows()]
+        assert list(map(repr, rows)) == list(map(repr, expected))
+        assert list(map(type, rows)) == list(map(type, expected))
+
+    @pytest.mark.parametrize("kind", list(TypeKind))
+    def test_every_kind_with_and_without_nulls(self, kind):
+        values = self.VALUES[kind]
+        sql_type = SQLType(kind)
+        self._expect_same(Column.from_values(values, sql_type))
+        self._expect_same(
+            Column.from_values([v for v in values if v is not None],
+                               sql_type)
+        )
+
+    def test_values_outside_their_dtype_keep_value_at(self):
+        # A DOUBLE over int64 storage still yields floats, an INTEGER
+        # over int64 storage ints.
+        for values, sql_type in (
+            (np.array([1, 2, 3], dtype=np.int64), DOUBLE),
+            (np.array([1, 2, 3], dtype=np.int64), INTEGER),
+            (np.array([0, 1, 0], dtype=np.int8), BOOLEAN),
+        ):
+            col = Column(values, sql_type, np.array([True, False, True]))
+            self._expect_same(col)
+        assert Column(np.arange(2), DOUBLE).to_pylist() == [0.0, 1.0]
+        assert type(Column(np.arange(2), DOUBLE).to_pylist()[0]) is float
+
+    def test_encoded_columns(self):
+        text = Column.from_values(["x", None, "y", "x"], VARCHAR)
+        ints = Column.from_values([7, 9, None, 8], BIGINT)
+        runs = Column.from_values([3, 3, 3, 5], INTEGER)
+        for col in (
+            dictionary_encode(text), for_encode(ints), rle_encode(runs)
+        ):
+            assert col is not None
+            self._expect_same(col)
+
+    def test_empty_batch(self):
+        batch = ColumnBatch.empty({"a": INTEGER, "b": VARCHAR})
+        assert list(batch.rows()) == []
+        assert list(ColumnBatch({}).rows()) == []
+        assert Column.from_values([], DATE).to_pylist() == []
+
+    def test_rows_zip_columns(self):
+        batch = ColumnBatch(
+            {
+                "a": Column.from_values([1, None], BIGINT),
+                "b": Column.from_values([None, 2.5], DOUBLE),
+                "c": Column.from_values([True, None], BOOLEAN),
+                "d": Column.from_values([None, None], NULLTYPE),
+            }
+        )
+        assert list(batch.rows()) == [
+            (1, None, True, None), (None, 2.5, None, None)
+        ]
 
 
 class TestSchema:

@@ -279,7 +279,7 @@ class TestSmallBuildJoinFastPath:
         }
         # Force the factorize path on the twin regardless of build size.
         import repro.exec.join as join_mod
-        monkeypatch.setattr(join_mod, "SMALL_BUILD_ROWS", -1)
+        monkeypatch.setattr(join_mod, "_raw_int_keys", lambda *_: None)
         for sql in self.JOIN_QUERIES:
             assert slow.execute(sql).rows == expected[sql], sql
 
