@@ -75,9 +75,9 @@ test-all:
 
 # Configuration-sampling differential fuzzer (docs/testing.md): each
 # seed draws workers, morsel size, plan cache, encoding, top-N,
-# feedback, WAL/checkpoint/recovery, fault injection and schema
-# profile; its answers, cold and cached, must match a plain reference
-# engine's and SQLite's. A failing seed S reproduces exactly with
+# WAL/checkpoint/recovery, fault injection and schema profile; its
+# answers, cold and cached, must match a plain reference engine's and
+# SQLite's. A failing seed S reproduces exactly with
 # `make fuzz N=1 START=S`.
 fuzz:
 	$(PY) -m repro.testing.fuzz --seeds $(N) --start $(START) -v

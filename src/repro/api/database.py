@@ -104,7 +104,6 @@ class Database:
         slow_ms: Optional[float] = None,
         flight_dir: Optional[str] = None,
         topn: Optional[bool] = None,
-        feedback: Optional[bool] = None,
         checkpoint_bytes: Optional[int] = None,
         recovery: Optional[str] = None,
     ):
@@ -145,7 +144,7 @@ class Database:
             tracer=self.tracer,
         )
         #: Always-on per-statement history store: recent records
-        #: (``db.history(n)``), the per-fingerprint plan-feedback index
+        #: (``db.history(n)``), the per-fingerprint index
         #: (``db.history.by_fingerprint(fp)``), and the slow-query log
         #: (``db.history.slow()``). See docs/observability.md.
         self.history = QueryHistory(
@@ -195,7 +194,8 @@ class Database:
     parallel_threshold = _setting("parallel_threshold")
     encoding = _setting("encoding")
     topn_enabled = _setting("topn")
-    feedback_enabled = _setting("feedback")
+    #: Always False: read only by perf/harness.py::engine_config.
+    feedback_enabled = property(lambda self: False)
     checkpoint_bytes = _setting("checkpoint_bytes")
     recovery = _setting("recovery")
 

@@ -5,10 +5,9 @@ One :class:`StatementPipeline` per :class:`~repro.api.database.Database`
 It owns what is engine-wide about running a statement: the stage
 methods (public — tests, the chaos battery and the benchmarks call them
 instead of re-implementing the stages), the plan cache with its
-epoch/feedback invalidation, the one function that builds an
-``Optimizer`` (and with it the ``CardinalityEstimator`` and
-``TableStatistics``) for a ``(transaction, fingerprint)``, the
-per-statement metrics flush and history/flight recording, and the
+epoch invalidation, the one function that builds an ``Optimizer``
+(and with it the ``CardinalityEstimator`` and ``TableStatistics``) for
+a transaction, the per-statement metrics flush and history/flight recording, and the
 registry of in-flight statements behind ``Database.cancel()``.
 
 What is per caller — the open transaction, the statement wrapper — is
@@ -29,7 +28,6 @@ from ..exec.planner import build_physical
 from ..governor import QueryContext
 from ..obs.history import operator_observations, record_from_span
 from ..plan.cache import CachedPlan, NegativePlan, PlanCache, sql_fingerprint
-from ..plan.feedback import CardinalityFeedback
 from ..plan.optimizer import Optimizer, explain_with_estimates
 from ..plan.stats import TableStatistics
 from ..sql import ast
@@ -108,17 +106,11 @@ class StatementPipeline:
         self.chaos = db.chaos
         self.plan_cache = PlanCache()
         #: Bumped by UDF/operator registration (cached plans embed the
-        #: registered callables) and by cardinality feedback that would
-        #: flip a cached plan's join build side (docs/performance.md).
+        #: registered callables).
         self.cache_epoch = 0
         #: Version-keyed table statistics shared across statements
         #: (dictionary NDV, min/max, null fractions — plan/stats.py).
         self._stats_cache: OrderedDict = OrderedDict()
-        #: Per-fingerprint observed-cardinality overrides derived from
-        #: the history store (plan/feedback.py).
-        self._feedback = CardinalityFeedback(
-            self.history, metrics=self.metrics
-        )
         #: thread ident -> governor of the statement (or ``executemany``
         #: batch) that thread is running.
         self._running: dict[int, QueryContext] = {}
@@ -168,35 +160,16 @@ class StatementPipeline:
             txn, self.udfs, self.analytics, param_types=param_types
         )
 
-    def _feedback_overrides(
-        self, fingerprint: Optional[str]
-    ) -> Optional[dict]:
-        """Observed-cardinality overrides for ``fingerprint``; None when
-        feedback is off, the fingerprint is unknown, or profiling (the
-        observation source) is disabled."""
-        config = self.config
-        if (
-            not config.feedback
-            or not config.profile_operators
-            or not fingerprint
-        ):
-            return None
-        return self._feedback.overrides_for(fingerprint) or None
-
-    def optimizer(
-        self, txn: Transaction, fingerprint: Optional[str] = None
-    ) -> Optimizer:
+    def optimizer(self, txn: Transaction) -> Optimizer:
         """The optimizer of one statement — the only place its
         ``CardinalityEstimator`` (``.estimator``) is built: row counts
-        and table statistics from ``txn``'s snapshot, observed
-        cardinalities of ``fingerprint`` when feedback applies."""
+        and table statistics from ``txn``'s snapshot."""
         read = txn.read
         return Optimizer(
             lambda name: read(name).row_count,
             self.analytics,
             enabled=self.config.optimize,
             stats=TableStatistics(read, self._stats_cache),
-            feedback=self._feedback_overrides(fingerprint),
             metrics=self.metrics,
         )
 
@@ -205,7 +178,6 @@ class StatementPipeline:
         statement: ast.SelectStatement,
         txn: Transaction,
         param_types=None,
-        fingerprint: Optional[str] = None,
         optimizer: Optional[Optimizer] = None,
     ):
         """Bind and optimize one SELECT into a logical plan."""
@@ -213,14 +185,13 @@ class StatementPipeline:
             plan = self.binder(txn, param_types).bind_query(statement)
         with self.tracer.span("optimize"):
             if optimizer is None:
-                optimizer = self.optimizer(txn, fingerprint)
+                optimizer = self.optimizer(txn)
             return optimizer.optimize(plan)
 
     def exec_context(
         self,
         txn: Transaction,
         running: Optional[RunningStatement] = None,
-        fingerprint: Optional[str] = None,
         optimizer: Optional[Optimizer] = None,
     ) -> ExecutionContext:
         config = self.config
@@ -242,11 +213,11 @@ class StatementPipeline:
         ctx.topn = config.topn
         if ctx.profile:
             # Stamp the optimizer's cardinality estimate — and its
-            # provenance (static / stats / feedback) — onto every
-            # profiled operator so explain_analyze and the history
-            # store can report estimated vs observed rows (q-error).
+            # provenance (static / stats) — onto every profiled
+            # operator so explain_analyze and the history store can
+            # report estimated vs observed rows (q-error).
             if optimizer is None:
-                optimizer = self.optimizer(txn, fingerprint)
+                optimizer = self.optimizer(txn)
             ctx.estimator = optimizer.estimator
         # One switch for the whole hot-path stack: the plan-cache
         # setting also gates kernel caching, zone-map pruning, and the
@@ -260,12 +231,11 @@ class StatementPipeline:
         txn: Transaction,
         running: Optional[RunningStatement] = None,
         query_params: Optional[Sequence[object]] = None,
-        fingerprint: Optional[str] = None,
         optimizer: Optional[Optimizer] = None,
     ) -> QueryResult:
         """Instantiate and run physical operators for an optimized
         logical plan (fresh or cached)."""
-        ctx = self.exec_context(txn, running, fingerprint, optimizer)
+        ctx = self.exec_context(txn, running, optimizer)
         if query_params:
             ctx.query_params = {
                 f"?{i}": value for i, value in enumerate(query_params)
@@ -284,6 +254,10 @@ class StatementPipeline:
                 running.stats = ctx.stats
                 running.profile_roots = ctx.profile_roots
             self._flush_exec_metrics(ctx)
+            # Subquery operators point back at ``ctx``: drop them so the
+            # context (and the transaction its estimator reads) dies by
+            # reference count, not at the next cycle collection.
+            ctx.release_subplans()
         result = QueryResult.from_batch(batch, plan.output)
         result.telemetry = dict(ctx.telemetry)
         return result
@@ -298,17 +272,11 @@ class StatementPipeline:
         plan = self.plan_select(select, txn, optimizer=optimizer)
         return self.run_plan(plan, txn, running, optimizer=optimizer)
 
-    def explain(
-        self,
-        select: ast.SelectStatement,
-        txn: Transaction,
-        fingerprint: Optional[str],
-    ) -> str:
+    def explain(self, select: ast.SelectStatement, txn: Transaction) -> str:
         """The optimized plan of ``select`` with per-node estimates —
         what ``db.explain(q)`` and the ``EXPLAIN q`` statement both
-        print. ``fingerprint`` is that of ``q`` itself, so the plan is
-        the one ``db.execute(q)`` runs, feedback included."""
-        optimizer = self.optimizer(txn, fingerprint)
+        print."""
+        optimizer = self.optimizer(txn)
         plan = self.plan_select(select, txn, optimizer=optimizer)
         return explain_with_estimates(plan, optimizer.estimator)
 
@@ -332,12 +300,7 @@ class StatementPipeline:
             if isinstance(parsed, ast.SelectStatement):
                 return self.run_select(parsed, txn, running)
             if isinstance(parsed, ast.Explain):
-                # The inner query's fingerprint: the statement's own
-                # minus the keyword (None inside a multi-statement
-                # script, where the text is not this statement alone).
-                own = sql_fingerprint(running.sql) or ""
-                inner = own[8:] if own.startswith("EXPLAIN ") else None
-                lines = self.explain(parsed.query, txn, inner).splitlines()
+                lines = self.explain(parsed.query, txn).splitlines()
                 varchar = type_from_name("VARCHAR")
                 return QueryResult(
                     columns=["plan"],
@@ -410,14 +373,7 @@ class StatementPipeline:
             return None
         try:
             with session.autocommit() as txn:
-                optimizer = self.optimizer(txn, fingerprint)
-                if isinstance(entry, CachedPlan) and self._feedback_stale(
-                    fingerprint, entry.plan, optimizer
-                ):
-                    # Observed cardinalities flipped a plan choice: the
-                    # epoch bump retired the stale entry; re-plan now
-                    # under the feedback estimates instead of reusing it.
-                    entry = None
+                optimizer = self.optimizer(txn)
                 if isinstance(entry, CachedPlan):
                     self.metrics.counter(
                         "exec_plan_cache_hits_total"
@@ -439,28 +395,6 @@ class StatementPipeline:
                 )
         except _Uncacheable:
             return None
-
-    def _feedback_stale(
-        self, fingerprint: str, plan, optimizer: Optimizer
-    ) -> bool:
-        """Whether observed cardinalities would flip a join build side
-        the cached ``plan`` committed to. When they would, the plan
-        cache epoch is bumped (retiring every entry of the old epoch)
-        so the statement re-optimizes under feedback estimates. A
-        freshly re-optimized plan is a fixpoint of the build-side rule,
-        so at most one bump happens per feedback change — repeated
-        executions settle back onto cache hits (the no-thrash
-        property)."""
-        estimator = optimizer.estimator
-        if not estimator.has_feedback or not self._feedback.wants_replan(
-            fingerprint, plan, estimator
-        ):
-            return False
-        self.cache_epoch += 1
-        self.metrics.counter(
-            "plan_cache_feedback_invalidations_total"
-        ).inc()
-        return True
 
     def _plan_and_cache(
         self, sql, values, param_types, key, txn, optimizer

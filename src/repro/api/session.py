@@ -30,7 +30,6 @@ from ..errors import (
 )
 from ..exec.physical import ExecutionStats
 from ..governor import QueryContext
-from ..plan.cache import sql_fingerprint
 from ..sql import ast
 from ..sql.parser import parse_sql
 from ..storage.allocator import minor_faults
@@ -349,11 +348,10 @@ class Session:
         """The optimized logical plan of a SELECT, as text.
 
         Each node carries its estimated row count and the estimate's
-        provenance: ``static`` (hard-wired selectivities), ``stats``
+        provenance: ``static`` (hard-wired selectivities) or ``stats``
         (table statistics: dictionary NDV, zone-map min/max, null
-        counts), or ``feedback`` (observed cardinalities from earlier
-        executions of the same statement fingerprint). The ``EXPLAIN
-        <select>`` statement prints the same plan.
+        counts). The ``EXPLAIN <select>`` statement prints the same
+        plan.
         """
 
         def body(_running) -> str:
@@ -365,9 +363,7 @@ class Session:
                     "EXPLAIN supports a single SELECT statement"
                 )
             with self.autocommit(commit=False) as txn:
-                return self._pipeline.explain(
-                    parsed[0], txn, sql_fingerprint(sql)
-                )
+                return self._pipeline.explain(parsed[0], txn)
 
         return self._statement(sql, body)
 

@@ -110,7 +110,6 @@ _SETTINGS: dict[str, tuple] = {
     ),
     "recovery": ("REPRO_RECOVERY", str, _one_of(RECOVERY_MODES)),
     "topn": (None, None, bool),
-    "feedback": (None, None, bool),
 }
 
 
@@ -136,7 +135,6 @@ class EngineConfig:
     slow_ms: Optional[float] = None
     flight_dir: str = DEFAULT_FLIGHT_DIR
     topn: bool = True
-    feedback: bool = True
     checkpoint_bytes: Optional[int] = None
     recovery: str = "tolerant"
 

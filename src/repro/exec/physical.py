@@ -8,7 +8,6 @@ from typing import Callable, Iterator, Optional
 from ..errors import ExecutionError
 from ..expr.compiler import EvalContext, ExpressionCompiler
 from ..governor import QueryContext
-from ..plan.feedback import FeedbackKeys
 from ..plan.logical import LogicalPlan, PlanColumn
 from ..storage.column import Column, ColumnBatch
 from ..storage.table import DEFAULT_MORSEL_ROWS, TableData
@@ -76,14 +75,8 @@ class OperatorStats:
         #: signal the history store persists per plan fingerprint.
         self.estimated_rows: Optional[float] = None
         #: Provenance of ``estimated_rows``: ``static`` (heuristic
-        #: constants), ``stats`` (table statistics contributed), or
-        #: ``feedback`` (observed cardinality override from history).
+        #: constants) or ``stats`` (table statistics contributed).
         self.estimate_source: Optional[str] = None
-        #: Structural feedback key of the logical node this operator was
-        #: built from (swap-invariant: class + sorted base tables +
-        #: occurrence index). The history store records observations
-        #: under it so re-optimization can match them back to plan nodes.
-        self.node_key: Optional[str] = None
 
     @property
     def rows_in(self) -> int:
@@ -97,8 +90,8 @@ class OperatorStats:
     def rows_per_call(self) -> float:
         """Rows produced per opening — the operator's observed
         cardinality. ``rows_out`` of an operator inside a loop body is
-        the sum over all rounds; estimates, q-errors and cardinality
-        feedback are about one execution of the node."""
+        the sum over all rounds; estimates and q-errors are about one
+        execution of the node."""
         if self.calls > 1:
             return self.rows_out / self.calls
         return self.rows_out
@@ -265,20 +258,6 @@ class ExecutionContext:
         #: :class:`repro.exec.sort.TopNSortOp`. The pipeline sets it from
         #: the engine's ``topn`` setting; standalone contexts fuse.
         self.topn = True
-        #: Occurrence counters for structural feedback node keys, keyed
-        #: by base key — deterministic for a given plan shape, so the
-        #: keys recorded by one execution match the next build.
-        self._node_key_counts: dict[str, int] = {}
-        #: The base keys :meth:`next_node_key` disambiguates, one per
-        #: plan node built.
-        self.feedback_keys = FeedbackKeys()
-
-    def next_node_key(self, base: str) -> str:
-        """Allocate the next occurrence-disambiguated feedback key for
-        ``base`` (e.g. ``Join[orders,people]`` -> ``...#0``, ``...#1``)."""
-        n = self._node_key_counts.get(base, 0)
-        self._node_key_counts[base] = n + 1
-        return f"{base}#{n}"
 
     def checkpoint(self, where: str = "") -> None:
         """Cooperative governor checkpoint — called by operators at
@@ -315,6 +294,11 @@ class ExecutionContext:
         eval_ctx.subquery_cache = {}  # params change => don't share cache
         batches = list(op.execute(eval_ctx))
         return materialize(batches, plan.output)
+
+    def release_subplans(self) -> None:
+        """Forget the operators :meth:`run_subplan` built. They hold
+        this context, so keeping them past the statement forms a cycle."""
+        self._physical_cache.clear()
 
 
 class PhysicalOperator:

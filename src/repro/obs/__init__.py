@@ -12,8 +12,8 @@ measurements on:
   worker-pool trace propagation;
 * :mod:`repro.obs.history` — the always-on query history store
   (``Database.history``): per-statement records with estimated vs
-  observed per-operator cardinalities, the per-fingerprint
-  plan-feedback index, and the slow-query log;
+  observed per-operator cardinalities, the per-fingerprint index,
+  and the slow-query log;
 * :mod:`repro.obs.flight` — the flight recorder (``Database.flight``):
   self-contained diagnostic bundles dumped when statements die, with
   ``python -m repro.obs.dump`` to render them;

@@ -18,8 +18,8 @@ the always-on cost to a few microseconds per statement
 
 * ``db.history(n)`` — the most recent ``n`` records, oldest first;
 * ``db.history.by_fingerprint(fp)`` — every retained record of one
-  normalized statement, the surface the feedback-driven optimizer
-  consumes (ROADMAP: observed cardinalities keyed by plan fingerprint);
+  normalized statement, with its estimated-vs-observed cardinalities
+  (:meth:`QueryHistory.observed_cardinalities` aggregates them);
 * ``db.history.slow(n)`` — the slow-query log, fed by statements whose
   wall time passed the ``REPRO_SLOW_MS`` / ``Database(slow_ms=...)``
   threshold.
@@ -50,8 +50,8 @@ DEFAULT_FINGERPRINTS = 256
 class QueryRecord:
     """One statement's afterlife: everything the history store keeps.
 
-    ``operators`` is a list of per-operator dicts —
-    ``{"op", "estimated_rows", "observed_rows", "q_error"}`` in plan
+    ``operators`` is a list of per-operator dicts — ``{"op",
+    "estimated_rows", "observed_rows", "q_error", "source"}`` in plan
     pre-order (main plan first, lazily-built subquery plans after) —
     present whenever the statement ran with operator profiling on.
     ``observed_rows`` is rows per opening of the operator: one inside
@@ -155,14 +155,10 @@ def operator_observations(stats_roots) -> list[dict]:
                 "op": node.label,
                 "estimated_rows": node.estimated_rows,
                 # Per opening, not the sum over a loop's rounds: this
-                # is what estimates are compared with and what
-                # cardinality feedback replays into the optimizer.
+                # is what estimates are compared with.
                 "observed_rows": node.rows_per_call,
                 "q_error": node.q_error,
             }
-            node_key = getattr(node, "node_key", None)
-            if node_key is not None:
-                observation["key"] = node_key
             source = getattr(node, "estimate_source", None)
             if source is not None:
                 observation["source"] = source
@@ -242,11 +238,6 @@ class QueryHistory:
         self._lock = threading.Lock()
         self._ring: deque[QueryRecord] = deque(maxlen=self.capacity)
         self._by_fp: "OrderedDict[str, deque[QueryRecord]]" = OrderedDict()
-        #: Monotone executions-recorded counter per fingerprint (the
-        #: deques are bounded, so their length saturates); evicted
-        #: alongside ``_by_fp``. The cardinality-feedback cache uses it
-        #: as a cheap "anything new?" staleness probe.
-        self._fp_counts: dict[str, int] = {}
         self._slow: deque[QueryRecord] = deque(maxlen=self.capacity)
         self._spill_lock = threading.Lock()
         self._spill_error: Optional[str] = None
@@ -303,13 +294,9 @@ class QueryHistory:
                     bucket = deque(maxlen=self.per_fingerprint)
                     self._by_fp[fingerprint] = bucket
                 bucket.append(item)
-                self._fp_counts[fingerprint] = (
-                    self._fp_counts.get(fingerprint, 0) + 1
-                )
                 self._by_fp.move_to_end(fingerprint)
                 while len(self._by_fp) > self.max_fingerprints:
-                    evicted, _ = self._by_fp.popitem(last=False)
-                    self._fp_counts.pop(evicted, None)
+                    self._by_fp.popitem(last=False)
             if slow:
                 self._slow.append(item)
         if self._records_counter is not None:
@@ -351,9 +338,9 @@ class QueryHistory:
 
     def by_fingerprint(self, fingerprint: str) -> list[QueryRecord]:
         """Every retained record of one normalized statement, oldest
-        first. This is the plan-feedback surface: each record carries
-        per-operator estimated vs observed cardinalities for the plan
-        the fingerprint keys in the plan cache."""
+        first. Each record carries per-operator estimated vs observed
+        cardinalities for the plan the fingerprint keys in the plan
+        cache."""
         with self._lock:
             items = list(self._by_fp.get(fingerprint) or ())
         return [self._resolve(item) for item in items]
@@ -372,19 +359,12 @@ class QueryHistory:
         with self._lock:
             return list(self._by_fp)
 
-    def execution_count(self, fingerprint: str) -> int:
-        """How many executions have ever been recorded for this
-        fingerprint (0 for unknown/evicted). O(1) and lock-cheap —
-        safe to call on the plan-cache hit path."""
-        with self._lock:
-            return self._fp_counts.get(fingerprint, 0)
-
     def observed_cardinalities(self, fingerprint: str) -> dict:
-        """Aggregated plan feedback for one fingerprint: per-operator
+        """Estimated vs observed rows of one fingerprint: per-operator
         label -> ``{"mean_rows", "last_rows", "estimated_rows",
         "mean_q_error", "executions"}`` over every retained record that
-        profiled its operators. The feedback-driven optimizer reads
-        this to replace static guesses with observed truth."""
+        profiled its operators. The optimizer does not read it: it is
+        the estimator's report card, not an input."""
         totals: dict[str, dict] = {}
         for record in self.by_fingerprint(fingerprint):
             for op in record.operators:
@@ -422,34 +402,6 @@ class QueryHistory:
             }
         return out
 
-    def observed_node_cardinalities(self, fingerprint: str) -> dict:
-        """Like :meth:`observed_cardinalities` but keyed by the
-        structural plan-node key (``Join[a,b]#0``) recorded with each
-        observation — the key :mod:`repro.plan.feedback` matches back
-        to logical plan nodes across re-optimizations. Observations
-        without a node key (pre-upgrade records) are skipped."""
-        totals: dict[str, dict] = {}
-        for record in self.by_fingerprint(fingerprint):
-            for op in record.operators:
-                key = op.get("key")
-                if key is None:
-                    continue
-                slot = totals.setdefault(
-                    key, {"rows_sum": 0.0, "executions": 0,
-                          "last_rows": 0},
-                )
-                slot["executions"] += 1
-                slot["rows_sum"] += float(op.get("observed_rows", 0))
-                slot["last_rows"] = op.get("observed_rows", 0)
-        return {
-            key: {
-                "mean_rows": slot["rows_sum"] / slot["executions"],
-                "last_rows": slot["last_rows"],
-                "executions": slot["executions"],
-            }
-            for key, slot in totals.items()
-        }
-
     def tail_dicts(self, n: int = 20) -> list[dict]:
         """The most recent ``n`` records as JSON-safe dicts (flight
         recorder bundles embed this)."""
@@ -459,7 +411,6 @@ class QueryHistory:
         with self._lock:
             self._ring.clear()
             self._by_fp.clear()
-            self._fp_counts.clear()
             self._slow.clear()
 
     def __len__(self) -> int:

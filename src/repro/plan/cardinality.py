@@ -6,11 +6,8 @@ query optimizer knows their exact properties"); the generic ITERATE
 construct, by contrast, admits only coarse heuristics — the difficulty
 the paper discusses in section 5.2.
 
-Three sources feed an estimate, strongest first:
+Two sources feed an estimate, stronger first:
 
-* **feedback** — observed row counts from prior executions of the same
-  statement fingerprint (:mod:`repro.plan.feedback`), applied as
-  per-node overrides;
 * **stats** — table statistics (:mod:`repro.plan.stats`): dictionary
   NDV for ``=`` / ``IN`` selectivity, column min/max for ranges, null
   counts for ``IS [NOT] NULL``;
@@ -28,7 +25,6 @@ from typing import Callable, Optional
 
 from ..expr import bound as b
 from . import logical as lp
-from .feedback import FeedbackKeys
 from .stats import ColumnStats, TableStatistics
 
 #: Default selectivities per predicate shape.
@@ -52,9 +48,7 @@ class CardinalityEstimator:
 
     ``row_count_of`` maps a base-table name to its current row count;
     ``analytics`` is the operator registry (may be None). ``stats`` is
-    an optional :class:`~repro.plan.stats.TableStatistics` provider;
-    ``feedback`` an optional ``{node_base_key: observed_rows}`` override
-    dict from :class:`~repro.plan.feedback.CardinalityFeedback`.
+    an optional :class:`~repro.plan.stats.TableStatistics` provider.
     """
 
     def __init__(
@@ -62,32 +56,42 @@ class CardinalityEstimator:
         row_count_of: Callable[[str], int],
         analytics=None,
         stats: Optional[TableStatistics] = None,
-        feedback: Optional[dict[str, float]] = None,
         metrics=None,
     ):
         self._row_count_of = row_count_of
         self._analytics = analytics
         self._stats = stats
-        self._feedback = feedback or {}
-        self._feedback_keys = FeedbackKeys()
         self._metrics = metrics
-        self._source_frames: list[set[str]] = []
-
-    @property
-    def has_feedback(self) -> bool:
-        return bool(self._feedback)
+        #: id(node) -> (node, rows, whether statistics shaped the number
+        #: anywhere in its subtree); holding the node keeps its id from
+        #: being reused. Plans do not change once built, so a statement
+        #: estimates each node once; without this, stamping every
+        #: profiled operator re-estimates the whole subtree under it,
+        #: predicates and statistics included.
+        self._known: dict[int, tuple[lp.LogicalPlan, float, bool]] = {}
+        #: Whether statistics shaped the estimate being computed.
+        self._used_stats = False
 
     def estimate(self, plan: lp.LogicalPlan) -> float:
-        if self._feedback:
-            override = self._feedback.get(self._feedback_keys.base(plan))
-            if override is not None:
-                self._mark("feedback")
-                return max(float(override), 0.0)
+        known = self._known.get(id(plan))
+        if known is None:
+            outer, self._used_stats = self._used_stats, False
+            try:
+                known = (plan, max(self._estimate_node(plan), 0.0),
+                         self._used_stats)
+            finally:
+                self._used_stats = outer
+            self._known[id(plan)] = known
+        if known[2]:
+            self._used_stats = True
+        return known[1]
+
+    def _estimate_node(self, plan: lp.LogicalPlan) -> float:
         method = getattr(
             self, f"_estimate_{type(plan).__name__}", None
         )
         if method is not None:
-            return max(method(plan), 0.0)
+            return method(plan)
         children = plan.children()
         if children:
             return self.estimate(children[0])
@@ -96,25 +100,11 @@ class CardinalityEstimator:
     def estimate_with_source(
         self, plan: lp.LogicalPlan
     ) -> tuple[float, str]:
-        """Estimate plus its provenance: the strongest source that
-        influenced the number anywhere in the subtree (``feedback`` >
-        ``stats`` > ``static``)."""
-        self._source_frames.append(set())
-        try:
-            rows = self.estimate(plan)
-        finally:
-            frame = self._source_frames.pop()
-            if self._source_frames:
-                self._source_frames[-1] |= frame
-        if "feedback" in frame:
-            return rows, "feedback"
-        if "stats" in frame:
-            return rows, "stats"
-        return rows, "static"
-
-    def _mark(self, source: str) -> None:
-        if self._source_frames:
-            self._source_frames[-1].add(source)
+        """Estimate plus its provenance: ``stats`` when table
+        statistics influenced the number anywhere in the subtree, else
+        ``static``."""
+        rows = self.estimate(plan)
+        return rows, "stats" if self._known[id(plan)][2] else "static"
 
     # -- leaves -----------------------------------------------------------
 
@@ -172,7 +162,7 @@ class CardinalityEstimator:
         """
         from_stats = self._stats_selectivity(predicate, slot_map)
         if from_stats is not None:
-            self._mark("stats")
+            self._used_stats = True
             return from_stats
         if isinstance(predicate, b.BoundBinary):
             if predicate.op == "and":

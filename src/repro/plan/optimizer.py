@@ -23,7 +23,7 @@ def explain_with_estimates(
 ) -> str:
     """Render a plan like :meth:`LogicalPlan.explain`, annotating each
     node with its estimated row count and the estimate's provenance
-    (``static`` | ``stats`` | ``feedback``)."""
+    (``static`` | ``stats``)."""
     pad = "  " * indent
     try:
         rows, source = estimator.estimate_with_source(plan)
@@ -50,8 +50,8 @@ class Optimizer:
        so loop-invariant relations join each other before they join the
        working table (and hoist as one unit),
     6. join build-side selection using cardinality estimates — which
-       may come from table statistics and observed-cardinality feedback
-       (see :mod:`repro.plan.cardinality`).
+       may come from table statistics (see
+       :mod:`repro.plan.cardinality`).
 
     Pass ``enabled=False`` (or construct with no stats) to execute the
     binder's plan untouched — used by the ablation benchmarks.
@@ -63,7 +63,6 @@ class Optimizer:
         analytics=None,
         enabled: bool = True,
         stats=None,
-        feedback: Optional[dict[str, float]] = None,
         metrics=None,
     ):
         self.enabled = enabled
@@ -72,7 +71,6 @@ class Optimizer:
             row_count_of if row_count_of is not None else (lambda name: 1000),
             analytics,
             stats=stats,
-            feedback=feedback,
             metrics=metrics,
         )
 
@@ -96,12 +94,7 @@ class Optimizer:
                 plan, loop_key, self._estimator
             )
         plan = choose_join_sides(plan, self._estimator)
-        plan = self._recurse_into_nested(plan)
-        if self._metrics is not None and self._estimator.has_feedback:
-            self._metrics.counter(
-                "optimizer_feedback_applied_total"
-            ).inc()
-        return plan
+        return self._recurse_into_nested(plan)
 
     def _count_limit_pushdown(self) -> None:
         if self._metrics is not None:
@@ -113,7 +106,7 @@ class Optimizer:
 
     def explain(self, plan: lp.LogicalPlan) -> str:
         """The plan tree annotated with per-node estimates and their
-        provenance (``static`` | ``stats`` | ``feedback``)."""
+        provenance (``static`` | ``stats``)."""
         return explain_with_estimates(plan, self._estimator)
 
     def _recurse_into_nested(self, plan: lp.LogicalPlan) -> lp.LogicalPlan:

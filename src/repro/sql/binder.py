@@ -153,6 +153,18 @@ class WorkingTableDef:
 CTEDef = object  # LogicalPlan (inline) or WorkingTableDef
 
 
+@dataclass
+class _AggregateBinding:
+    """What binding above one aggregation boundary reads and fills:
+    the GROUP BY keys by ``repr`` of their bound expression, and the
+    aggregate calls met so far."""
+
+    scope: Scope
+    ctes: dict
+    group_map: dict[str, tuple[str, SQLType]]
+    specs: list[lp.AggregateSpec]
+
+
 class Binder:
     """Binds statements; one instance per statement (slot counter state)."""
 
@@ -473,20 +485,12 @@ class Binder:
         ctes: dict[str, CTEDef],
     ) -> tuple[lp.LogicalPlan, list[lp.PlanColumn]]:
         window_specs: list[lp.WindowSpec] = []
-
-        def bind_item(expr: ast.Expr) -> b.BoundExpr:
-            if isinstance(expr, ast.WindowFunction):
-                return self._bind_window_call(
-                    expr, scope, ctes, window_specs
-                )
-            if self._contains_window(expr):
-                return self._rebind_composite(expr, bind_item, scope, ctes)
-            return self._bind_scalar(expr, scope, ctes)
-
         exprs: list[b.BoundExpr] = []
         output: list[lp.PlanColumn] = []
         for item in self._expand_stars(core.items, scope):
-            bound_expr = bind_item(item.expr)
+            bound_expr = self._bind_select_item(
+                item.expr, scope, ctes, window_specs
+            )
             name = item.alias or self._derive_name(item.expr, len(output))
             slot = self.fresh_expr_slot()
             exprs.append(bound_expr)
@@ -498,6 +502,28 @@ class Binder:
             ]
             plan = lp.LogicalWindow(plan, window_specs, window_output)
         return lp.LogicalProject(plan, exprs, output), output
+
+    def _bind_select_item(
+        self,
+        expr: ast.Expr,
+        scope: Scope,
+        ctes: dict[str, CTEDef],
+        window_specs: list[lp.WindowSpec],
+    ) -> b.BoundExpr:
+        """Bind one item of a plain projection; its window calls append
+        to ``window_specs``."""
+        if isinstance(expr, ast.WindowFunction):
+            return self._bind_window_call(expr, scope, ctes, window_specs)
+        if self._contains_window(expr):
+            return self._rebind_composite(
+                expr,
+                lambda sub: self._bind_select_item(
+                    sub, scope, ctes, window_specs
+                ),
+                scope,
+                ctes,
+            )
+        return self._bind_scalar(expr, scope, ctes)
 
     def _contains_window(self, expr: ast.Expr) -> bool:
         if isinstance(expr, ast.WindowFunction):
@@ -657,8 +683,6 @@ class Binder:
         scope: Scope,
         ctes: dict[str, CTEDef],
     ) -> tuple[lp.LogicalPlan, list[lp.PlanColumn]]:
-        from ..expr import aggregates as agg_registry
-
         items = self._expand_stars(core.items, scope)
 
         # 1. Bind the GROUP BY expressions (ordinals and aliases allowed).
@@ -673,75 +697,13 @@ class Binder:
             group_slots.append(slot)
             group_map[repr(bound_expr)] = (slot, bound_expr.sql_type)
 
-        specs: list[lp.AggregateSpec] = []
-
-        def bind_in_agg_context(expr: ast.Expr) -> b.BoundExpr:
-            """Bind an expression above the aggregation boundary."""
-            # Whole expression matches a GROUP BY item?
-            if not self._contains_aggregate(expr):
-                probe = self._bind_scalar(expr, scope, ctes)
-                key = repr(probe)
-                if key in group_map:
-                    slot, sql_type = group_map[key]
-                    return b.BoundColumnRef(slot, sql_type)
-                if isinstance(probe, b.BoundLiteral):
-                    return probe
-                if not effects(probe).reads:
-                    return probe
-                if not self._ast_children(expr):
-                    # A bare column outside GROUP BY.
-                    raise BindError(
-                        "expression must appear in GROUP BY or be used "
-                        f"in an aggregate: {self._describe_ast(expr)}"
-                    )
-                # A composite over group keys (``a + 1``, ``a IN (..)``)
-                # rebuilds from its parts, like one over aggregates.
-            if isinstance(expr, ast.FunctionCall) and (
-                agg_registry.is_aggregate_name(expr.name)
-            ):
-                return bind_aggregate_call(expr)
-            # Recurse structurally, rebuilding the expression above the
-            # aggregate boundary.
-            return self._rebind_composite(
-                expr, bind_in_agg_context, scope, ctes
-            )
-
-        def bind_aggregate_call(call: ast.FunctionCall) -> b.BoundExpr:
-            func = agg_registry.lookup(call.name)
-            assert func is not None
-            arg_expr: Optional[b.BoundExpr] = None
-            func_name = call.name.lower()
-            if len(call.args) == 1 and isinstance(call.args[0], ast.Star):
-                if func_name != "count":
-                    raise BindError(
-                        f"{call.name}(*) is not valid"
-                    )
-                func_name = "count_star"
-                func = agg_registry.lookup("count_star")
-            elif func.needs_argument or call.args:
-                if len(call.args) != 1:
-                    raise BindError(
-                        f"aggregate {call.name}() takes one argument"
-                    )
-                if self._contains_aggregate(call.args[0]):
-                    raise BindError("aggregates cannot be nested")
-                arg_expr = self._bind_scalar(call.args[0], scope, ctes)
-            result_type = func.infer_type(
-                arg_expr.sql_type if arg_expr is not None else None
-            )
-            slot = self.fresh_expr_slot()
-            specs.append(
-                lp.AggregateSpec(
-                    slot, func_name, arg_expr, call.distinct, result_type
-                )
-            )
-            return b.BoundColumnRef(slot, result_type)
+        agg = _AggregateBinding(scope, ctes, group_map, [])
 
         # 2. Bind select items and HAVING above the aggregation.
         post_exprs: list[b.BoundExpr] = []
         output: list[lp.PlanColumn] = []
         for item in items:
-            bound_expr = bind_in_agg_context(item.expr)
+            bound_expr = self._bind_in_agg_context(item.expr, agg)
             name = item.alias or self._derive_name(item.expr, len(output))
             slot = self.fresh_expr_slot()
             post_exprs.append(bound_expr)
@@ -749,7 +711,7 @@ class Binder:
 
         having_expr: Optional[b.BoundExpr] = None
         if core.having is not None:
-            having_expr = bind_in_agg_context(core.having)
+            having_expr = self._bind_in_agg_context(core.having, agg)
             self._require_boolean(having_expr, "HAVING")
 
         agg_output = [
@@ -757,14 +719,86 @@ class Binder:
             for i, (slot, expr) in enumerate(zip(group_slots, group_exprs))
         ] + [
             lp.PlanColumn(spec.func_name, spec.slot, spec.sql_type)
-            for spec in specs
+            for spec in agg.specs
         ]
         plan = lp.LogicalAggregate(
-            plan, group_exprs, group_slots, specs, agg_output
+            plan, group_exprs, group_slots, agg.specs, agg_output
         )
         if having_expr is not None:
             plan = lp.LogicalFilter(plan, having_expr)
         return lp.LogicalProject(plan, post_exprs, output), output
+
+    def _bind_in_agg_context(
+        self, expr: ast.Expr, agg: "_AggregateBinding"
+    ) -> b.BoundExpr:
+        """Bind an expression above the aggregation boundary."""
+        from ..expr import aggregates as agg_registry
+
+        scope, ctes = agg.scope, agg.ctes
+        # Whole expression matches a GROUP BY item?
+        if not self._contains_aggregate(expr):
+            probe = self._bind_scalar(expr, scope, ctes)
+            key = repr(probe)
+            if key in agg.group_map:
+                slot, sql_type = agg.group_map[key]
+                return b.BoundColumnRef(slot, sql_type)
+            if isinstance(probe, b.BoundLiteral):
+                return probe
+            if not effects(probe).reads:
+                return probe
+            if not self._ast_children(expr):
+                # A bare column outside GROUP BY.
+                raise BindError(
+                    "expression must appear in GROUP BY or be used "
+                    f"in an aggregate: {self._describe_ast(expr)}"
+                )
+            # A composite over group keys (``a + 1``, ``a IN (..)``)
+            # rebuilds from its parts, like one over aggregates.
+        if isinstance(expr, ast.FunctionCall) and (
+            agg_registry.is_aggregate_name(expr.name)
+        ):
+            return self._bind_aggregate_call(expr, agg)
+        # Recurse structurally, rebuilding the expression above the
+        # aggregate boundary.
+        return self._rebind_composite(
+            expr, lambda sub: self._bind_in_agg_context(sub, agg),
+            scope, ctes,
+        )
+
+    def _bind_aggregate_call(
+        self, call: ast.FunctionCall, agg: "_AggregateBinding"
+    ) -> b.BoundExpr:
+        from ..expr import aggregates as agg_registry
+
+        func = agg_registry.lookup(call.name)
+        assert func is not None
+        arg_expr: Optional[b.BoundExpr] = None
+        func_name = call.name.lower()
+        if len(call.args) == 1 and isinstance(call.args[0], ast.Star):
+            if func_name != "count":
+                raise BindError(
+                    f"{call.name}(*) is not valid"
+                )
+            func_name = "count_star"
+            func = agg_registry.lookup("count_star")
+        elif func.needs_argument or call.args:
+            if len(call.args) != 1:
+                raise BindError(
+                    f"aggregate {call.name}() takes one argument"
+                )
+            if self._contains_aggregate(call.args[0]):
+                raise BindError("aggregates cannot be nested")
+            arg_expr = self._bind_scalar(call.args[0], agg.scope, agg.ctes)
+        result_type = func.infer_type(
+            arg_expr.sql_type if arg_expr is not None else None
+        )
+        slot = self.fresh_expr_slot()
+        agg.specs.append(
+            lp.AggregateSpec(
+                slot, func_name, arg_expr, call.distinct, result_type
+            )
+        )
+        return b.BoundColumnRef(slot, result_type)
 
     def _resolve_group_item(
         self, expr: ast.Expr, items: list[ast.SelectItem]

@@ -203,7 +203,6 @@ class FuzzConfig:
     plan_cache: bool = False
     encoding: str = "raw"
     topn: bool = False
-    feedback: bool = False
     schema: str = "default"
 
     def __str__(self) -> str:
@@ -222,7 +221,6 @@ class FuzzConfig:
             "plan_cache": self.plan_cache,
             "encoding": self.encoding,
             "topn": self.topn,
-            "feedback": self.feedback,
             "checkpoint_bytes": self.checkpoint_bytes or 0,
             "recovery": self.recovery,
         }
@@ -255,7 +253,6 @@ CONFIG_SPACE: dict[str, tuple] = {
     "plan_cache": (False, True),
     "encoding": ENCODING_POLICIES,
     "topn": (False, True),
-    "feedback": (False, True),
     "schema": SCHEMA_PROFILES,
 }
 

@@ -68,7 +68,6 @@ def test_reference_is_pinned_against_the_environment(monkeypatch):
         reference = oracle.reference.config
         assert (reference.workers, reference.plan_cache) == (1, False)
         assert (reference.encoding, reference.topn) == ("raw", False)
-        assert not reference.feedback
         assert reference.wal_path is None
         assert reference.checkpoint_bytes is None
         assert oracle.subject.config.workers == 1
@@ -206,7 +205,6 @@ def _parallel_merge_drops_a_morsel(monkeypatch):
 #: Switches no planted defect depends on: minimization must drop them.
 NOISE = replace(
     REFERENCE, recovery="strict", morsel_rows=7, encoding="for",
-    feedback=True,
 )
 
 #: defect -> (plant, seed, responsible switches, divergence kind)

@@ -17,6 +17,7 @@ set is the same.
 """
 
 import gc
+import pathlib
 import weakref
 from collections import Counter
 from typing import Iterator
@@ -60,15 +61,45 @@ from repro.testing.oracle import (
 )
 from repro.types import BOOLEAN, INTEGER, infer_literal_type
 
-from .test_feedback_keys import BATTERY, LADDER
+from repro.workloads import (
+    kmeans_iterate_sql,
+    kmeans_recursive_sql,
+    pagerank_iterate_sql,
+    pagerank_recursive_sql,
+)
+
 from .test_loop_hoisting import (
     INIT,
     SHAPES,
     STOP,
+    graph_db,
     iterate_sql,
+    kmeans_db,
     seeded_db,
     twice,
 )
+
+#: The TPC-H-shaped battery, a superset of the ``olap`` workload's 16
+#: queries.
+BATTERY = sorted(
+    (pathlib.Path(__file__).parent / "sql_battery").glob("*.sql")
+)
+
+#: The six ``ladder`` statements, small: database builder -> statements.
+LADDER = {
+    kmeans_db: [
+        "SELECT cluster, x, y FROM KMEANS((SELECT x, y FROM pts), "
+        "(SELECT x, y FROM ctr), 3) ORDER BY cluster",
+        kmeans_iterate_sql("pts", "ctr", ["x", "y"], 3),
+        kmeans_recursive_sql("pts", "ctr", ["x", "y"], 3),
+    ],
+    graph_db: [
+        "SELECT vertex, rank FROM PAGERANK((SELECT src, dest FROM edges), "
+        "0.85, 0.0, 7) ORDER BY vertex",
+        pagerank_iterate_sql("edges", 0.85, 7),
+        pagerank_recursive_sql("edges", 0.85, 7),
+    ],
+}
 
 # ---------------------------------------------------------------------------
 # The walks the analysis replaced, as they were

@@ -1,7 +1,7 @@
 """Tests for the query history store (src/repro/obs/history.py).
 
 Covers the always-on per-statement records, the per-fingerprint
-plan-feedback index (the acceptance surface: observed per-operator
+index (the acceptance surface: estimated vs observed per-operator
 cardinalities for a repeated parameterized query), the slow-query log,
 JSONL spill, and the bounded-ring/LRU behaviour of the store itself.
 """
@@ -126,14 +126,14 @@ class TestPlanFeedback:
 
     def test_observed_cardinalities_aggregates(self, db):
         fp = self._run_repeated(db)
-        feedback = db.history.observed_cardinalities(fp)
-        assert feedback
+        observed = db.history.observed_cardinalities(fp)
+        assert observed
         # Every aggregated operator saw all three executions.
-        for label, slot in feedback.items():
+        for label, slot in observed.items():
             assert slot["executions"] == 3, label
             assert slot["mean_rows"] >= 0
         # The filter's observed truth: mean over 9/49/89 rows.
-        means = sorted(s["mean_rows"] for s in feedback.values())
+        means = sorted(s["mean_rows"] for s in observed.values())
         assert 49.0 in means
 
     def test_cache_hit_flag_flips_on_repeat(self, db):

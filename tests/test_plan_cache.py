@@ -13,6 +13,10 @@ import pytest
 from repro.api.database import Database
 from repro.errors import ReproError
 from repro.plan.cache import PlanCache, sql_fingerprint
+from repro.testing import tpch
+from repro.testing.oracle import build_repro_db
+
+from .test_effects import BATTERY
 
 
 def counter(db, name):
@@ -48,6 +52,27 @@ def test_repeated_parameterized_query_hits_cache():
         assert rows == [(i * 0.25,)]
     assert counter(db, "exec_plan_cache_hits_total") == 3.0
     assert counter(db, "exec_plan_cache_misses_total") >= 1.0
+
+
+def test_warm_passes_over_the_battery_are_all_hits():
+    """A plan depends on the statement and the catalog, not on how often
+    the statement ran: after one cold pass over the 16 ``olap``-shaped
+    battery queries, every statement of the next two passes is a hit."""
+    olap = [
+        path.read_text() for path in BATTERY
+        if not path.stem.startswith(("q17", "q20"))
+    ]
+    assert len(olap) == 16
+    db = build_repro_db(tpch.generate(scale=1.0, seed=7), plan_cache=True)
+    for sql in olap:
+        db.execute(sql)
+    misses = counter(db, "exec_plan_cache_misses_total")
+    hits = counter(db, "exec_plan_cache_hits_total")
+    for _ in range(2):
+        for sql in olap:
+            db.execute(sql)
+    assert counter(db, "exec_plan_cache_misses_total") == misses
+    assert counter(db, "exec_plan_cache_hits_total") == hits + 32
 
 
 def test_literal_sql_also_cached():
