@@ -153,19 +153,19 @@ def _evaluate_value_rows(
     pipe, running, rows: list[list[ast.Expr]], txn: Transaction
 ) -> list[tuple]:
     binder = pipe.binder(txn)
-    ctx = pipe.exec_context(txn, running)
     one_row = ColumnBatch(
         {ValuesOp.CARRIER: Column(np.zeros(1, np.int32), INTEGER)}
     )
-    eval_ctx = ctx.new_eval_context()
     out = []
-    for row in rows:
-        values = []
-        for cell in row:
-            bound = binder.bind_standalone(cell, [])
-            compiled = ctx.compiler.compile(bound)
-            values.append(compiled(one_row, eval_ctx).value_at(0))
-        out.append(tuple(values))
+    with pipe.exec_context(txn, running) as ctx:
+        eval_ctx = ctx.new_eval_context()
+        for row in rows:
+            values = []
+            for cell in row:
+                bound = binder.bind_standalone(cell, [])
+                compiled = ctx.compiler.compile(bound)
+                values.append(compiled(one_row, eval_ctx).value_at(0))
+            out.append(tuple(values))
     return out
 
 
@@ -204,21 +204,21 @@ def run_update(
     data = txn.read(statement.table)
     batch, columns = _table_as_batch(data)
     binder = pipe.binder(txn)
-    ctx = pipe.exec_context(txn, running)
-    positions = _matching_positions(
-        binder, ctx, statement.where, batch, columns
-    )
-    eval_ctx = ctx.new_eval_context()
     replacements: dict[int, Column] = {}
-    for col_name, expr in statement.assignments:
-        ordinal = data.schema.index_of(col_name)
-        bound = binder.bind_standalone(expr, columns)
-        new_col = ctx.compiler.compile(bound)(batch, eval_ctx)
-        new_col = new_col.take(positions)
-        target = data.schema.columns[ordinal].sql_type
-        if new_col.sql_type.kind is not target.kind:
-            new_col = new_col.cast(target)
-        replacements[ordinal] = new_col
+    with pipe.exec_context(txn, running) as ctx:
+        positions = _matching_positions(
+            binder, ctx, statement.where, batch, columns
+        )
+        eval_ctx = ctx.new_eval_context()
+        for col_name, expr in statement.assignments:
+            ordinal = data.schema.index_of(col_name)
+            bound = binder.bind_standalone(expr, columns)
+            new_col = ctx.compiler.compile(bound)(batch, eval_ctx)
+            new_col = new_col.take(positions)
+            target = data.schema.columns[ordinal].sql_type
+            if new_col.sql_type.kind is not target.kind:
+                new_col = new_col.cast(target)
+            replacements[ordinal] = new_col
     updated = txn.update_rows(statement.table, positions, replacements)
     pipe.metrics.counter("storage_rows_updated_total").inc(updated)
     return QueryResult.statement(updated)
@@ -229,13 +229,11 @@ def run_delete(
 ) -> QueryResult:
     data = txn.read(statement.table)
     batch, columns = _table_as_batch(data)
-    deleted = txn.delete_rows(
-        statement.table,
-        _matching_positions(
-            pipe.binder(txn), pipe.exec_context(txn, running),
-            statement.where, batch, columns,
-        ),
-    )
+    with pipe.exec_context(txn, running) as ctx:
+        positions = _matching_positions(
+            pipe.binder(txn), ctx, statement.where, batch, columns
+        )
+    deleted = txn.delete_rows(statement.table, positions)
     pipe.metrics.counter("storage_rows_deleted_total").inc(deleted)
     return QueryResult.statement(deleted)
 

@@ -6,9 +6,10 @@ It owns what is engine-wide about running a statement: the stage
 methods (public — tests, the chaos battery and the benchmarks call them
 instead of re-implementing the stages), the plan cache with its
 epoch invalidation, the one function that builds an ``Optimizer``
-(and with it the ``CardinalityEstimator`` and ``TableStatistics``) for
-a transaction, the per-statement metrics flush and history/flight recording, and the
-registry of in-flight statements behind ``Database.cancel()``.
+(and with it the ``CardinalityEstimator`` and ``TableStatistics``) to
+plan a SELECT, the per-statement metrics flush and history/flight
+recording, and the registry of in-flight statements behind
+``Database.cancel()``.
 
 What is per caller — the open transaction, the statement wrapper — is
 the session's; what is per statement travels in a
@@ -28,7 +29,7 @@ from ..exec.planner import build_physical
 from ..governor import QueryContext
 from ..obs.history import operator_observations, record_from_span
 from ..plan.cache import CachedPlan, NegativePlan, PlanCache, sql_fingerprint
-from ..plan.optimizer import Optimizer, explain_with_estimates
+from ..plan.optimizer import Optimizer
 from ..plan.stats import TableStatistics
 from ..sql import ast
 from ..sql.binder import Binder
@@ -161,7 +162,7 @@ class StatementPipeline:
         )
 
     def optimizer(self, txn: Transaction) -> Optimizer:
-        """The optimizer of one statement — the only place its
+        """The optimizer of one SELECT — the only place a
         ``CardinalityEstimator`` (``.estimator``) is built: row counts
         and table statistics from ``txn``'s snapshot."""
         read = txn.read
@@ -178,21 +179,21 @@ class StatementPipeline:
         statement: ast.SelectStatement,
         txn: Transaction,
         param_types=None,
-        optimizer: Optional[Optimizer] = None,
     ):
-        """Bind and optimize one SELECT into a logical plan."""
+        """Bind and optimize one SELECT into a logical plan whose every
+        node carries the cardinality estimate it was planned with."""
         with self.tracer.span("bind"):
             plan = self.binder(txn, param_types).bind_query(statement)
         with self.tracer.span("optimize"):
-            if optimizer is None:
-                optimizer = self.optimizer(txn)
-            return optimizer.optimize(plan)
+            optimizer = self.optimizer(txn)
+            plan = optimizer.optimize(plan)
+            optimizer.estimator.stamp(plan)
+            return plan
 
     def exec_context(
         self,
         txn: Transaction,
         running: Optional[RunningStatement] = None,
-        optimizer: Optional[Optimizer] = None,
     ) -> ExecutionContext:
         config = self.config
         ctx = ExecutionContext(
@@ -211,14 +212,6 @@ class StatementPipeline:
             running is not None and running.analyze
         )
         ctx.topn = config.topn
-        if ctx.profile:
-            # Stamp the optimizer's cardinality estimate — and its
-            # provenance (static / stats) — onto every profiled
-            # operator so explain_analyze and the history store can
-            # report estimated vs observed rows (q-error).
-            if optimizer is None:
-                optimizer = self.optimizer(txn)
-            ctx.estimator = optimizer.estimator
         # One switch for the whole hot-path stack: the plan-cache
         # setting also gates kernel caching, zone-map pruning, and the
         # CSR cache.
@@ -231,11 +224,10 @@ class StatementPipeline:
         txn: Transaction,
         running: Optional[RunningStatement] = None,
         query_params: Optional[Sequence[object]] = None,
-        optimizer: Optional[Optimizer] = None,
     ) -> QueryResult:
         """Instantiate and run physical operators for an optimized
         logical plan (fresh or cached)."""
-        ctx = self.exec_context(txn, running, optimizer)
+        ctx = self.exec_context(txn, running)
         if query_params:
             ctx.query_params = {
                 f"?{i}": value for i, value in enumerate(query_params)
@@ -255,8 +247,8 @@ class StatementPipeline:
                 running.profile_roots = ctx.profile_roots
             self._flush_exec_metrics(ctx)
             # Subquery operators point back at ``ctx``: drop them so the
-            # context (and the transaction its estimator reads) dies by
-            # reference count, not at the next cycle collection.
+            # context (and the transaction it reads) dies by reference
+            # count, not at the next cycle collection.
             ctx.release_subplans()
         result = QueryResult.from_batch(batch, plan.output)
         result.telemetry = dict(ctx.telemetry)
@@ -268,17 +260,13 @@ class StatementPipeline:
         txn: Transaction,
         running: Optional[RunningStatement] = None,
     ) -> QueryResult:
-        optimizer = self.optimizer(txn)
-        plan = self.plan_select(select, txn, optimizer=optimizer)
-        return self.run_plan(plan, txn, running, optimizer=optimizer)
+        return self.run_plan(self.plan_select(select, txn), txn, running)
 
     def explain(self, select: ast.SelectStatement, txn: Transaction) -> str:
         """The optimized plan of ``select`` with per-node estimates —
         what ``db.explain(q)`` and the ``EXPLAIN q`` statement both
         print."""
-        optimizer = self.optimizer(txn)
-        plan = self.plan_select(select, txn, optimizer=optimizer)
-        return explain_with_estimates(plan, optimizer.estimator)
+        return self.plan_select(select, txn).explain()
 
     def run_statement(
         self, parsed: ast.Statement, session, running: RunningStatement
@@ -373,7 +361,6 @@ class StatementPipeline:
             return None
         try:
             with session.autocommit() as txn:
-                optimizer = self.optimizer(txn)
                 if isinstance(entry, CachedPlan):
                     self.metrics.counter(
                         "exec_plan_cache_hits_total"
@@ -385,20 +372,16 @@ class StatementPipeline:
                         "exec_plan_cache_misses_total"
                     ).inc()
                     plan = self._plan_and_cache(
-                        sql, values, param_types, key, txn, optimizer
+                        sql, values, param_types, key, txn
                     )
                 self.metrics.counter(
                     "statements_total", kind="SelectStatement"
                 ).inc()
-                return self.run_plan(
-                    plan, txn, running, values, optimizer=optimizer
-                )
+                return self.run_plan(plan, txn, running, values)
         except _Uncacheable:
             return None
 
-    def _plan_and_cache(
-        self, sql, values, param_types, key, txn, optimizer
-    ):
+    def _plan_and_cache(self, sql, values, param_types, key, txn):
         """Plan ``sql`` in parameterized mode against ``txn`` and cache
         the result; a statement that cannot take the cached path leaves
         a negative entry and raises :class:`_Uncacheable`."""
@@ -411,9 +394,7 @@ class StatementPipeline:
                 raise _Uncacheable
             # LIMIT ?, GROUP BY ?, analytics args, ... need values at
             # bind time; those raise here and use the literal path.
-            plan = self.plan_select(
-                statements[0], txn, param_types, optimizer=optimizer
-            )
+            plan = self.plan_select(statements[0], txn, param_types)
         except (ReproError, _Uncacheable):
             self.plan_cache.store(key, NegativePlan(epoch))
             raise _Uncacheable from None

@@ -69,8 +69,9 @@ class OperatorStats:
         self.batches_out = 0
         self.rows_out = 0
         self.elapsed_s = 0.0
-        #: The optimizer's cardinality estimate for this operator's
-        #: logical node (None when no estimator was available). Paired
+        #: The cardinality estimate stamped on this operator's logical
+        #: node when it was planned (None when no optimizer planned
+        #: it, as for a subquery inside UPDATE / DELETE). Paired
         #: with the observed ``rows_per_call`` this is the estimation-error
         #: signal the history store persists per plan fingerprint.
         self.estimated_rows: Optional[float] = None
@@ -248,12 +249,6 @@ class ExecutionContext:
         #: memory budget). Standalone contexts get an unbounded one so
         #: operator code can call :meth:`checkpoint` unconditionally.
         self.governor = governor if governor is not None else QueryContext()
-        #: Optional :class:`repro.plan.cardinality.CardinalityEstimator`.
-        #: When profiling, the planner stamps each operator's estimated
-        #: cardinality onto its :class:`OperatorStats` node, giving
-        #: estimated-vs-observed rows (and q-error) per operator in
-        #: ``explain_analyze`` and the query history store.
-        self.estimator = None
         #: Whether the planner may fuse adjacent Sort+Limit nodes into a
         #: :class:`repro.exec.sort.TopNSortOp`. The pipeline sets it from
         #: the engine's ``topn`` setting; standalone contexts fuse.
@@ -299,6 +294,14 @@ class ExecutionContext:
         """Forget the operators :meth:`run_subplan` built. They hold
         this context, so keeping them past the statement forms a cycle."""
         self._physical_cache.clear()
+
+    def __enter__(self) -> "ExecutionContext":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """A statement that runs in a ``with`` block drops its subquery
+        operators when the block ends, however it ends."""
+        self.release_subplans()
 
 
 class PhysicalOperator:

@@ -145,8 +145,8 @@ def _profiled(
     """Run ``build``; under ``ctx.profile`` wrap its operator in a
     :class:`ProfiledOperator` whose stats node adopts the nodes of the
     operators built meanwhile. ``plan`` is the logical node the
-    operator implements — it supplies the cardinality estimate; a
-    :class:`LoopInvariantOp` implements none."""
+    operator implements — the node's stamp supplies the cardinality
+    estimate; a :class:`LoopInvariantOp` implements none."""
     if not ctx.profile:
         return build()
     children: list[OperatorStats] = []
@@ -156,15 +156,8 @@ def _profiled(
     finally:
         ctx._profile_stack.pop()
     stats = OperatorStats(op.describe(), children)
-    if plan is not None and ctx.estimator is not None:
-        try:
-            (
-                stats.estimated_rows,
-                stats.estimate_source,
-            ) = ctx.estimator.estimate_with_source(plan)
-        except Exception:  # noqa: BLE001 — estimates are best-effort
-            stats.estimated_rows = None
-            stats.estimate_source = None
+    if plan is not None:
+        stats.estimated_rows, stats.estimate_source = plan.estimated()
     if ctx._profile_stack:
         ctx._profile_stack[-1].append(stats)
     else:

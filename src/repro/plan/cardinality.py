@@ -13,9 +13,9 @@ Two sources feed an estimate, stronger first:
   counts for ``IS [NOT] NULL``;
 * **static** — the classic constant heuristics below.
 
-:meth:`CardinalityEstimator.estimate_with_source` reports which source
-actually influenced a node's number; ``explain`` / ``explain_analyze``
-surface it as the estimate's provenance.
+:meth:`~repro.plan.logical.LogicalPlan.estimated` reads a node's
+estimate and which source actually influenced it; ``explain`` /
+``explain_analyze`` surface the latter as the estimate's provenance.
 """
 
 from __future__ import annotations
@@ -62,29 +62,39 @@ class CardinalityEstimator:
         self._analytics = analytics
         self._stats = stats
         self._metrics = metrics
-        #: id(node) -> (node, rows, whether statistics shaped the number
-        #: anywhere in its subtree); holding the node keeps its id from
-        #: being reused. Plans do not change once built, so a statement
-        #: estimates each node once; without this, stamping every
-        #: profiled operator re-estimates the whole subtree under it,
-        #: predicates and statistics included.
-        self._known: dict[int, tuple[lp.LogicalPlan, float, bool]] = {}
         #: Whether statistics shaped the estimate being computed.
         self._used_stats = False
 
     def estimate(self, plan: lp.LogicalPlan) -> float:
-        known = self._known.get(id(plan))
+        """Estimated output rows of ``plan``, kept on the node
+        (:attr:`~repro.plan.logical.LogicalPlan._estimate`) with
+        whether statistics shaped it anywhere in its subtree: plans do
+        not change once built, so each node is estimated once, and the
+        planner stamps the numbers it chose the plan with onto every
+        node (:meth:`stamp`) for execution and EXPLAIN to read."""
+        known = plan._estimate
         if known is None:
             outer, self._used_stats = self._used_stats, False
             try:
-                known = (plan, max(self._estimate_node(plan), 0.0),
+                known = (max(self._estimate_node(plan), 0.0),
                          self._used_stats)
             finally:
                 self._used_stats = outer
-            self._known[id(plan)] = known
-        if known[2]:
+            plan._estimate = known
+        if known[1]:
             self._used_stats = True
-        return known[1]
+        return known[0]
+
+    def stamp(self, plan: lp.LogicalPlan) -> None:
+        """Estimate every node of ``plan`` — children, loop bodies and
+        the plans of subqueries inside expressions — so each carries its
+        estimate. An estimate that fails leaves its node unstamped
+        (estimates are best-effort)."""
+        for node in lp.walk_plan(plan):
+            try:
+                self.estimate(node)
+            except Exception:  # noqa: BLE001 — estimates are best-effort
+                pass
 
     def _estimate_node(self, plan: lp.LogicalPlan) -> float:
         method = getattr(
@@ -96,15 +106,6 @@ class CardinalityEstimator:
         if children:
             return self.estimate(children[0])
         return 1.0
-
-    def estimate_with_source(
-        self, plan: lp.LogicalPlan
-    ) -> tuple[float, str]:
-        """Estimate plus its provenance: ``stats`` when table
-        statistics influenced the number anywhere in the subtree, else
-        ``static``."""
-        rows = self.estimate(plan)
-        return rows, "stats" if self._known[id(plan)][2] else "static"
 
     # -- leaves -----------------------------------------------------------
 

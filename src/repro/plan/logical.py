@@ -46,6 +46,11 @@ class LogicalPlan:
     output: list[PlanColumn]
     #: :func:`repro.expr.effects.plan_effects`, once asked (not a field).
     _effects = None
+    #: ``(rows, whether statistics shaped them)``: the cardinality
+    #: estimate (:meth:`repro.plan.cardinality.CardinalityEstimator.estimate`),
+    #: once asked (not a field). The planner stamps every node of a plan
+    #: it makes, so a cached plan reports the estimate it was chosen with.
+    _estimate = None
 
     def children(self) -> list["LogicalPlan"]:
         return []
@@ -62,10 +67,23 @@ class LogicalPlan:
     def column_types(self) -> dict[str, SQLType]:
         return {c.slot: c.sql_type for c in self.output}
 
+    def estimated(self) -> tuple[Optional[float], Optional[str]]:
+        """The estimate stamped on this node and its provenance:
+        ``stats`` when table statistics shaped the number anywhere in
+        the subtree, else ``static``; ``(None, None)`` for a node no
+        optimizer estimated."""
+        if self._estimate is None:
+            return None, None
+        rows, used_stats = self._estimate
+        return rows, "stats" if used_stats else "static"
+
     def explain(self, indent: int = 0) -> str:
-        """A human-readable plan tree (EXPLAIN output)."""
+        """A human-readable plan tree (EXPLAIN output), each node with
+        its stamped estimate and the estimate's provenance."""
         pad = "  " * indent
-        lines = [f"{pad}{self.describe()}"]
+        rows, source = self.estimated()
+        note = "" if rows is None else f"  [est={rows:.0f} src={source}]"
+        lines = [f"{pad}{self.describe()}{note}"]
         for child in self.children():
             lines.append(child.explain(indent + 1))
         return "\n".join(lines)
@@ -543,33 +561,52 @@ def node_signature(
             return inputs[slot]
         return own.get(slot, slot)
 
-    def canonical(value: object) -> Hashable:
-        if isinstance(value, (str, int, float, type(None), SQLType)):
-            return value
-        if isinstance(value, PlanColumn):  # the commonest record
-            return value.name, position(value.slot), value.sql_type
-        if isinstance(value, LogicalPlan):
-            return None  # a child: its rows are the caller's to key
-        if isinstance(value, BoundExpr):
-            return expr_key(value)
-        if isinstance(value, (list, tuple)):
-            return tuple(canonical(item) for item in value)
-        if isinstance(value, dict):
-            return tuple((k, canonical(v)) for k, v in value.items())
-        if is_dataclass(value) and not isinstance(value, type):
-            return record(value)
-        return value  # type: ignore[return-value]
-
-    def record(obj: object) -> tuple:
-        return (type(obj),) + tuple(
-            _slot_positions(getattr(obj, name), position)
-            if slots
-            else canonical(getattr(obj, name))
-            for name, slots in _key_fields(type(obj))
-        )
-
     # Filter, Sort, Limit and Distinct derive their output: not a field.
-    return record(node) + (canonical(node.output),)
+    return _record(node, position, expr_key) + (
+        _canonical(node.output, position, expr_key),
+    )
+
+
+# :func:`node_signature`'s two mutually recursive walks are module
+# functions, not closures over each other: closures that reach each
+# other through their cells form a reference cycle per call.
+
+
+def _canonical(
+    value: object,
+    position: Callable[[str], Hashable],
+    expr_key: Callable[[BoundExpr], Hashable],
+) -> Hashable:
+    if isinstance(value, (str, int, float, type(None), SQLType)):
+        return value
+    if isinstance(value, PlanColumn):  # the commonest record
+        return value.name, position(value.slot), value.sql_type
+    if isinstance(value, LogicalPlan):
+        return None  # a child: its rows are the caller's to key
+    if isinstance(value, BoundExpr):
+        return expr_key(value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(item, position, expr_key) for item in value)
+    if isinstance(value, dict):
+        return tuple(
+            (k, _canonical(v, position, expr_key)) for k, v in value.items()
+        )
+    if is_dataclass(value) and not isinstance(value, type):
+        return _record(value, position, expr_key)
+    return value  # type: ignore[return-value]
+
+
+def _record(
+    obj: object,
+    position: Callable[[str], Hashable],
+    expr_key: Callable[[BoundExpr], Hashable],
+) -> tuple:
+    return (type(obj),) + tuple(
+        _slot_positions(getattr(obj, name), position)
+        if slots
+        else _canonical(getattr(obj, name), position, expr_key)
+        for name, slots in _key_fields(type(obj))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -16,26 +16,6 @@ from .rules import (
 )
 
 
-def explain_with_estimates(
-    plan: lp.LogicalPlan,
-    estimator: CardinalityEstimator,
-    indent: int = 0,
-) -> str:
-    """Render a plan like :meth:`LogicalPlan.explain`, annotating each
-    node with its estimated row count and the estimate's provenance
-    (``static`` | ``stats``)."""
-    pad = "  " * indent
-    try:
-        rows, source = estimator.estimate_with_source(plan)
-        note = f"  [est={rows:.0f} src={source}]"
-    except Exception:  # noqa: BLE001 — estimates are best-effort
-        note = ""
-    lines = [f"{pad}{plan.describe()}{note}"]
-    for child in plan.children():
-        lines.append(explain_with_estimates(child, estimator, indent + 1))
-    return "\n".join(lines)
-
-
 class Optimizer:
     """Applies the rewrite rules in a fixed, dependency-aware order:
 
@@ -101,13 +81,8 @@ class Optimizer:
             self._metrics.counter("limit_pushdown_total").inc()
 
     def estimate(self, plan: lp.LogicalPlan) -> float:
-        """Estimated output rows (exposed for EXPLAIN and tests)."""
+        """Estimated output rows (exposed for tests)."""
         return self._estimator.estimate(plan)
-
-    def explain(self, plan: lp.LogicalPlan) -> str:
-        """The plan tree annotated with per-node estimates and their
-        provenance (``static`` | ``stats``)."""
-        return explain_with_estimates(plan, self._estimator)
 
     def _recurse_into_nested(self, plan: lp.LogicalPlan) -> lp.LogicalPlan:
         """Optimize the nested plans of iterative and analytical

@@ -236,41 +236,31 @@ class Binder:
         """Heuristic check used only to decide recursive binding: does the
         CTE body's FROM mention its own name? (A full reference walk.)"""
         target = cte.name.lower()
-        hits = []
-
-        def walk_table(expr):
-            if isinstance(expr, ast.TableRef):
-                if expr.name.lower() == target:
-                    hits.append(expr)
-            elif isinstance(expr, ast.Join):
-                walk_table(expr.left)
-                walk_table(expr.right)
-            elif isinstance(expr, ast.SubqueryRef):
-                walk_query(expr.query)
-            elif isinstance(expr, ast.IterateRef):
-                walk_query(expr.init_query)
-                walk_query(expr.step_query)
-                walk_query(expr.stop_query)
-            elif isinstance(expr, ast.TableFunction):
-                for arg in expr.args:
-                    if arg.query is not None:
-                        walk_query(arg.query)
-
-        def walk_body(body):
-            if isinstance(body, ast.SetOp):
-                walk_body(body.left)
-                walk_body(body.right)
-            elif isinstance(body, ast.SelectCore):
-                if body.from_clause is not None:
-                    walk_table(body.from_clause)
-
-        def walk_query(query):
-            walk_body(query.body)
-            for inner in query.ctes:
-                walk_query(inner.query)
-
-        walk_query(cte.query)
-        return bool(hits)
+        # One explicit stack, not mutually recursive closures: those
+        # reach each other through their cells, a cycle per call.
+        stack: list = [cte.query]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.TableRef):
+                if node.name.lower() == target:
+                    return True
+            elif isinstance(node, (ast.Join, ast.SetOp)):
+                stack += [node.left, node.right]
+            elif isinstance(node, ast.SubqueryRef):
+                stack.append(node.query)
+            elif isinstance(node, ast.IterateRef):
+                stack += [node.init_query, node.step_query, node.stop_query]
+            elif isinstance(node, ast.TableFunction):
+                stack += [
+                    arg.query for arg in node.args if arg.query is not None
+                ]
+            elif isinstance(node, ast.SelectCore):
+                if node.from_clause is not None:
+                    stack.append(node.from_clause)
+            elif isinstance(node, ast.SelectStatement):
+                stack.append(node.body)
+                stack += [inner.query for inner in node.ctes]
+        return False
 
     def _apply_column_aliases(
         self, plan: lp.LogicalPlan, names: Optional[list[str]]

@@ -581,7 +581,14 @@ def rle_encode(
     n = len(values)
     if n == 0:
         return None
-    boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
+    # Floating values split on their bits: ``0.0 == -0.0`` would merge
+    # the two into one run (identical NaNs share one, bit for bit).
+    bits = (
+        values.view(f"u{values.itemsize}")
+        if values.dtype.kind == "f"
+        else values
+    )
+    boundaries = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     if max_runs is not None and len(boundaries) + 1 > max_runs:
         return None
     starts = np.concatenate(([0], boundaries))

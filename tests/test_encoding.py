@@ -16,6 +16,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -152,6 +153,23 @@ def test_rle_invariants():
     assert encoded.to_pylist() == values
     # NULLs disqualify RLE (validity would need its own run structure).
     assert rle_encode(Column.from_values([5, None, 5], INTEGER)) is None
+
+
+def test_rle_keeps_the_sign_of_zero():
+    """0.0 == -0.0, so runs split on the values would merge them and
+    store the second run's rows as 0.0."""
+    db = Database(encoding="rle")
+    db.execute("CREATE TABLE f (x DOUBLE)")
+    db.insert_rows("f", [(0.0,)] * 5000 + [(-0.0,)] * 5000)
+    assert db.storage_stats()["tables"]["f"]["columns"]["x"] == "rle"
+    rows = db.execute("SELECT x FROM f").rows
+    signs = [math.copysign(1.0, x) for (x,) in rows]
+    assert signs == [1.0] * 5000 + [-1.0] * 5000
+    # Identical NaNs still share a run, and decode bit for bit.
+    nan = np.array([np.nan] * 8)
+    encoded = rle_encode(Column.from_values(list(nan), DOUBLE))
+    assert len(encoded.run_values) == 1
+    assert encoded.values.tobytes() == nan.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
