@@ -75,7 +75,8 @@ test-all:
 
 # Configuration-sampling differential fuzzer (docs/testing.md): each
 # seed draws workers, morsel size, plan cache, encoding, top-N,
-# WAL/checkpoint/recovery, fault injection and schema profile; its
+# WAL/checkpoint/recovery, fault injection, schema profile and the
+# optimizer (off: the binder's join order); its
 # answers, cold and cached, must match a plain reference engine's and
 # SQLite's. A failing seed S reproduces exactly with
 # `make fuzz N=1 START=S`.

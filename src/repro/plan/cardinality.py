@@ -1,6 +1,6 @@
 """Cardinality estimation.
 
-Estimates drive join build-side selection. Analytics operators supply
+Estimates drive join order and build sides. Analytics operators supply
 their own contracts through the operator registry (section 4.3: "the
 query optimizer knows their exact properties"); the generic ITERATE
 construct, by contrast, admits only coarse heuristics — the difficulty
@@ -9,8 +9,8 @@ the paper discusses in section 5.2.
 Two sources feed an estimate, stronger first:
 
 * **stats** — table statistics (:mod:`repro.plan.stats`): dictionary
-  NDV for ``=`` / ``IN`` selectivity, column min/max for ranges, null
-  counts for ``IS [NOT] NULL``;
+  NDV for ``=`` / ``IN`` selectivity, equi-join keys and GROUP BY keys,
+  column min/max for ranges, null counts for ``IS [NOT] NULL``;
 * **static** — the classic constant heuristics below.
 
 :meth:`~repro.plan.logical.LogicalPlan.estimated` reads a node's
@@ -21,6 +21,7 @@ estimate and which source actually influenced it; ``explain`` /
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from ..expr import bound as b
@@ -64,6 +65,10 @@ class CardinalityEstimator:
         self._metrics = metrics
         #: Whether statistics shaped the estimate being computed.
         self._used_stats = False
+        #: The slot map of :meth:`sources_of` (None: walk the subtree).
+        self._sources: Optional[dict[str, tuple[str, str]]] = None
+        #: (table, column) -> statistics, as asked of ``stats`` once.
+        self._columns: dict[tuple[str, str], Optional[ColumnStats]] = {}
 
     def estimate(self, plan: lp.LogicalPlan) -> float:
         """Estimated output rows of ``plan``, kept on the node
@@ -95,6 +100,16 @@ class CardinalityEstimator:
                 self.estimate(node)
             except Exception:  # noqa: BLE001 — estimates are best-effort
                 pass
+
+    @contextmanager
+    def sources_of(self, plan: lp.LogicalPlan):
+        """Within the block, estimates read ``plan``'s slot map: slots
+        are statement-unique, so it agrees with every subtree's own."""
+        outer, self._sources = self._sources, self._slot_sources(plan)
+        try:
+            yield
+        finally:
+            self._sources = outer
 
     def _estimate_node(self, plan: lp.LogicalPlan) -> float:
         method = getattr(
@@ -204,6 +219,8 @@ class CardinalityEstimator:
         """slot -> (table, column) for every base-table column visible
         beneath ``plan`` (slots are statement-unique, so collecting from
         all scans in the subtree is unambiguous)."""
+        if self._sources is not None:
+            return self._sources
         mapping: dict[str, tuple[str, str]] = {}
         stack = [plan]
         while stack:
@@ -228,7 +245,9 @@ class CardinalityEstimator:
         source = slot_map.get(expr.slot)
         if source is None:
             return None
-        return self._stats.column_stats(source[0], source[1])
+        if source not in self._columns:
+            self._columns[source] = self._stats.column_stats(*source)
+        return self._columns[source]
 
     def _stats_selectivity(
         self,
@@ -314,10 +333,14 @@ class CardinalityEstimator:
     def _estimate_LogicalAggregate(
         self, plan: lp.LogicalAggregate
     ) -> float:
+        """The group keys' NDVs multiplied, capped by the input."""
         child = self.estimate(plan.child)
         if not plan.group_exprs:
             return 1.0
-        return max(1.0, child**GROUP_EXPONENT)
+        groups = self._ndv(plan.group_exprs, self._slot_sources(plan.child))
+        if groups is None:
+            return max(1.0, child**GROUP_EXPONENT)
+        return max(1.0, min(groups, child))
 
     def _estimate_LogicalSort(self, plan: lp.LogicalSort) -> float:
         return self.estimate(plan.child)
@@ -338,19 +361,59 @@ class CardinalityEstimator:
         right = self.estimate(plan.right)
         if plan.kind == "cross":
             return left * right
-        if plan.equi_keys:
-            # Foreign-key style assumption: the larger side survives.
-            estimate = max(left, right)
-        else:
-            estimate = left * right * DEFAULT_SELECTIVITY
-        if plan.residual is not None:
-            slot_map = self._slot_sources(plan)
-            estimate *= self.predicate_selectivity(
-                plan.residual, slot_map
-            )
+        estimate = self.join_rows(
+            left, right, plan.equi_keys, plan.residual,
+            self._slot_sources(plan),
+        )
         if plan.kind == "left":
             estimate = max(estimate, left)
         return estimate
+
+    def join_rows(
+        self, left: float, right: float, keys, residual, slot_map=None
+    ) -> float:
+        """Rows of an inner join (a cross product with no condition).
+        Equi-``keys`` keep |L|·|R| / max(ndv(L.k), ndv(R.k)), a side's
+        key NDV capped by its rows; with no NDV, the larger side cut by
+        the smaller (key) side's filters. ``slot_map`` defaults to
+        :meth:`sources_of`'s, so a candidate is costed unbuilt."""
+        if slot_map is None:
+            slot_map = self._sources
+        rows = left * right
+        if keys:
+            left_keys, right_keys = zip(*keys)
+            left_ndv = self._ndv(left_keys, slot_map)
+            right_ndv = self._ndv(right_keys, slot_map)
+            if left_ndv is not None or right_ndv is not None:
+                rows /= max(
+                    min(left_ndv or 0.0, max(left, 1.0)),
+                    min(right_ndv or 0.0, max(right, 1.0)),
+                )
+            else:
+                small, key = (left, left_keys[0]) if left <= right else (
+                    right, right_keys[0]
+                )
+                stats = self._column_stats(key, slot_map)
+                rows = max(left, right) * (
+                    min(small / stats.row_count, 1.0)
+                    if stats is not None and stats.row_count else 1.0
+                )
+        elif residual is not None:
+            rows *= DEFAULT_SELECTIVITY
+        if residual is not None:
+            rows *= self.predicate_selectivity(residual, slot_map)
+        return rows
+
+    def _ndv(self, exprs, slot_map) -> Optional[float]:
+        """The columns' NDVs multiplied; None unless all are known."""
+        ndv = 1.0
+        for expr in exprs:
+            stats = self._column_stats(expr, slot_map)
+            if stats is None or not stats.ndv:
+                return None
+            ndv *= stats.ndv
+        self._used_stats = True
+        return ndv
 
     def _estimate_LogicalSetOp(self, plan: lp.LogicalSetOp) -> float:
         left = self.estimate(plan.left)

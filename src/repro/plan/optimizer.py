@@ -7,8 +7,8 @@ from typing import Callable, Optional
 from . import logical as lp
 from .cardinality import CardinalityEstimator
 from .rules import (
-    choose_join_sides,
     fold_constants,
+    order_joins,
     prune_columns,
     push_down_limits,
     push_down_predicates,
@@ -29,8 +29,9 @@ class Optimizer:
     5. inside the step/stop plan of a loop only: join re-association,
        so loop-invariant relations join each other before they join the
        working table (and hoist as one unit),
-    6. join build-side selection using cardinality estimates — which
-       may come from table statistics (see
+    6. join order by C_out, the sum of estimated intermediate rows
+       (loop bodies keep the binder's), each hash join building its
+       smaller side — estimates may come from table statistics (see
        :mod:`repro.plan.cardinality`).
 
     Pass ``enabled=False`` (or construct with no stats) to execute the
@@ -73,7 +74,7 @@ class Optimizer:
             plan = reassociate_invariant_joins(
                 plan, loop_key, self._estimator
             )
-        plan = choose_join_sides(plan, self._estimator)
+        plan = order_joins(plan, self._estimator, reorder=loop_key is None)
         return self._recurse_into_nested(plan)
 
     def _count_limit_pushdown(self) -> None:

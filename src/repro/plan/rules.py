@@ -17,8 +17,9 @@ the bodies of ITERATE and recursive CTEs:
   asks of that side alone (see :func:`_push_implied`).
 * **Column pruning** — base-table scans materialise only the columns the
   plan above actually consumes.
-* **Join side selection** — for inner hash joins, the side estimated
-  smaller becomes the build side.
+* **Join order** — each block of inner joins is reordered bottom-up by
+  estimated cost (:func:`order_joins`); the side estimated smaller
+  becomes the build side of every inner hash join.
 * **Join re-association in loop bodies** — two loop-invariant relations
   joined *through* the working table are joined to each other first,
   so the planner can hoist that join out of the rounds.
@@ -453,32 +454,212 @@ def _in_child_order(join: lp.LogicalJoin) -> lp.LogicalJoin:
 
 
 # ---------------------------------------------------------------------------
-# join side selection
+# join order and build sides
 # ---------------------------------------------------------------------------
 
+#: Connected blocks with more relations than this are ordered greedily.
+DP_LIMIT = 10
 
-def choose_join_sides(
-    plan: lp.LogicalPlan, estimator: CardinalityEstimator
+
+def order_joins(
+    plan: lp.LogicalPlan, estimator: CardinalityEstimator, reorder=True
 ) -> lp.LogicalPlan:
-    """For inner equi-joins, make the smaller input the build (right)
-    side. LEFT joins are pinned: the probe side must stay left. Every
-    join then lists its columns in child order (:func:`_in_child_order`);
-    its consumers read them by slot."""
+    """With ``reorder``, each block — a maximal tree of inner and cross
+    joins; LEFT joins, filters, nested plans are its leaves — is planned
+    anew (:func:`_order_block`); loop bodies keep the binder's tree.
+    Every inner hash join builds the side estimated smaller
+    (:func:`_join`); every join lists its columns in child order."""
+    if reorder and _in_block(plan):
+        with estimator.sources_of(plan):
+            ordered = _order_block(plan, estimator)
+        if ordered is not None:
+            return ordered
     plan = _with_children(
-        plan, lambda child: choose_join_sides(child, estimator)
+        plan, lambda child: order_joins(child, estimator, reorder)
     )
-    if not isinstance(plan, lp.LogicalJoin):
-        return plan
-    if plan.kind == "inner" and plan.equi_keys:
-        left_rows = estimator.estimate(plan.left)
-        right_rows = estimator.estimate(plan.right)
-        if left_rows < right_rows:
-            swapped_keys = [(rk, lk) for lk, rk in plan.equi_keys]
-            plan = lp.LogicalJoin(
-                "inner", plan.right, plan.left, swapped_keys,
-                plan.residual, plan.output,
-            )
-    return _in_child_order(plan)
+    if _in_block(plan):
+        return _join(
+            plan.left, plan.right, plan.equi_keys, plan.residual, estimator
+        )
+    return _in_child_order(plan) if isinstance(plan, lp.LogicalJoin) else plan
+
+
+def _in_block(plan: lp.LogicalPlan) -> bool:
+    return isinstance(plan, lp.LogicalJoin) and plan.kind != "left"
+
+
+def _join(left, right, keys, residual, estimator) -> lp.LogicalJoin:
+    """``left`` joined to ``right`` (a cross join with no condition),
+    building the side estimated smaller, the right; a tie keeps them."""
+    if keys and estimator.estimate(left) < estimator.estimate(right):
+        left, right = right, left
+        keys = [(rk, lk) for lk, rk in keys]
+    kind = "inner" if keys or residual is not None else "cross"
+    return lp.LogicalJoin(
+        kind, left, right, keys, residual, left.output + right.output
+    )
+
+
+def _collect_block(plan, leaves, conjuncts, splits) -> int:
+    """Gathers the block's leaves, its conditions (an equi-key as ``=``)
+    and its joins' ``(left, right)`` leaf bitmasks; returns ``plan``'s."""
+    if not _in_block(plan):
+        leaves.append(plan)
+        return 1 << (len(leaves) - 1)
+    left = _collect_block(plan.left, leaves, conjuncts, splits)
+    right = _collect_block(plan.right, leaves, conjuncts, splits)
+    splits.add((left, right))
+    conjuncts += [b.BoundBinary("=", *key, BOOLEAN) for key in plan.equi_keys]
+    if plan.residual is not None:
+        conjuncts += split_conjuncts(plan.residual)
+    return left | right
+
+
+def _order_block(plan, estimator) -> Optional[lp.LogicalPlan]:
+    """The join tree of least C_out (the sum of its joins' estimated
+    rows) over the block under ``plan``, or None to keep the binder's
+    join there, as for a condition that may raise or call user code.
+
+    Relations are bitmasks in FROM position; the equi-conjuncts between
+    two are the graph's edges. Each connected component is costed
+    bottom-up over :func:`csg_cmp_pairs` (greedily above
+    :data:`DP_LIMIT`), then components are cross-joined in FROM order.
+    A conjunct goes on the lowest join covering its relations. A tie
+    keeps the binder's join."""
+    leaves, conjuncts, splits = [], [], set()
+    _collect_block(plan, leaves, conjuncts, splits)
+    owner = {
+        slot: i for i, leaf in enumerate(leaves)
+        for slot in leaf.output_slots()
+    }
+    if len(owner) < sum(len(leaf.output) for leaf in leaves):
+        return None  # a slot that two leaves share
+
+    def mask(expr) -> Optional[int]:  # None: keep the binder's order
+        found = effects(expr)
+        if found.may_raise or found.user_code or found.subqueries or not (
+            found.reads <= owner.keys()
+        ):
+            return None
+        return sum({1 << owner[slot] for slot in found.reads})
+
+    full = (1 << len(leaves)) - 1
+    neighbours = [0] * len(leaves)
+    conditions = []
+    for conjunct in conjuncts:
+        covers = mask(conjunct)
+        if covers is None:
+            return None
+        lm = rm = 0
+        if isinstance(conjunct, b.BoundBinary) and conjunct.op == "=":
+            lm, rm = mask(conjunct.left), mask(conjunct.right)
+        if lm != rm and lm.bit_count() == rm.bit_count() == 1:
+            neighbours[lm.bit_length() - 1] |= rm
+            neighbours[rm.bit_length() - 1] |= lm
+        covers = covers or full
+        conditions.append((covers, covers.bit_count() == 1, conjunct, lm, rm))
+    leaves = [order_joins(leaf, estimator) for leaf in leaves]
+
+    #: relations -> (C_out, not the binder's split, rows, the leaf or
+    #: the (S1, S2, keys, residual) joined)
+    best = {
+        1 << i: (0.0, False, estimator.estimate(leaf), leaf)
+        for i, leaf in enumerate(leaves)
+    }
+
+    def consider(s1: int, s2: int) -> None:
+        both = s1 | s2
+        left, right, known = best[s1], best[s2], best.get(both)
+        if known is not None and left[0] + right[0] > known[0]:
+            return  # costlier before its own join's rows are counted
+        keys, residual = [], []
+        for covers, single, conjunct, lm, rm in conditions:
+            if covers & ~both or (  # not the lowest join covering it
+                covers not in (s1, s2) if single
+                else not (covers & ~s1 and covers & ~s2)
+            ):
+                continue
+            if lm and rm and not (lm & ~s1 or rm & ~s2):
+                keys.append((conjunct.left, conjunct.right))
+            elif lm and rm and not (lm & ~s2 or rm & ~s1):
+                keys.append((conjunct.right, conjunct.left))
+            else:
+                residual.append(conjunct)
+        condition = conjoin(residual)
+        rows = estimator.join_rows(left[2], right[2], keys, condition)
+        cost, rank = left[0] + right[0] + rows, (s1, s2) not in splits
+        if known is None or (cost, rank) < known[:2]:
+            best[both] = (cost, rank, rows, (s1, s2, keys, condition))
+
+    components, rest = [], full
+    while rest:
+        components.append(_component(rest & -rest, rest, neighbours))
+        rest &= ~components[-1]
+    for component in components:
+        if component.bit_count() <= DP_LIMIT:
+            for s1, s2 in csg_cmp_pairs(component, neighbours):
+                consider(s1, s2)
+            continue
+        parts = [1 << i for i in range(len(leaves)) if component >> i & 1]
+        while len(parts) > 1:
+            pairs = [
+                (s1, s2) for i, s1 in enumerate(parts) for s2 in parts[i + 1:]
+                if _component(s1, s1 | s2, neighbours) == s1 | s2
+            ]
+            for s1, s2 in pairs:
+                consider(s1, s2)
+            s1, s2 = min(pairs, key=lambda pair: best[pair[0] | pair[1]][2])
+            parts = [p for p in parts if p not in (s1, s2)] + [s1 | s2]
+    for i in range(1, len(components)):
+        consider(sum(components[:i]), components[i])
+    return _build(best, full, estimator)
+
+
+def _build(best, bits: int, estimator) -> lp.LogicalPlan:
+    """The plan :func:`_order_block` chose for the relations ``bits``."""
+    how = best[bits][3]
+    if isinstance(how, lp.LogicalPlan):
+        return how
+    s1, s2, keys, residual = how
+    left, right = _build(best, s1, estimator), _build(best, s2, estimator)
+    return _join(left, right, keys, residual, estimator)
+
+
+def _component(seed: int, within: int, neighbours: list[int]) -> int:
+    """The relations of ``within`` connected to ``seed`` inside it."""
+    seen = 0
+    while seed != seen:
+        seen = seed
+        for i, adjacent in enumerate(neighbours):
+            if seen >> i & 1:
+                seed |= adjacent & within
+    return seen
+
+
+def csg_cmp_pairs(nodes: int, neighbours: list[int]):
+    """Each pair of disjoint connected sets of the relations ``nodes``
+    with an edge between them (``neighbours[i]``: relation i's), once,
+    as ``(S1, S2)`` with S1 holding the lowest relation; ascending in
+    S1 ∪ S2, so a set's pairs follow its subsets' (DPsub; Moerkotte and
+    Neumann, VLDB 2006, count these csg-cmp pairs)."""
+    connected: set[int] = set()
+    reach = {0: 0}  # subset -> the relations adjacent to it
+    s = 0
+    while s := (s - nodes) & nodes:
+        low = s & -s
+        reach[s] = reach[s ^ low] | neighbours[low.bit_length() - 1]
+        seen, grown = 0, low
+        while grown != seen:
+            seen, grown = grown, grown | (reach[grown] & s)
+        if seen != s:
+            continue
+        connected.add(s)
+        # Two connected halves of a connected set share an edge.
+        rest = s2 = s ^ low
+        while s2:
+            if s2 in connected and s ^ s2 in connected:
+                yield s ^ s2, s2
+            s2 = (s2 - 1) & rest
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,7 @@ class FuzzConfig:
     plan_cache: bool = False
     encoding: str = "raw"
     topn: bool = False
+    optimize: bool = True
     schema: str = "default"
 
     def __str__(self) -> str:
@@ -221,6 +222,7 @@ class FuzzConfig:
             "plan_cache": self.plan_cache,
             "encoding": self.encoding,
             "topn": self.topn,
+            "optimize": self.optimize,
             "checkpoint_bytes": self.checkpoint_bytes or 0,
             "recovery": self.recovery,
         }
@@ -254,6 +256,8 @@ CONFIG_SPACE: dict[str, tuple] = {
     "encoding": ENCODING_POLICIES,
     "topn": (False, True),
     "schema": SCHEMA_PROFILES,
+    # Last, so that every earlier field's draw per seed is unchanged.
+    "optimize": (True, False),
 }
 
 

@@ -43,6 +43,15 @@ def test_tier1_seeds_draw_every_value_of_every_field():
         assert drawn == set(values), name
 
 
+def test_optimize_is_drawn_last_and_reaches_the_engine():
+    """Drawn last, the axis leaves every earlier field's draw per seed as
+    it was; a subject drawn without it runs the binder's plans."""
+    assert list(CONFIG_SPACE)[-1] == "optimize"
+    assert REFERENCE.optimize
+    settings = replace(REFERENCE, optimize=False).engine_settings()
+    assert repro.Database(**settings).config.optimize is False
+
+
 def test_draw_is_deterministic_and_leaves_the_sql_alone():
     assert draw_config(17) == draw_config(17)
     assert len({draw_config(seed) for seed in range(20)}) > 1

@@ -65,11 +65,11 @@ def counter(db, name: str) -> float:
     return db.metrics.snapshot()["counters"].get(name, 0.0)
 
 
-def seeded_db(seed: int) -> repro.Database:
+def seeded_db(seed: int, **options) -> repro.Database:
     """``t(k, v)``: 10 rows over keys 0..4; ``u(k, w)``: one row per
     key. Small integers only, so every shape is exact."""
     rng = random.Random(seed)
-    db = repro.Database()
+    db = repro.Database(**options)
     db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
     db.insert_rows(
         "t", [(rng.randrange(5), rng.randrange(-9, 10)) for _ in range(10)]
@@ -410,7 +410,7 @@ def join_node(tag: str, mirrored: bool):
 
 def test_subtree_key_follows_output_positions():
     """A join whose output lists its children's columns in another
-    order (``choose_join_sides`` swaps the children, not the output) is
+    order (``order_joins`` swaps the children, not the output) is
     not a copy, even when names and types line up position by
     position; a copy under fresh slots is."""
     from repro.exec.hoist import SubtreeKeys
@@ -598,28 +598,39 @@ def test_correlated_parameter_or_a_growing_join_pins_the_order():
     assert isinstance(kept.left, lp.LogicalJoin)
 
 
-def test_joins_outside_a_loop_body_keep_their_order():
-    """Same FROM list, no loop: nothing is invariant *in* anything, and
-    the left-deep tree the binder built is what runs."""
+def test_joins_outside_a_loop_body_are_ordered_by_estimate():
+    """Same FROM list, no loop: nothing is invariant *in* anything, so
+    no re-association; the block's order is the join enumerator's. The
+    binder's left-deep tree joins ``u`` last; by the key NDVs, ``e ⋈ d``
+    is the cheaper first join and the filtered derived table comes
+    last. ``optimize=False`` runs the binder's tree untouched."""
     from repro.plan import logical as lp
     from repro.sql.parser import parse_statement
 
-    db = seeded_db(3)
-    txn = db.txns.begin()
-    try:
-        plan = db.pipeline.plan_select(
-            parse_statement(
-                "SELECT i.k, e.v + d.w FROM (SELECT k FROM t WHERE v > 0) i, "
-                "t e, u d WHERE i.k = e.k AND e.k = d.k"
-            ),
-            txn,
+    def last_joined(optimize):
+        db = seeded_db(3, optimize=optimize)
+        txn = db.txns.begin()
+        try:
+            plan = db.pipeline.plan_select(
+                parse_statement(
+                    "SELECT i.k, e.v + d.w FROM "
+                    "(SELECT k FROM t WHERE v > 0) i, "
+                    "t e, u d WHERE i.k = e.k AND e.k = d.k"
+                ),
+                txn,
+            )
+        finally:
+            txn.rollback()
+        top, below = (
+            n for n in lp.walk_plan(plan) if isinstance(n, lp.LogicalJoin)
         )
-    finally:
-        txn.rollback()
-    top, below = (
-        n for n in lp.walk_plan(plan) if isinstance(n, lp.LogicalJoin)
-    )
-    (last,) = (c for c in top.children() if c is not below)
+        (last,) = (c for c in top.children() if c is not below)
+        return last
+
+    last = last_joined(True)
+    assert isinstance(last, lp.LogicalProject)
+    assert isinstance(last.child.child, lp.LogicalFilter)
+    last = last_joined(False)
     assert isinstance(last, lp.LogicalScan) and last.table_name == "u"
 
 

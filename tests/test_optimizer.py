@@ -469,7 +469,7 @@ class TestNestedPlansOptimizedOnce:
 
     RULES = (
         "fold_constants", "push_down_predicates", "push_down_limits",
-        "_apply_pruning", "choose_join_sides",
+        "_apply_pruning", "order_joins",
     )
 
     def _visits(self, monkeypatch, db, sql, leaf):

@@ -9,7 +9,7 @@ import gc
 import pytest
 
 import repro
-from repro.testing import tpch
+from repro.testing import QueryGenerator, tpch
 from repro.testing.oracle import build_repro_db
 from repro.txn.manager import Transaction
 
@@ -78,35 +78,56 @@ def test_no_transaction_outlives_a_write_with_subqueries(plan_cache, sql):
         gc.enable()
 
 
+#: Point statements on ``kv``, with their parameters.
+POINT = [
+    ("SELECT v FROM kv WHERE k = ?", [3]),
+    ("UPDATE kv SET v = v + 1 WHERE k = ?", [4]),
+]
+
+#: The generator seeds whose first query runs with the plan cache off,
+#: so every run plans it anew.
+GENERATOR_SEEDS = range(200)
+
+
 def statements(tables) -> list:
-    """``(database, sql)`` for every battery query, every ``ladder``
-    statement and every write above, on databases built once."""
+    """``(database, sql, parameters)`` for every battery query, every
+    ``ladder`` statement, every write and point statement above, on
+    databases built once, and the first query of each generator seed."""
     out = []
     for plan_cache in (False, True):
         db = build_repro_db(tables, plan_cache=plan_cache)
-        out += [(db, path.read_text()) for path in BATTERY]
+        out += [(db, path.read_text(), None) for path in BATTERY]
         for make_db, texts in LADDER.items():
             db = make_db(plan_cache=plan_cache)
-            out += [(db, sql) for sql in texts]
+            out += [(db, sql, None) for sql in texts]
         db = dml_db(plan_cache)
-        out += [(db, sql) for sql in DML]
+        out += [(db, sql, None) for sql in DML]
+        db = repro.Database(plan_cache=plan_cache)
+        db.execute("CREATE TABLE kv (k INTEGER, v INTEGER)")
+        db.insert_rows("kv", [(i, i * 10) for i in range(100)])
+        out += [(db, sql, params) for sql, params in POINT]
+    for seed in GENERATOR_SEEDS:
+        generator = QueryGenerator(seed)
+        schema = generator.schema()
+        db = build_repro_db(schema, plan_cache=False)
+        out.append((db, generator.query(schema).to_sql(), None))
     return out
 
 
 def test_statements_leave_no_garbage_cycles(tables):
     """Reference counting alone frees everything a finished statement
-    made: after a warm-up run of each statement (a plan-cache miss with
-    the cache on), with the collector off, the next run leaves nothing
-    for it to find."""
+    made — the planner's join enumeration included: after a warm-up run
+    of each statement (a plan-cache miss with the cache on), with the
+    collector off, the next run leaves nothing for it to find."""
     runs = statements(tables)
-    for db, sql in runs:
-        db.execute(sql)
+    for db, sql, params in runs:
+        db.execute(sql, params)
     gc.collect()
     gc.disable()
     try:
         left = []
-        for db, sql in runs:
-            db.execute(sql)
+        for db, sql, params in runs:
+            db.execute(sql, params)
             found = gc.collect()
             if found:
                 left.append((db.config.plan_cache, sql[:60], found))
